@@ -14,21 +14,8 @@ import time
 
 import numpy as np
 
-from .fftconv import causal_conv_fft, softmax_via_fft
-from .cnum import softmax_eps
-from .kernel import (
-    GeneralSSM,
-    KernelParams,
-    VARIANTS,
-    build_kernel,
-    dense_to_diagonal_weights,
-    dss_exp_kernel,
-    dss_softmax_kernel,
-    finite_diff_grad,
-    general_ssm_kernel,
-    kernel_grad_exp,
-    write_kernel_csv,
-)
+from .checks import SUITES, TOLERANCES
+from .kernel import KernelParams, VARIANTS, build_kernel, write_kernel_csv
 from .layer import (
     init_layer,
     kernel_stats,
@@ -38,19 +25,12 @@ from .layer import (
     train_toy_delay,
     write_report_json,
 )
-from .recurrence import run_exp, run_softmax_stable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_CHECK_FAILED = 3
 EXIT_DIVERGED = 4
-
-# Identity checks compare eps-regularized paths against exact references,
-# so they run the regularized side at a negligible eps.
-CHECK_EPS = 1e-12
-
-SUITES = ("prop1", "recurrence", "fftsoftmax", "grad", "all")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,207 +50,18 @@ def _parse_complex_list(text):
     return flat[0::2] + 1j * flat[1::2]
 
 
-# ---------------------------------------------------------------------------
-# instance samplers (shared with the test suite)
-
-def sample_dense_instance(rng, n_max=8, l_max=64, cond_limit=100.0):
-    """A diagonalizable dense system with a stable, well-separated spectrum.
-
-    Eigenvalue real parts lie in [-2, -0.05], delta in [0.01, 0.5], and the
-    eigenvector basis is redrawn until its condition number is below
-    ``cond_limit``.
-    """
-    n = int(rng.randint(1, n_max + 1))
-    l = int(rng.randint(2, l_max + 1))
-    lam = rng.uniform(-2.0, -0.05, n) + 1j * rng.uniform(-3.0, 3.0, n)
-    delta = float(rng.uniform(0.01, 0.5))
-    while True:
-        v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if np.linalg.cond(v) <= cond_limit:
-            break
-    a = v @ np.diag(lam) @ np.linalg.inv(v)
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return {"a": a, "v": v, "lam": lam, "b": b, "c": c, "delta": delta, "l": l, "n": n}
-
-
-def sample_exp_params(rng, n_max=8):
-    n = int(rng.randint(1, n_max + 1))
-    return KernelParams(
-        variant="exp",
-        lambda_re=rng.uniform(-2.0, 0.5, n),
-        lambda_im=rng.uniform(-5.0, 5.0, n),
-        w=rng.standard_normal(n) + 1j * rng.standard_normal(n),
-        delta_log=float(rng.uniform(math.log(1e-3), math.log(0.1))),
-    )
-
-
-def sample_softmax_params(rng, n_max=8, l=4096, force_positive=False):
-    """Softmax-variant parameters whose growth guard is comfortably away
-    from singular (|exp(L*lam*delta)| bounded away from 1)."""
-    n = int(rng.randint(1, n_max + 1))
-    delta_log = float(rng.uniform(math.log(1e-3), math.log(0.1)))
-    delta = math.exp(delta_log)
-    while True:
-        if force_positive:
-            lambda_re = rng.uniform(0.05, 1.0, n)
-        else:
-            lambda_re = rng.uniform(-1.0, 1.0, n)
-        if np.all(np.abs(lambda_re) * delta * l > 1e-6):
-            break
-    return KernelParams(
-        variant="softmax",
-        lambda_re=lambda_re,
-        lambda_im=rng.uniform(-5.0, 5.0, n),
-        w=rng.standard_normal(n) + 1j * rng.standard_normal(n),
-        delta_log=delta_log,
-    )
-
-
-def sample_fftsoftmax_points(rng, count):
-    """Scalars c covering both signs of Re(c), |Im| <= 4*pi, with the real
-    part bounded away from the singular (imaginary) axis."""
-    sign = np.where(rng.uniform(size=count) < 0.5, -1.0, 1.0)
-    re = sign * rng.uniform(0.05, 2.0, count)
-    im = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, count)
-    return re + 1j * im
-
-
-# ---------------------------------------------------------------------------
-# check suites
-
-def _check_prop1(trials, seed):
-    rng = np.random.RandomState(seed)
-    results = []
-    for trial in range(trials):
-        inst = sample_dense_instance(rng)
-        reference = general_ssm_kernel(
-            GeneralSSM(inst["a"], inst["b"], inst["c"]), inst["delta"], inst["l"])
-        cv = inst["c"] @ inst["v"]
-        vinvb = np.linalg.solve(inst["v"], inst["b"])
-        w_tilde, w = dense_to_diagonal_weights(
-            cv, vinvb, inst["lam"], inst["delta"], inst["l"])
-        k_exp = dss_exp_kernel(
-            KernelParams("exp", np.log(-inst["lam"].real), inst["lam"].imag,
-                         w_tilde, math.log(inst["delta"])),
-            inst["l"])
-        k_soft = dss_softmax_kernel(
-            KernelParams("softmax", inst["lam"].real, inst["lam"].imag,
-                         w, math.log(inst["delta"])),
-            inst["l"], eps=CHECK_EPS)
-        err = max(np.abs(reference - k_exp).max(), np.abs(reference - k_soft).max())
-        detail = "n=%d l=%d delta=%.6g lam=%s" % (
-            inst["n"], inst["l"], inst["delta"], np.array2string(inst["lam"], precision=4))
-        results.append((err, 1e-8, detail))
-    return results
-
-
-def _check_recurrence(trials, seed, l=4096):
-    rng = np.random.RandomState(seed)
-    results = []
-    for trial in range(trials):
-        u = rng.standard_normal(l)
-        exp_params = sample_exp_params(rng)
-        y_seq, _ = run_exp(exp_params, u)
-        y_conv = causal_conv_fft(build_kernel(exp_params, l), u)
-        err = np.abs(y_seq - y_conv).max()
-        detail = "exp n=%d delta_log=%.4f" % (exp_params.n, exp_params.delta_log)
-
-        force_positive = trial % 3 == 2
-        soft_params = sample_softmax_params(rng, l=l, force_positive=force_positive)
-        y_seq2, _ = run_softmax_stable(soft_params, u)
-        y_conv2 = causal_conv_fft(build_kernel(soft_params, l), u)
-        err = max(err, np.abs(y_seq2 - y_conv2).max())
-        detail += " | softmax n=%d re_sign=%s" % (
-            soft_params.n, "+" if force_positive else "mixed")
-        results.append((err, 1e-8, detail))
-    return results
-
-
-def _check_fftsoftmax(trials, seed):
-    rng = np.random.RandomState(seed)
-    results = []
-    lengths = (8, 64, 1024)
-    for trial in range(trials):
-        c = complex(sample_fftsoftmax_points(rng, 1)[0])
-        err = 0.0
-        for l in lengths:
-            direct = softmax_eps(c * np.arange(l), eps=CHECK_EPS)
-            via_fft = softmax_via_fft(c, l)
-            err = max(err, float(np.abs(direct - via_fft).max()))
-        results.append((err, 1e-8, "c=%.6g%+.6gj" % (c.real, c.imag)))
-    return results
-
-
-def _check_grad(trials, seed):
-    rng = np.random.RandomState(seed)
-    results = []
-    for trial in range(trials):
-        params = sample_exp_params(rng, n_max=4)
-        n = params.n
-        l = int(rng.randint(2, 33))
-        upstream = rng.standard_normal(l)
-
-        def loss(theta):
-            p = KernelParams("exp", theta[0:n], theta[n:2 * n],
-                             theta[2 * n:3 * n] + 1j * theta[3 * n:4 * n], theta[4 * n])
-            return float(dss_exp_kernel(p, l) @ upstream)
-
-        theta0 = np.concatenate([
-            params.lambda_re, params.lambda_im, params.w.real, params.w.imag,
-            [params.delta_log],
-        ])
-        g = kernel_grad_exp(params, l, upstream)
-        analytic = np.concatenate([
-            g.d_lambda_re, g.d_lambda_im, g.d_w_re, g.d_w_im, [g.d_delta_log],
-        ])
-        numeric = finite_diff_grad(loss, theta0, h=1e-6)
-        rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)
-        results.append((float(rel.max()), 1e-4, "n=%d l=%d" % (n, l)))
-    return results
-
-
-_SUITE_RUNNERS = {
-    "prop1": _check_prop1,
-    "recurrence": _check_recurrence,
-    "fftsoftmax": _check_fftsoftmax,
-    "grad": _check_grad,
-}
-
-
-def run_check_suite(suite, trials, seed):
-    """Run one named suite; returns a list of (name, err, tol, detail)."""
-    names = list(_SUITE_RUNNERS) if suite == "all" else [suite]
-    out = []
-    for name in names:
-        for idx, (err, tol, detail) in enumerate(_SUITE_RUNNERS[name](trials, seed)):
-            out.append((f"{name} trial {idx}", float(err), tol, detail))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# commands
-
 def _cmd_kernel(args):
     if args.delta is not None and args.delta <= 0:
-        print("kernel: --delta must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--delta must be positive")
     overrides = (args.lambda_re, args.lambda_im, args.w)
     if any(o is not None for o in overrides):
         if any(o is None for o in overrides):
-            print("kernel: --lambda-re, --lambda-im and --w go together",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            lambda_re = _parse_float_list(args.lambda_re)
-            lambda_im = _parse_float_list(args.lambda_im)
-            w = _parse_complex_list(args.w)
-        except ValueError as exc:
-            print(f"kernel: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--lambda-re, --lambda-im and --w go together")
+        lambda_re = _parse_float_list(args.lambda_re)
+        lambda_im = _parse_float_list(args.lambda_im)
+        w = _parse_complex_list(args.w)
         if not (lambda_re.size == lambda_im.size == w.size):
-            print("kernel: override lengths disagree", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("override lengths disagree")
         delta_log = math.log(args.delta) if args.delta is not None else 0.0
         params = KernelParams(args.variant, lambda_re, lambda_im, w, delta_log)
     else:
@@ -291,49 +82,48 @@ def _cmd_kernel(args):
 
 
 def _cmd_check(args):
-    results = run_check_suite(args.suite, args.trials, args.seed)
-    failed = False
-    for name, err, tol, detail in results:
-        ok = err < tol
-        print(f"{'PASS' if ok else 'FAIL'} {name}: max_err={err:.3e} tol={tol:.0e}")
-        if not ok:
-            failed = True
-            print(f"  failing instance: {detail}", file=sys.stderr)
-    print(f"{'FAIL' if failed else 'PASS'}: {len(results)} checks")
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    count = failed = 0
+    for name in names:
+        tol = TOLERANCES[name]
+        for idx, trial in enumerate(SUITES[name](args.trials, args.seed)):
+            err = float(np.max(list(trial.errors.values())))  # NaN fails
+            ok = err < tol
+            print(f"{'PASS' if ok else 'FAIL'} {name} trial {idx}: "
+                  f"max_err={err:.3e} tol={tol:.0e}")
+            if not ok:
+                failed += 1
+                print(f"  failing instance: {trial.detail}", file=sys.stderr)
+            count += 1
+    print(f"{'FAIL' if failed else 'PASS'}: {count} checks")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _time_ms(fn, repeats=1):
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best * 1e3
+def _time_ms(fn):
+    start = time.perf_counter()
+    fn()
+    return (time.perf_counter() - start) * 1e3
 
 
 def _cmd_bench(args):
     try:
         l_list = [int(v) for v in args.l.split(",")]
     except ValueError:
-        print("bench: --l expects comma-separated integers", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--l expects comma-separated integers") from None
     if any(l < 1 for l in l_list):
-        print("bench: sequence lengths must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("sequence lengths must be >= 1")
     params = init_layer(args.h, args.n, args.variant, args.seed)
     rng = np.random.RandomState(args.seed)
     print("L,kernel_ms,conv_ms,recur_ms")
     for l in l_list:
         u = rng.standard_normal((args.b, args.h, l))
-        kernels = layer_kernels(params, l)
         kernel_ms = _time_ms(lambda: layer_kernels(params, l))
         conv_ms = ""
         recur_ms = ""
         if args.mode in ("conv", "both"):
-            conv_ms = "%.3f" % _time_ms(lambda: [
-                causal_conv_fft(kernels[hi], u[bi, hi])
-                for bi in range(args.b) for hi in range(args.h)])
+            conv_ms = "%.3f" % _time_ms(lambda: ssm_outputs(params, u, mode="conv"))
         if args.mode in ("recurrent", "both"):
             recur_ms = "%.3f" % _time_ms(
                 lambda: ssm_outputs(params, u, mode="recurrent"))
@@ -344,7 +134,7 @@ def _cmd_bench(args):
 def _cmd_heatmap(args):
     try:
         params = load_layer_params(args.params)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"heatmap: cannot load {args.params}: {exc}", file=sys.stderr)
         return EXIT_IO
     stats = kernel_stats(params, args.l)
@@ -364,9 +154,6 @@ def _cmd_heatmap(args):
 
 
 def _cmd_train_toy(args):
-    if not 0 <= args.lag < args.l:
-        print("train-toy: lag must satisfy 0 <= lag < l", file=sys.stderr)
-        return EXIT_USAGE
     try:
         report = train_toy_delay(
             n=args.n, l=args.l, lag=args.lag, steps=args.steps,
@@ -405,7 +192,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("check", help="run cross-oracle verification suites")
-    p.add_argument("--suite", required=True, choices=SUITES)
+    p.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check)
@@ -444,10 +231,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "trials", 1) < 1:
-        print("check: --trials must be >= 1", file=sys.stderr)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"diagssm {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
 
 
 def entry():

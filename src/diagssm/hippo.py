@@ -3,12 +3,11 @@
 The initialization starts from a 2N x 2N matrix of the form -I/2 + S with S
 skew-symmetric, whose eigenvalues are -1/2 + i*mu in conjugate pairs.  The
 diagonal spectrum keeps the N eigenvalues with positive imaginary part.
-Because only the magnitudes mu are needed, they are extracted from the
-symmetric positive-semidefinite Gram matrix S^T S (= -S^2) with a cyclic
-Jacobi eigensolver, avoiding complex eigensolving entirely.
+Only the magnitudes mu are needed, and they are the positive eigenvalues
+of the Hermitian matrix i*S, so one Hermitian eigensolve (numpy's
+``eigvalsh``) yields them directly.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,83 +40,30 @@ def skew_hippo_matrix(n):
     return m
 
 
-def symmetric_eigenvalues(m, tol=None, max_sweeps=100):
-    """Eigenvalues of a dense symmetric real matrix, sorted descending.
+def symmetric_eigenvalues(m):
+    """Eigenvalues of a dense real-symmetric or complex-Hermitian matrix,
+    sorted descending (``numpy.linalg.eigvalsh``).
 
-    Cyclic Jacobi rotations, iterated until the off-diagonal Frobenius norm
-    drops below ``tol`` (default 1e-12 times the Frobenius norm of the
-    input).  Raises if the input is not symmetric or if ``max_sweeps``
-    sweeps do not converge.
+    Raises if the input is not square and symmetric (Hermitian) to 1e-12
+    of its Frobenius norm.
     """
-    a = np.array(m, dtype=float)
+    a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix not symmetric")
-    fro = np.sqrt((a * a).sum())
-    if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, fro):
+    fro = np.sqrt((np.abs(a) ** 2).sum())
+    if np.max(np.abs(a - a.conj().T)) > 1e-12 * max(1.0, fro):
         raise ValueError("matrix not symmetric")
-    if tol is None:
-        tol = 1e-12 * fro
-    elif tol <= 0:
-        raise ValueError("tol must be positive")
-    dim = a.shape[0]
-    if dim == 1:
-        return a.ravel().copy()
-
-    diag_mask = ~np.eye(dim, dtype=bool)
-    for _ in range(max_sweeps):
-        # Summing squares of the off-diagonal entries directly; subtracting
-        # the diagonal part from the full Frobenius norm cancels badly.
-        off = math.sqrt((a[diag_mask] ** 2).sum())
-        if off < tol:
-            break
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # Negligible relative to the diagonal: flush to zero.
-                g = 100.0 * abs(apq)
-                if abs(a[p, p]) + g == abs(a[p, p]) and abs(a[q, q]) + g == abs(a[q, q]):
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e12:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                gcol = a[:, p].copy()
-                hcol = a[:, q].copy()
-                a[:, p] = c * gcol - s * hcol
-                a[:, q] = s * gcol + c * hcol
-                grow = a[p, :].copy()
-                hrow = a[q, :].copy()
-                a[p, :] = c * grow - s * hrow
-                a[q, :] = s * grow + c * hrow
-                a[p, q] = a[q, p] = 0.0
-    else:
-        raise RuntimeError("jacobi sweep limit exceeded without convergence")
-
-    return np.sort(np.diag(a))[::-1].copy()
+    return np.linalg.eigvalsh(a)[::-1].copy()
 
 
 def skew_hippo_lambda(n):
     """Diagonal spectrum -1/2 + i*mu_k, mu_k > 0 sorted descending.
 
-    The magnitudes mu are the square roots of the eigenvalues of S^T S
-    where S is the skew part of :func:`skew_hippo_matrix`.  Each magnitude
-    appears twice in that spectrum (one per conjugate pair); the doubled
-    list is collapsed by keeping every second entry.  The real parts are
-    set to -1/2 directly, not read off the eigensolver.
+    S, the skew part of :func:`skew_hippo_matrix`, has eigenvalues +-i*mu,
+    so the Hermitian matrix i*S has eigenvalues -+mu; the N positive ones
+    are the magnitudes.  The real parts are set to -1/2 directly, not read
+    off the eigensolver.
     """
-    m = skew_hippo_matrix(n)
-    s = m.copy()
-    np.fill_diagonal(s, 0.0)
-    gram = s.T @ s
-    gram = 0.5 * (gram + gram.T)
-    ev = symmetric_eigenvalues(gram)
-    if ev[-1] < -1e-9:
-        raise RuntimeError("eigensolver failure: negative Gram eigenvalue")
-    mu = np.sqrt(np.maximum(ev, 0.0))[0::2]
+    s = skew_hippo_matrix(n) + 0.5 * np.eye(2 * n)
+    mu = symmetric_eigenvalues(1j * s)[:n]
     return DiagSpectrum(lambda_re=np.full(n, -0.5), lambda_im=mu)

@@ -348,7 +348,10 @@ def train_toy_delay(n, l, lag, steps, lr=1e-3, seed=0):
 
 
 def _g17(value):
-    return "%.17g" % float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"cannot write non-finite value {value!r} as JSON")
+    return "%.17g" % value
 
 
 def _json_vector(values):
@@ -361,7 +364,10 @@ def _json_matrix(values):
 
 
 def params_to_json(params):
-    """Serialize layer parameters; all numbers carry %.17g precision."""
+    """Serialize layer parameters; all numbers carry %.17g precision.
+
+    Raises ValueError on a non-finite value, which JSON cannot hold.
+    """
     return (
         "{"
         f'"version":{PARAMS_FORMAT_VERSION},'
@@ -380,13 +386,28 @@ def params_to_json(params):
 
 
 def save_layer_params(path, params):
+    text = params_to_json(params)  # before open: a refused file is not truncated
     with open(path, "w") as fh:
-        fh.write(params_to_json(params) + "\n")
+        fh.write(text + "\n")
+
+
+_PARAMS_KEYS = ("version", "variant", "h", "n", "lambda_re", "lambda_im",
+                "delta_log", "w_re", "w_im", "w_out", "b_out")
 
 
 def params_from_json(text):
+    """Layer parameters from the text :func:`params_to_json` writes.
+
+    A missing key raises ValueError naming it, as do a wrong version,
+    variant or shape.
+    """
     raw = json.loads(text)
-    if raw.get("version") != PARAMS_FORMAT_VERSION:
+    if not isinstance(raw, dict):
+        raise ValueError("parameter file is not a JSON object")
+    missing = [key for key in _PARAMS_KEYS if key not in raw]
+    if missing:
+        raise ValueError(f"parameter file lacks {', '.join(missing)}")
+    if raw["version"] != PARAMS_FORMAT_VERSION:
         raise ValueError("unsupported parameter file version")
     variant = raw["variant"]
     if variant not in VARIANTS:

@@ -4,6 +4,9 @@ Identity criteria compare an eps-regularized path against an exact
 reference; those comparisons run the regularized side at eps=1e-12 so the
 identity itself is what is measured (the production default 1e-7 perturbs
 results by up to ~1e-7 by design, which the stability criterion covers).
+
+Criteria 1-5 run the suites of ``diagssm.checks`` (the same code as
+``diagssm check``); the seeds, counts, lengths and tolerances are fixed here.
 """
 
 import json
@@ -14,102 +17,59 @@ import numpy as np
 import pytest
 
 from diagssm import (
-    GeneralSSM,
     KernelParams,
-    build_kernel,
     causal_conv_fft,
     causal_conv_naive,
-    dense_to_diagonal_weights,
-    dss_exp_kernel,
     dss_softmax_kernel,
-    finite_diff_grad,
-    general_ssm_kernel,
     init_layer,
-    kernel_grad_exp,
     layer_forward,
-    run_exp,
-    run_softmax_stable,
     skew_hippo_lambda,
     skew_hippo_matrix,
     softmax_eps,
-    softmax_via_fft,
     ssm_outputs,
 )
-from diagssm.cli import (
-    main,
-    sample_dense_instance,
-    sample_exp_params,
-    sample_fftsoftmax_points,
-    sample_softmax_params,
+from diagssm.checks import (
+    CHECK_EPS,
+    check_fftsoftmax,
+    check_grad,
+    check_prop1,
+    check_recurrence,
 )
-
-CHECK_EPS = 1e-12
+from diagssm.cli import main
 
 
 def report(criterion, detail):
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
 
 
-def dense_and_diagonal_kernels(inst):
-    reference = general_ssm_kernel(
-        GeneralSSM(inst["a"], inst["b"], inst["c"]), inst["delta"], inst["l"])
-    cv = inst["c"] @ inst["v"]
-    vinvb = np.linalg.solve(inst["v"], inst["b"])
-    w_tilde, w = dense_to_diagonal_weights(
-        cv, vinvb, inst["lam"], inst["delta"], inst["l"])
-    k_exp = dss_exp_kernel(
-        KernelParams("exp", np.log(-inst["lam"].real), inst["lam"].imag,
-                     w_tilde, math.log(inst["delta"])), inst["l"])
-    k_soft = dss_softmax_kernel(
-        KernelParams("softmax", inst["lam"].real, inst["lam"].imag,
-                     w, math.log(inst["delta"])), inst["l"], eps=CHECK_EPS)
-    return reference, k_exp, k_soft
+def worst(trials, path):
+    """Largest error of one compared path over all trials; NaN if any is."""
+    return float(np.max([t.errors[path] for t in trials]))
 
 
 def test_criterion_01_diagonalization_exp_form():
     start = time.time()
-    rng = np.random.RandomState(11)
-    worst = 0.0
-    for _ in range(50):
-        inst = sample_dense_instance(rng)
-        reference, k_exp, _ = dense_and_diagonal_kernels(inst)
-        worst = max(worst, float(np.abs(reference - k_exp).max()))
+    trials = check_prop1(trials=50, seed=11)
     elapsed = time.time() - start
-    assert worst < 1e-8
+    err = worst(trials, "exp")
+    assert err < 1e-8
     assert elapsed < 10.0
-    report(1, f"dense vs exp-form kernels, 50 instances, max err {worst:.2e}, {elapsed:.2f}s")
+    report(1, f"dense vs exp-form kernels, 50 instances, max err {err:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_02_diagonalization_softmax_form():
-    rng = np.random.RandomState(11)  # same instances as criterion 1
-    worst = 0.0
-    for _ in range(50):
-        inst = sample_dense_instance(rng)
-        reference, _, k_soft = dense_and_diagonal_kernels(inst)
-        worst = max(worst, float(np.abs(reference - k_soft).max()))
-    assert worst < 1e-8
-    report(2, f"dense vs softmax-form kernels, 50 instances, max err {worst:.2e}")
+    assert CHECK_EPS == 1e-12
+    trials = check_prop1(trials=50, seed=11)  # same instances as criterion 1
+    err = worst(trials, "softmax")
+    assert err < 1e-8
+    report(2, f"dense vs softmax-form kernels, 50 instances, max err {err:.2e}")
 
 
 def test_criterion_03_recurrence_matches_convolution():
-    rng = np.random.RandomState(12)
-    l = 4096
-    worst_exp = worst_soft = 0.0
-    positive_seen = 0
-    for trial in range(20):
-        u = rng.standard_normal(l)
-        p_exp = sample_exp_params(rng)
-        y_seq, _ = run_exp(p_exp, u)
-        y_conv = causal_conv_fft(build_kernel(p_exp, l), u)
-        worst_exp = max(worst_exp, float(np.abs(y_seq - y_conv).max()))
-
-        force_positive = trial % 2 == 1
-        p_soft = sample_softmax_params(rng, l=l, force_positive=force_positive)
-        positive_seen += int(np.any(p_soft.lambda_re > 0))
-        y_seq, _ = run_softmax_stable(p_soft, u)
-        y_conv = causal_conv_fft(build_kernel(p_soft, l), u)
-        assert np.all(np.isfinite(y_seq))
-        worst_soft = max(worst_soft, float(np.abs(y_seq - y_conv).max()))
+    trials = check_recurrence(trials=20, seed=12, l=4096)
+    assert all(math.isfinite(t.errors["softmax"]) for t in trials)
+    worst_exp, worst_soft = worst(trials, "exp"), worst(trials, "softmax")
+    positive_seen = sum(t.unstable for t in trials)
     assert worst_exp < 1e-8
     assert worst_soft < 1e-8
     assert positive_seen >= 10
@@ -118,44 +78,16 @@ def test_criterion_03_recurrence_matches_convolution():
 
 
 def test_criterion_04_transform_domain_softmax():
-    rng = np.random.RandomState(13)
-    points = sample_fftsoftmax_points(rng, 200)
-    worst = 0.0
-    for c in points:
-        for l in (8, 64, 1024):
-            got = softmax_via_fft(complex(c), l)
-            want = softmax_eps(c * np.arange(l), eps=CHECK_EPS)
-            worst = max(worst, float(np.abs(got - want).max()))
-    assert worst < 1e-8
-    report(4, f"200-point grid x L in (8, 64, 1024), max err {worst:.2e}")
+    assert CHECK_EPS == 1e-12
+    err = worst(check_fftsoftmax(trials=200, seed=13, lengths=(8, 64, 1024)), "softmax")
+    assert err < 1e-8
+    report(4, f"200-point grid x L in (8, 64, 1024), max err {err:.2e}")
 
 
 def test_criterion_05_analytic_gradients():
-    rng = np.random.RandomState(14)
-    worst = 0.0
-    for _ in range(20):
-        params = sample_exp_params(rng, n_max=4)
-        n = params.n
-        l = int(rng.randint(2, 33))
-        upstream = rng.standard_normal(l)
-
-        def loss(theta):
-            p = KernelParams("exp", theta[0:n], theta[n:2 * n],
-                             theta[2 * n:3 * n] + 1j * theta[3 * n:4 * n],
-                             theta[4 * n])
-            return float(dss_exp_kernel(p, l) @ upstream)
-
-        theta0 = np.concatenate([params.lambda_re, params.lambda_im,
-                                 params.w.real, params.w.imag,
-                                 [params.delta_log]])
-        g = kernel_grad_exp(params, l, upstream)
-        analytic = np.concatenate([g.d_lambda_re, g.d_lambda_im,
-                                   g.d_w_re, g.d_w_im, [g.d_delta_log]])
-        numeric = finite_diff_grad(loss, theta0, h=1e-6)
-        rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)
-        worst = max(worst, float(rel.max()))
-    assert worst < 1e-4
-    report(5, f"20 instances, worst relative gradient error {worst:.2e}")
+    err = worst(check_grad(trials=20, seed=14), "grad")
+    assert err < 1e-4
+    report(5, f"20 instances, worst relative gradient error {err:.2e}")
 
 
 @pytest.mark.parametrize("n", [1, 4, 16, 64])

@@ -112,6 +112,20 @@ def test_bench_rejects_zero_length(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--variant", "exp", "--n", "0", "--l", "4"],
+    ["kernel", "--variant", "exp", "--l", "0"],
+    ["train-toy", "--lag", "0", "--l", "4", "--steps", "0"],
+    ["train-toy", "--lag", "0", "--l", "4", "--n", "0"],
+    ["bench", "--l", "4", "--h", "0"],
+    ["check", "--suite", "prop1", "--seed", "-1"],
+])
+def test_library_value_error_is_usage_error(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith(f"diagssm {argv[0]}: ")
+
+
 def test_heatmap_outputs(tmp_path, capsys):
     params = init_layer(4, 3, "softmax", seed=2)
     ppath = tmp_path / "params.json"

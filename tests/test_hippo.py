@@ -9,8 +9,8 @@ from diagssm import skew_hippo_lambda, skew_hippo_matrix, symmetric_eigenvalues
 def charpoly_eigenvalues(m, tol=1e-12):
     """Oracle: roots of det(m - x*I) located by sign changes and bisection.
 
-    Independent of the rotation-based solver under test; works for
-    symmetric matrices with distinct eigenvalues.
+    Independent of the eigensolver under test (only determinants are
+    evaluated); works for symmetric matrices with distinct eigenvalues.
     """
     m = np.asarray(m, dtype=float)
     radius = np.abs(m).sum(axis=1).max() + 1.0  # Gershgorin bound
@@ -74,6 +74,8 @@ def test_eigenvalues_identity():
 def test_eigenvalues_2x2_textbook():
     got = symmetric_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert np.abs(got - np.array([3.0, 1.0])).max() < 1e-12
+    got = symmetric_eigenvalues(np.array([[2.0, 1j], [-1j, 2.0]]))  # Hermitian
+    assert np.abs(got - np.array([3.0, 1.0])).max() < 1e-12
 
 
 def test_eigenvalues_match_charpoly_oracle():
@@ -99,6 +101,8 @@ def test_eigenvalues_sum_matches_trace():
 def test_eigenvalues_reject_asymmetric():
     with pytest.raises(ValueError, match="not symmetric"):
         symmetric_eigenvalues(np.array([[1.0, 2.0], [0.5, 1.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        symmetric_eigenvalues(np.array([[1.0, 1j], [1j, 1.0]]))  # not Hermitian
 
 
 def test_lambda_n1_closed_form():
@@ -120,10 +124,15 @@ def test_lambda_invariants(n):
     s = skew_hippo_matrix(n)
     target = np.sum(np.triu(s, 1) ** 2)
     assert np.sum(spec.lambda_im ** 2) == pytest.approx(target, rel=1e-8)
+    # the small end: det(S) is the product of the mu^2, so its log (by LU,
+    # no eigensolver) is 2 * sum(log mu)
+    _, logdet = np.linalg.slogdet(s + 0.5 * np.eye(2 * n))
+    assert 2.0 * np.sum(np.log(spec.lambda_im)) == pytest.approx(logdet, rel=1e-10)
 
 
 def test_lambda_gram_pairs_are_doubled():
-    # before collapsing, the sqrt-eigenvalue list pairs up adjacent values
+    # the Gram matrix S^T S = -S^2 holds each mu^2 twice, and its
+    # square-rooted spectrum pairs up into the magnitudes
     n = 8
     m = skew_hippo_matrix(n)
     s = m.copy()
@@ -131,6 +140,7 @@ def test_lambda_gram_pairs_are_doubled():
     gram = s.T @ s
     mu = np.sqrt(np.maximum(symmetric_eigenvalues(0.5 * (gram + gram.T)), 0.0))
     assert np.abs(mu[0::2] - mu[1::2]).max() < 1e-7 * mu[0]
+    assert np.abs(mu[0::2] - skew_hippo_lambda(n).lambda_im).max() < 1e-7 * mu[0]
 
 
 def test_lambda_deterministic():

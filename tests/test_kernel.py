@@ -17,7 +17,7 @@ from diagssm import (
     truncate_kernel,
     write_kernel_csv,
 )
-from diagssm.cli import sample_dense_instance, sample_exp_params
+from diagssm.checks import check_grad, check_prop1
 
 LN2 = math.log(2.0)
 
@@ -183,24 +183,9 @@ def test_exp_and_softmax_kernels_agree_through_weight_conversion():
 
 
 def test_prop_equivalences_from_dense_instances():
-    rng = np.random.RandomState(5)
-    for _ in range(10):
-        inst = sample_dense_instance(rng)
-        ref = general_ssm_kernel(GeneralSSM(inst["a"], inst["b"], inst["c"]),
-                                 inst["delta"], inst["l"])
-        cv = inst["c"] @ inst["v"]
-        vinvb = np.linalg.solve(inst["v"], inst["b"])
-        w_tilde, w = dense_to_diagonal_weights(cv, vinvb, inst["lam"],
-                                               inst["delta"], inst["l"])
-        k_exp = dss_exp_kernel(
-            exp_params(np.log(-inst["lam"].real), inst["lam"].imag,
-                       w_tilde, math.log(inst["delta"])), inst["l"])
-        k_soft = dss_softmax_kernel(
-            KernelParams("softmax", inst["lam"].real, inst["lam"].imag,
-                         w, math.log(inst["delta"])),
-            inst["l"], eps=1e-12)
-        assert np.abs(ref - k_exp).max() < 1e-8
-        assert np.abs(ref - k_soft).max() < 1e-8
+    for trial in check_prop1(trials=10, seed=5):
+        assert trial.errors["exp"] < 1e-8
+        assert trial.errors["softmax"] < 1e-8
 
 
 def test_truncate_kernel_basic():
@@ -238,26 +223,8 @@ def test_kernel_grad_weight_entry_hand_value():
 
 
 def test_kernel_grad_matches_finite_differences():
-    rng = np.random.RandomState(6)
-    for _ in range(10):
-        params = sample_exp_params(rng, n_max=4)
-        n = params.n
-        l = rng.randint(2, 33)
-        upstream = rng.standard_normal(l)
-
-        def loss(theta):
-            p = KernelParams("exp", theta[0:n], theta[n:2 * n],
-                             theta[2 * n:3 * n] + 1j * theta[3 * n:4 * n],
-                             theta[4 * n])
-            return float(dss_exp_kernel(p, l) @ upstream)
-
-        theta0 = np.concatenate([params.lambda_re, params.lambda_im,
-                                 params.w.real, params.w.imag,
-                                 [params.delta_log]])
-        analytic = grad_as_vector(kernel_grad_exp(params, l, upstream))
-        numeric = finite_diff_grad(loss, theta0, h=1e-6)
-        rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)
-        assert rel.max() < 1e-4
+    for trial in check_grad(trials=10, seed=6):
+        assert trial.errors["grad"] < 1e-4
 
 
 def test_finite_diff_grad_quadratic():

@@ -227,3 +227,25 @@ def test_params_json_rejects_bad_version():
     bad = params_to_json(params).replace('"version":1', '"version":99')
     with pytest.raises(ValueError, match="version"):
         params_from_json(bad)
+
+
+@pytest.mark.parametrize("field", ["lambda_im", "delta_log", "w", "w_out"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_params_json_refuses_non_finite(tmp_path, field, bad):
+    params = small_layer()
+    getattr(params, field).flat[0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        params_to_json(params)
+    path = tmp_path / "params.json"
+    path.write_text("kept")
+    with pytest.raises(ValueError, match="non-finite"):
+        save_layer_params(path, params)
+    assert path.read_text() == "kept"
+
+
+@pytest.mark.parametrize("key", ["variant", "n", "w_im", "b_out"])
+def test_params_json_names_missing_key(key):
+    raw = json.loads(params_to_json(small_layer()))
+    del raw[key]
+    with pytest.raises(ValueError, match=key):
+        params_from_json(json.dumps(raw))

@@ -12,7 +12,7 @@ from diagssm import (
     run_softmax_stable,
     zoh_discretize_diag,
 )
-from diagssm.cli import sample_exp_params, sample_softmax_params
+from diagssm.checks import sample_exp_params, sample_softmax_params
 
 LN2 = math.log(2.0)
 
