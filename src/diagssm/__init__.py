@@ -2,9 +2,9 @@
 
 Closed-form convolution kernels of linear systems with diagonal state
 matrices, together with everything needed to use and verify them: an
-eps-stabilized softmax over complex vectors, a radix-2 FFT and causal
-convolution, zero-order-hold recurrences (including a two-case stabilized
-form that never exponentiates a positive real part), a spectral
+eps-stabilized softmax over complex vectors, causal convolution by numpy's
+FFT, zero-order-hold recurrences (including a two-case stabilized form
+that never exponentiates a positive real part), a spectral
 initialization with long-range memory, a single sequence-mixing layer with
 a toy trainer, and an independent dense-matrix reference path for
 cross-checking every identity.

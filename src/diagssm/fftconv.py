@@ -1,4 +1,4 @@
-"""Radix-2 FFT, causal convolution, and a transform-domain softmax.
+"""Causal convolution by numpy's real FFT, and a transform-domain softmax.
 
 The causal convolution y_k = sum_{j<=k} K_j u_{k-j} is the product of two
 degree L-1 polynomials, so it is computed by zero-padding both factors to
@@ -13,49 +13,20 @@ import numpy as np
 
 from .cnum import DEFAULT_EPS, softmax_eps
 
-_BITREV_CACHE = {}
-
-
-def _bit_reverse_indices(n):
-    idx = _BITREV_CACHE.get(n)
-    if idx is None:
-        bits = n.bit_length() - 1
-        rev = np.zeros(n, dtype=np.intp)
-        x = np.arange(n, dtype=np.intp)
-        for _ in range(bits):
-            rev = (rev << 1) | (x & 1)
-            x >>= 1
-        idx = rev
-        _BITREV_CACHE[n] = idx
-    return idx
-
 
 def fft(x, inverse=False):
-    """Iterative radix-2 decimation-in-time transform.
+    """Discrete Fourier transform of a one-dimensional power-of-two signal.
 
-    Length must be a power of two.  ``inverse=True`` applies conjugation
-    and 1/L scaling, so fft(fft(x), inverse=True) recovers x.
+    ``inverse=True`` applies conjugation and 1/L scaling, so
+    fft(fft(x), inverse=True) recovers x.
     """
-    a = np.array(x, dtype=np.complex128)
+    a = np.asarray(x, dtype=np.complex128)
     if a.ndim != 1:
         raise ValueError("input must be one-dimensional")
     n = a.size
     if n < 1 or n & (n - 1):
         raise ValueError("length must be a power of two")
-    if inverse:
-        return np.conj(fft(np.conj(a))) / n
-    a = a[_bit_reverse_indices(n)]
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        blk = a.reshape(-1, size)
-        even = blk[:, :half].copy()
-        odd = blk[:, half:] * tw
-        blk[:, :half] = even + odd
-        blk[:, half:] = even - odd
-        size *= 2
-    return a
+    return np.fft.ifft(a) if inverse else np.fft.fft(a)
 
 
 def _next_pow2(m):
@@ -83,16 +54,23 @@ def causal_conv_naive(kernel, u):
 
 
 def causal_conv_fft(kernel, u):
-    """Causal convolution in O(L log L) via zero-padded spectra."""
-    kernel = _as_signal(kernel, "kernel")
-    u = _as_signal(u, "input")
-    if kernel.size != u.size:
+    """Causal convolution along the last axis in O(L log L).
+
+    Leading axes broadcast, kernel against input (an H x L kernel stack
+    against a B x H x L input), and the result has the input's shape.
+    """
+    kernel = np.asarray(kernel, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if kernel.ndim < 1 or u.ndim < 1:
+        raise ValueError("kernel and input must have at least one dimension")
+    l = u.shape[-1]
+    if kernel.shape[-1] != l:
         raise ValueError("kernel and input lengths must match")
-    l = u.size
     n = _next_pow2(2 * l)
-    kf = fft(np.concatenate([kernel, np.zeros(n - l)]))
-    uf = fft(np.concatenate([u, np.zeros(n - l)]))
-    return fft(kf * uf, inverse=True)[:l].real
+    spec = np.fft.rfft(u, n)
+    spec *= np.fft.rfft(kernel, n)
+    # the copy lets the 2L-long inverse transform be freed
+    return np.fft.irfft(spec, n)[..., :l].copy()
 
 
 def softmax_via_fft(c, l, eps=DEFAULT_EPS):

@@ -58,6 +58,9 @@ class KernelParams:
             raise ValueError("lambda_re, lambda_im and w must have equal length")
         if self.lambda_re.size < 1:
             raise ValueError("state size must be >= 1")
+        for name in ("lambda_re", "lambda_im", "w", "delta_log"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
     @property
     def n(self):

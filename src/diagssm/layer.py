@@ -188,17 +188,15 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
     b, h, l = u.shape
     if h != params.h:
         raise ValueError("coordinate count does not match the layer")
+    if l < 1:
+        raise ValueError("input length must be >= 1")
     if mode not in ("conv", "recurrent"):
         raise ValueError(f"unknown mode {mode!r}")
-    y = np.empty_like(u)
     if mode == "conv":
-        kernels = layer_kernels(params, l, eps, kernel_limit)
-        for bi in range(b):
-            for hi in range(h):
-                y[bi, hi] = causal_conv_fft(kernels[hi], u[bi, hi])
-        return y
+        return causal_conv_fft(layer_kernels(params, l, eps, kernel_limit), u)
     if kernel_limit is not None:
         raise ValueError("kernel_limit requires conv mode")
+    y = np.empty_like(u)
     for hi in range(h):
         kp = params.coordinate_kernel_params(hi)
         for bi in range(b):

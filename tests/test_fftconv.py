@@ -52,9 +52,9 @@ def test_fft_rejects_matrix_input():
         fft(np.zeros((2, 4), dtype=complex))
 
 
-def test_conv_rejects_matrix_input():
-    with pytest.raises(ValueError, match="one-dimensional"):
-        causal_conv_fft(np.zeros(4), np.zeros((2, 2)))
+def test_conv_rejects_scalar_input():
+    with pytest.raises(ValueError, match="at least one dimension"):
+        causal_conv_fft(np.zeros(4), np.float64(1.0))
 
 
 def test_conv_length_one():
@@ -85,6 +85,19 @@ def test_conv_fft_matches_naive(l):
     assert np.abs(causal_conv_fft(k, u) - causal_conv_naive(k, u)).max() < 1e-10
 
 
+@pytest.mark.parametrize("l", [1, 3, 1000])
+def test_conv_fft_batched_rows_match_naive(l):
+    rng = np.random.RandomState(l + 7)
+    k = rng.standard_normal((3, l))
+    u = rng.standard_normal((2, 3, l))
+    got = causal_conv_fft(k, u)
+    assert got.shape == (2, 3, l)
+    assert got.flags.owndata
+    for b in range(2):
+        for h in range(3):
+            assert np.abs(got[b, h] - causal_conv_naive(k[h], u[b, h])).max() < 1e-10
+
+
 def test_conv_linearity():
     rng = np.random.RandomState(3)
     k = rng.standard_normal(200)
@@ -107,6 +120,8 @@ def test_conv_impulse_response_recovers_kernel():
 def test_conv_length_mismatch():
     with pytest.raises(ValueError, match="lengths must match"):
         causal_conv_fft(np.ones(4), np.ones(5))
+    with pytest.raises(ValueError, match="lengths must match"):
+        causal_conv_fft(np.ones((3, 4)), np.ones((2, 3, 5)))
     with pytest.raises(ValueError, match="lengths must match"):
         causal_conv_naive(np.ones(4), np.ones(5))
 

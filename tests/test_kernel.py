@@ -31,6 +31,16 @@ def test_effective_lambda_exp():
     assert effective_lambda(p)[0] == -1.0 + 0j
 
 
+@pytest.mark.parametrize("field", ["lambda_re", "lambda_im", "w", "delta_log"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernel_params_refuse_non_finite(field, bad):
+    values = {"lambda_re": [0.0, 0.0], "lambda_im": [1.0, 2.0],
+              "w": [1.0 + 0j, 1.0 - 1j], "delta_log": 0.0}
+    values[field] = bad if field == "delta_log" else [1.0, bad]
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        KernelParams("exp", **values)
+
+
 def test_effective_lambda_softmax_identity():
     p = KernelParams("softmax", [0.3], [-2.0], [1.0], 0.0)
     assert effective_lambda(p)[0] == 0.3 - 2.0j

@@ -137,6 +137,13 @@ def test_layer_modes_agree(variant):
     assert np.abs(out_conv - out_rec).max() < 1e-6
 
 
+@pytest.mark.parametrize("variant", ["exp", "softmax", "exp_no_scale"])
+@pytest.mark.parametrize("mode", ["conv", "recurrent"])
+def test_ssm_outputs_rejects_empty_input(variant, mode):
+    with pytest.raises(ValueError, match="input length"):
+        ssm_outputs(small_layer(variant), np.zeros((2, 4, 0)), mode=mode)
+
+
 def test_layer_truncation_locality():
     params = small_layer("softmax", h=3, n=4, seed=5)
     rng = np.random.RandomState(6)
