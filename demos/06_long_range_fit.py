@@ -5,7 +5,7 @@ that its peak lands on a distant target position.  A kernel that can do
 this is, by the convolution view, a layer that can copy information across
 that many timesteps.  This demo runs a reduced configuration; the full
 long-range run (lag 1000 in a length-1024 kernel) is part of the
-acceptance suite and takes about a minute.
+acceptance suite and takes well under a second.
 """
 
 import numpy as np

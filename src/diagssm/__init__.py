@@ -24,6 +24,7 @@ from .kernel import (
     dss_exp_noscale_kernel,
     dss_softmax_kernel,
     effective_lambda,
+    exp_basis,
     finite_diff_grad,
     general_ssm_kernel,
     kernel_grad_exp,

@@ -6,8 +6,15 @@ readout C has the length-L impulse response
     K_k = Re( C exp(A*k*delta) (exp(A*delta) - I) A^{-1} B ),   0 <= k < L.
 
 When A is diagonal with entries lambda_i this collapses to a weighted sum
-of sampled exponentials, so the kernel is computable in O(N*L) without any
-matrix powers.  Three parameterizations are provided:
+of sampled exponentials, a Vandermonde product, so the kernel is
+computable in O(N*L) without any matrix powers.  The exponentials are
+built in blocks of 64 positions, e^{z k} = e^{64 z j} * e^{z r} for
+k = 64 j + r: one exp pass over the N x ceil(L/64) block starts and one
+over the N x 64 offsets, followed by one ceil(L/64) x N by N x 64 matrix
+product (two for a softmax kernel with modes on both sides of the
+imaginary axis).  A build thus costs about N*(L/64 + 64) complex
+exponentials and never holds an N x L array.  Three parameterizations are
+provided:
 
 * ``exp``           -- weights w~ against (exp(lam*dt)-1)/lam * exp(lam*dt*k),
                        with lam forced into the left half plane;
@@ -115,28 +122,80 @@ def effective_lambda(params):
     return -np.exp(params.lambda_re) + 1j * params.lambda_im
 
 
+_BLOCK = 64
+
+
+def _exp_blocks(z, l):
+    """Blocked factors of e^{z_i k}, 0 <= k < L, for a vector of rates z.
+
+    With B = min(L, 64) and k = B*j + r, returns (outer, inner) where
+    outer[i, j] = e^{z_i B j} for the ceil(L/B) block starts and
+    inner[i, r] = e^{z_i r} for the B offsets inside a block, so
+    e^{z_i k} = outer[i, k // B] * inner[i, k % B].  Positions past L-1 in
+    the last block are padding.  When Re(z) <= 0 no factor exceeds one in
+    magnitude.
+    """
+    block = min(l, _BLOCK)
+    starts = block * np.arange(-(-l // block), dtype=float)
+    return np.exp(np.outer(z, starts)), np.exp(np.outer(z, np.arange(block, dtype=float)))
+
+
+def _blocked_combine(coef, outer, inner, l):
+    """sum_i coef_i e^{z_i k} for 0 <= k < L, as one matrix product."""
+    return ((coef[:, None] * outer).T @ inner).reshape(-1)[:l]
+
+
+def _blocked_row_sums(outer, inner, l):
+    """sum_{k<L} e^{z_i k} per row: full blocks, then the partial last one."""
+    tail = l - inner.shape[1] * (outer.shape[1] - 1)
+    return (outer[:, :-1].sum(axis=1) * inner.sum(axis=1)
+            + outer[:, -1] * inner[:, :tail].sum(axis=1))
+
+
+def _exp_rates(params):
+    """dt*lam and the scale (e^{lam dt} - 1)/lam of the exp variant."""
+    lam = effective_lambda(params)
+    if np.any(lam == 0):
+        raise ValueError("singular lambda")
+    z = lam * params.delta
+    return z, (np.exp(z) - 1.0) / lam
+
+
 def dss_exp_kernel(params, l):
     """Kernel K_k = Re( sum_i w~_i (e^{lam_i dt}-1)/lam_i e^{lam_i dt k} )."""
     _require_variant(params, "exp")
     l = _check_length(l)
-    lam = effective_lambda(params)
-    if np.any(lam == 0):
-        raise ValueError("singular lambda")
-    dt = params.delta
-    scale = (np.exp(lam * dt) - 1.0) / lam
-    pos = np.arange(l, dtype=float)
-    decay = np.exp(np.outer(lam * dt, pos))
-    return ((params.w * scale) @ decay).real
+    z, scale = _exp_rates(params)
+    return _blocked_combine(params.w * scale, *_exp_blocks(z, l), l).real
+
+
+def exp_basis(params, l):
+    """The N x L complex basis g_ik = (e^{lam_i dt}-1)/lam_i e^{lam_i dt k}.
+
+    It is the exp kernel's linear map from its weights: the kernel is
+    Re(w~ @ basis), which :func:`dss_exp_kernel` builds without the basis,
+    and the gradient of sum_k u_k K_k is basis @ u with respect to Re(w~)
+    and -(basis @ u).imag with respect to Im(w~), the ``d_w_re`` and
+    ``d_w_im`` of :func:`kernel_grad_exp`.  For callers that hold lambda
+    and delta fixed while the weights change.
+    """
+    _require_variant(params, "exp")
+    l = _check_length(l)
+    z, scale = _exp_rates(params)
+    outer, inner = _exp_blocks(z, l)
+    full = (scale[:, None, None] * outer[:, :, None] * inner[:, None, :]).reshape(params.n, -1)
+    return np.ascontiguousarray(full[:, :l])
 
 
 def dss_softmax_kernel(params, l, eps=DEFAULT_EPS):
     """Kernel K_k = Re( (w / lam) . row_softmax(P) ), P_{i,k} = lam_i*dt*k.
 
-    Each row of P is passed through the eps-stabilized softmax: the entry
-    with the largest real part is subtracted first (for row i that is
-    lam_i*dt*(L-1) when Re(lam_i) > 0, else 0), so nothing is ever
-    exponentiated with a positive real part and the output stays finite
-    for any finite parameters.
+    Each row of P is passed through the eps-stabilized softmax, taken
+    relative to the row's entry with the largest real part: e^{lam_i dt k}
+    when Re(lam_i) <= 0, and e^{-lam_i dt (L-1-k)}, built from the far end
+    of the window, when Re(lam_i) > 0.  Every exponential factor then has
+    a non-positive real part, so the output stays finite for any finite
+    parameters.
     """
     _require_variant(params, "softmax")
     l = _check_length(l)
@@ -144,21 +203,22 @@ def dss_softmax_kernel(params, l, eps=DEFAULT_EPS):
     if np.any(lam == 0):
         raise ValueError("singular lambda")
     dt_lam = lam * params.delta
-    shift = dt_lam * ((lam.real > 0) * (l - 1))
-    pos = np.arange(l, dtype=float)
-    e = np.exp(dt_lam[:, None] * pos[None, :] - shift[:, None])
-    srow = e * reciprocal_eps(e.sum(axis=1), eps)[:, None]
-    return ((params.w / lam) @ srow).real
+    far = lam.real > 0
+    outer, inner = _exp_blocks(np.where(far, -dt_lam, dt_lam), l)
+    coef = (params.w / lam) * reciprocal_eps(_blocked_row_sums(outer, inner, l), eps)
+    near = ~far
+    out = _blocked_combine(coef[near], outer[near], inner[near], l)
+    if far.any():
+        out += _blocked_combine(coef[far], outer[far], inner[far], l)[::-1]
+    return out.real
 
 
 def dss_exp_noscale_kernel(params, l):
     """Kernel K_k = Re( sum_i w~_i e^{lam_i dt k} ), scale term omitted."""
     _require_variant(params, "exp_no_scale")
     l = _check_length(l)
-    lam = effective_lambda(params)
-    pos = np.arange(l, dtype=float)
-    decay = np.exp(np.outer(lam * params.delta, pos))
-    return (params.w @ decay).real
+    z = effective_lambda(params) * params.delta
+    return _blocked_combine(params.w, *_exp_blocks(z, l), l).real
 
 
 def build_kernel(params, l, eps=DEFAULT_EPS):
@@ -289,6 +349,21 @@ class KernelGradients:
     d_delta_log: float
 
 
+def _blocked_project(outer, inner, seqs):
+    """sum_{k<L} e^{z_i k} seqs[m, k] for each row m of an M x L array.
+
+    Returns M rows of length N: the transpose of :func:`_blocked_combine`,
+    with the sequences zero-padded to whole blocks.
+    """
+    n, nblocks = outer.shape
+    block = inner.shape[1]
+    m, l = seqs.shape
+    padded = np.zeros((m, nblocks * block))
+    padded[:, :l] = seqs
+    per_block = inner @ padded.reshape(m * nblocks, block).T
+    return (per_block.reshape(n, m, nblocks) * outer[:, None, :]).sum(axis=2).T
+
+
 def kernel_grad_exp(params, l, upstream):
     """Analytic gradient of f = sum_k upstream_k * K_k, exp variant.
 
@@ -307,11 +382,10 @@ def kernel_grad_exp(params, l, upstream):
     pos = np.arange(l, dtype=float)
     e_dt = np.exp(lam * dt)
     scale = (e_dt - 1.0) / lam
-    decay = np.exp(np.outer(lam * dt, pos))
+    outer, inner = _exp_blocks(lam * dt, l)
 
     # G_i = sum_k u_k g_ik and its derivatives w.r.t. lam_i and dt.
-    g_u = decay @ upstream
-    gk_u = (decay * pos[None, :]) @ upstream
+    g_u, gk_u = _blocked_project(outer, inner, np.stack([upstream, pos * upstream]))
     dscale = (dt * e_dt - scale) / lam
     dg_dlam = dscale * g_u + scale * dt * gk_u
     dg_ddt = e_dt * g_u + scale * lam * gk_u

@@ -22,7 +22,8 @@ import numpy as np
 from .cnum import DEFAULT_EPS
 from .fftconv import causal_conv_fft
 from .hippo import skew_hippo_lambda
-from .kernel import KernelParams, VARIANTS, build_kernel, kernel_grad_exp, truncate_kernel
+from .kernel import KernelParams, VARIANTS, build_kernel, exp_basis, truncate_kernel
+from .kernel import kernel_grad_exp  # noqa: F401  ssmbench/tracer.py wraps layer.kernel_grad_exp
 from .recurrence import run_exp, run_softmax_stable
 
 PARAMS_FORMAT_VERSION = 1
@@ -207,8 +208,22 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
     return y
 
 
+def _check_projection(params):
+    for name, shape in (("w_out", (params.h, params.h)), ("b_out", (params.h,))):
+        value = np.asarray(getattr(params, name))
+        if value.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
+
+
 def layer_forward(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
-    """Full layer: out_t = W_out . gelu(y_t + u_t) + b_out, position-wise."""
+    """Full layer: out_t = W_out . gelu(y_t + u_t) + b_out, position-wise.
+
+    Raises ValueError naming ``w_out`` or ``b_out`` when the projection is
+    not H x H and length H, or holds a non-finite value.
+    """
+    _check_projection(params)
     u = np.asarray(u, dtype=float)
     y = ssm_outputs(params, u, mode, kernel_limit, eps)
     pre = gelu(y + u)
@@ -262,7 +277,11 @@ def train_toy_delay(n, l, lag, steps, lr=1e-3, seed=0):
     Minimizes mean((K - impulse)^2) over the complex weights with the
     analytic kernel gradient and Adam (beta1=0.9, beta2=0.999, eps=1e-8).
     The spectrum and sample time stay frozen at a setup chosen for the
-    task, which keeps the fit convex in the trained parameters:
+    task, which keeps the fit convex in the trained parameters.  The kernel
+    is then linear in the weights, so the N x L basis of
+    :func:`~diagssm.kernel.exp_basis` is built once, and each step is two
+    matrix-vector products with it: the kernel, and the gradient
+    (``kernel_grad_exp``'s ``d_w_re`` and ``d_w_im``).  The setup:
 
     * the shared spectrum is the long-memory initialization, with the
       sample time set so the slowest mode advances ~1.5 rad per step
@@ -288,18 +307,18 @@ def train_toy_delay(n, l, lag, steps, lr=1e-3, seed=0):
     delta_log = math.log(delta)
     rng = SplitMix64(seed)
     w = np.array([complex(rng.normal(), rng.normal()) for _ in range(n)])
-
-    def kernel_params(weights):
-        return KernelParams(variant="exp", lambda_re=lambda_re,
-                            lambda_im=spectrum.lambda_im, w=weights,
-                            delta_log=delta_log)
-
-    k0 = build_kernel(kernel_params(w), l)
-    w = w * math.sqrt(TOY_INIT_ENERGY / float(np.mean(k0 * k0)))
+    basis = exp_basis(KernelParams(variant="exp", lambda_re=lambda_re,
+                                   lambda_im=spectrum.lambda_im, w=w,
+                                   delta_log=delta_log), l)
+    # theta = [Re w, Im w] maps to the kernel through one real 2N x L
+    # matrix, and the gradient of upstream . K is that matrix times upstream.
+    lift = np.concatenate([basis.real, -basis.imag])
+    theta = np.concatenate([w.real, w.imag])
+    k0 = theta @ lift
+    theta = theta * math.sqrt(TOY_INIT_ENERGY / float(np.mean(k0 * k0)))
     target = np.zeros(l)
     target[lag] = 1.0
 
-    theta = np.concatenate([w.real, w.imag])
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     beta1, beta2, eps_opt = 0.9, 0.999, 1e-8
@@ -307,9 +326,7 @@ def train_toy_delay(n, l, lag, steps, lr=1e-3, seed=0):
     history = []
     initial_mse = None
     for step in range(steps):
-        params = kernel_params(theta[0:n] + 1j * theta[n:2 * n])
-        kernel = build_kernel(params, l)
-        resid = kernel - target
+        resid = theta @ lift - target
         mse = float(np.mean(resid * resid))
         if not np.isfinite(mse):
             raise RuntimeError(f"training diverged at step {step}")
@@ -317,15 +334,14 @@ def train_toy_delay(n, l, lag, steps, lr=1e-3, seed=0):
             initial_mse = mse
         if step % 100 == 0:
             history.append({"step": step, "mse": mse})
-        g = kernel_grad_exp(params, l, 2.0 * resid / l)
-        grad = np.concatenate([g.d_w_re, g.d_w_im])
+        grad = lift @ (2.0 * resid / l)
         m = beta1 * m + (1.0 - beta1) * grad
         v = beta2 * v + (1.0 - beta2) * grad * grad
         m_hat = m / (1.0 - beta1 ** (step + 1))
         v_hat = v / (1.0 - beta2 ** (step + 1))
         theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps_opt)
 
-    final_kernel = build_kernel(kernel_params(theta[0:n] + 1j * theta[n:2 * n]), l)
+    final_kernel = theta @ lift
     final_resid = final_kernel - target
     final_mse = float(np.mean(final_resid * final_resid))
     if not np.isfinite(final_mse):

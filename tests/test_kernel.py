@@ -11,6 +11,7 @@ from diagssm import (
     dss_exp_noscale_kernel,
     dss_softmax_kernel,
     effective_lambda,
+    exp_basis,
     finite_diff_grad,
     general_ssm_kernel,
     kernel_grad_exp,
@@ -18,6 +19,7 @@ from diagssm import (
     write_kernel_csv,
 )
 from diagssm.checks import check_grad, check_prop1
+from diagssm.cnum import reciprocal_eps
 
 LN2 = math.log(2.0)
 
@@ -138,6 +140,64 @@ def test_noscale_relates_to_exp_for_single_mode():
     assert np.abs(k_exp - k_ns_scaled).max() < 1e-12
     # sanity: plain no-scale differs unless the ratio is 1
     assert np.abs(k_exp - dss_exp_noscale_kernel(p_ns, 16)).max() > 1e-3
+
+
+def direct_kernel(params, l):
+    """Each kernel from one N x L np.exp, the form the blocked builds factor."""
+    lam = effective_lambda(params)
+    z = lam * params.delta
+    pos = np.arange(l, dtype=float)
+    if params.variant == "softmax":
+        shift = z * ((lam.real > 0) * (l - 1))
+        e = np.exp(np.outer(z, pos) - shift[:, None])
+        coef = params.w / lam * reciprocal_eps(e.sum(axis=1))
+    else:
+        e = np.exp(np.outer(z, pos))
+        coef = params.w * ((np.exp(z) - 1.0) / lam if params.variant == "exp" else 1.0)
+    return (coef @ e).real
+
+
+def random_kernel_params(rng, variant, n):
+    delta_log = rng.uniform(math.log(1e-3), 0.0)
+    if variant == "softmax":
+        # |Re(lam)*dt| from 1e-4 up to 50, either sign: a far-end row's
+        # naive exp overflows at 63 steps, a slow row sums past one block
+        re_dt = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-4.0, math.log10(50.0), n)
+        lambda_re = re_dt / math.exp(delta_log)
+    else:
+        lambda_re = rng.uniform(-5.0, 3.0, n)
+    return KernelParams(variant, lambda_re, rng.uniform(-100.0, 100.0, n),
+                        rng.standard_normal(n) + 1j * rng.standard_normal(n), delta_log)
+
+
+@pytest.mark.parametrize("variant", ["exp", "softmax", "exp_no_scale"])
+@pytest.mark.parametrize("l", [1, 63, 64, 65, 1000, 16384])
+def test_blocked_kernels_match_direct_exp(variant, l):
+    rng = np.random.default_rng(l)
+    for _ in range(4):
+        params = random_kernel_params(rng, variant, int(rng.integers(1, 9)))
+        got = {"exp": dss_exp_kernel, "softmax": dss_softmax_kernel,
+               "exp_no_scale": dss_exp_noscale_kernel}[variant](params, l)
+        want = direct_kernel(params, l)
+        assert got.shape == (l,) and np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("l", [1, 65, 1024])
+def test_exp_basis_is_the_kernel_linear_map(l):
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        params = random_kernel_params(rng, "exp", int(rng.integers(1, 33)))
+        basis = exp_basis(params, l)
+        kernel = dss_exp_kernel(params, l)
+        assert basis.shape == (params.n, l)
+        assert np.abs((params.w @ basis).real - kernel).max() <= 1e-12 * np.abs(kernel).max()
+        u = rng.standard_normal(l)
+        g = kernel_grad_exp(params, l, u)
+        proj = basis @ u
+        scale = max(np.abs(g.d_w_re).max(), np.abs(g.d_w_im).max())
+        assert np.abs(proj.real - g.d_w_re).max() <= 1e-12 * scale
+        assert np.abs(-proj.imag - g.d_w_im).max() <= 1e-12 * scale
 
 
 def test_general_ssm_kernel_scalar_case():

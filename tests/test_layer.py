@@ -120,6 +120,20 @@ def test_layer_forward_shape_mismatch():
         layer_forward(params, np.zeros((3, 16)))
 
 
+@pytest.mark.parametrize("field", ["w_out", "b_out"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "shape"])
+def test_layer_forward_refuses_bad_projection(field, bad):
+    params = small_layer()
+    if bad == "shape":
+        setattr(params, field, getattr(params, field)[:-1])
+        message = f"{field} must have shape"
+    else:
+        getattr(params, field).flat[-1] = bad
+        message = f"{field} must be finite"
+    with pytest.raises(ValueError, match=message):
+        layer_forward(params, np.ones((1, 4, 16)))
+
+
 @pytest.mark.parametrize("variant", ["exp", "softmax", "exp_no_scale"])
 def test_layer_modes_agree(variant):
     if variant == "exp_no_scale":
