@@ -3,7 +3,8 @@
 Closed-form convolution kernels of linear systems with diagonal state
 matrices, together with everything needed to use and verify them: an
 eps-stabilized softmax over complex vectors, causal convolution by numpy's
-FFT, zero-order-hold recurrences (including a two-case stabilized form
+FFT, zero-order-hold recurrences (a chunked scan over a whole layer for
+every variant, and per-step oracles, the softmax one in a stabilized form
 that never exponentiates a positive real part), a spectral
 initialization with long-range memory, a single sequence-mixing layer with
 a toy trainer, and an independent dense-matrix reference path for
@@ -49,6 +50,12 @@ from .layer import (
     train_toy_delay,
     write_report_json,
 )
-from .recurrence import DiagDiscretization, run_exp, run_softmax_stable, zoh_discretize_diag
+from .recurrence import (
+    DiagDiscretization,
+    chunked_scan,
+    run_exp,
+    run_softmax_stable,
+    zoh_discretize_diag,
+)
 
 __version__ = "0.1.0"

@@ -22,9 +22,12 @@ import numpy as np
 from .cnum import DEFAULT_EPS
 from .fftconv import causal_conv_fft
 from .hippo import skew_hippo_lambda
-from .kernel import KernelParams, VARIANTS, build_kernel, exp_basis, truncate_kernel
+from .kernel import KernelParams, VARIANTS, build_kernel, effective_lambda, exp_basis, truncate_kernel
 from .kernel import kernel_grad_exp  # noqa: F401  ssmbench/tracer.py wraps layer.kernel_grad_exp
-from .recurrence import run_exp, run_softmax_stable
+from .recurrence import chunked_scan
+# The per-step oracles stay bound here: ssmbench/tracer.py wraps
+# layer.run_exp and layer.run_softmax_stable.
+from .recurrence import run_exp, run_softmax_stable  # noqa: F401
 
 PARAMS_FORMAT_VERSION = 1
 
@@ -178,15 +181,20 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
     """Per-coordinate state-space outputs y, before residual and projection.
 
     ``mode="conv"`` convolves each coordinate with its kernel (FFT path);
-    ``mode="recurrent"`` steps the sequential recurrences instead.  The two
-    agree to rounding.  Kernel truncation only exists on the convolution
-    path: a truncated kernel is no longer the impulse response of the
-    underlying recurrence.
+    ``mode="recurrent"`` runs the recurrences instead, all coordinates and
+    batch rows in one :func:`~diagssm.recurrence.chunked_scan` over a
+    (B,H,N) state, for every variant.  The scan's step factors come from
+    lam*dt alone, with every exponent's real part non-positive (softmax
+    modes with Re(lam) > 0 accumulate first and are scaled at read-out),
+    so it shares no closed form with the kernels.  The two modes agree to
+    rounding.  Kernel truncation only exists on the convolution path: a
+    truncated kernel is no longer the impulse response of the underlying
+    recurrence.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 3:
         raise ValueError("input must have shape (batch, coordinates, length)")
-    b, h, l = u.shape
+    _, h, l = u.shape
     if h != params.h:
         raise ValueError("coordinate count does not match the layer")
     if l < 1:
@@ -197,15 +205,8 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
         return causal_conv_fft(layer_kernels(params, l, eps, kernel_limit), u)
     if kernel_limit is not None:
         raise ValueError("kernel_limit requires conv mode")
-    y = np.empty_like(u)
-    for hi in range(h):
-        kp = params.coordinate_kernel_params(hi)
-        for bi in range(b):
-            if params.variant == "softmax":
-                y[bi, hi], _ = run_softmax_stable(kp, u[bi, hi], eps)
-            else:
-                y[bi, hi], _ = run_exp(kp, u[bi, hi])
-    return y
+    return chunked_scan(params.variant, effective_lambda(params),
+                        np.exp(params.delta_log), params.w, u, eps)
 
 
 def _check_projection(params):

@@ -2,16 +2,36 @@
 
 A diagonal state space steps each coordinate independently:
 
-    x_{i,k} = exp(lam_i*dt) * x_{i,k-1} + bbar_i * u_k ,   y_k = Re(w . x_k).
+    x_{i,k} = exp(lam_i*dt) * x_{i,k-1} + bbar_i * u_k ,   y_k = Re(c_i . x_k).
 
 For the exp variant bbar_i = (exp(lam_i*dt)-1)/lam_i and Re(lam_i) < 0, so
 the step factors have magnitude below one and the recurrence is run as
-written.  The softmax variant's input map divides by exp(lam*dt*L) - 1,
-which overflows when Re(lam) > 0; its recurrence is therefore evaluated
-through an intermediate state so that every exponentiated scalar has
-non-positive real part, splitting on the sign of Re(lam).
+written; ``exp_no_scale`` is the same with bbar_i = 1.  The softmax
+variant's input map divides by its row sum and, with Re(lam) > 0, the
+plain recurrence would exponentiate a positive real part; those modes are
+instead accumulated as sum_j exp(-lam*dt*j) u_j and scaled at read-out by
+exp(lam*dt*(k-(L-1))), so every exponentiated scalar has non-positive real
+part.
 
-With zero initial state both recurrences reproduce the convolution of the
+:func:`chunked_scan` is the production view: one call runs a whole layer,
+H coordinates over a batch, with a (B,H,N) state.  It cuts the sequence
+into chunks of T = 32 steps.  Inside a chunk the output is a T x T
+Toeplitz product with the first T kernel values; the state enters through
+a (N x T) read-out and leaves through a (T x N) injection, each one
+matrix product per chunk, so the Python loop runs ceil(L/T) times.  Every
+factor is e^{rho t} with Re(rho) <= 0 and 0 <= t, where rho is lam*dt, or
+-lam*dt for the softmax modes with Re(lam) > 0; for those modes the
+chunk's offset from the start (injection) and from the horizon (read-out)
+are applied to the carried state as two more such factors.  The softmax
+row sums are formed from the same factors as sums of e^{rho k}, never as
+(e^{rho L}-1)/(e^{rho}-1), so a spectrum with e^{rho L} = 1 gives the
+eps-regularized output of the convolution view instead of an error.
+
+:func:`run_exp` and :func:`run_softmax_stable` step one coordinate's
+recurrence position by position.  They are the reference oracles the
+scan and the convolution view are checked against.
+
+With zero initial state every recurrence reproduces the convolution of the
 input with the corresponding kernel.
 """
 
@@ -20,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnum import DEFAULT_EPS, reciprocal_eps
-from .kernel import _require_variant, effective_lambda
+from .kernel import VARIANTS, _require_variant, effective_lambda
 
 
 @dataclass
@@ -48,7 +68,9 @@ def run_exp(params, u, x_init=None):
 
     ``x_init`` defaults to zero, in which case y equals the causal
     convolution of u with the exp-variant kernel.  Passing the returned
-    state back in continues a split sequence exactly.
+    state back in continues a split sequence exactly.  This is the
+    per-step reference oracle for one coordinate; layers run
+    :func:`chunked_scan`.
     """
     _require_variant(params, "exp")
     u = np.asarray(u, dtype=float)
@@ -83,7 +105,10 @@ def run_softmax_stable(params, u, eps=DEFAULT_EPS):
     reciprocal so this view matches the kernel-convolution view for any
     eps, not just in exact arithmetic.  The horizon L is the input length;
     it enters the input map, so the recurrence cannot be resumed or
-    extended past it.
+    extended past it.  This is the per-step reference oracle for one
+    coordinate; layers run :func:`chunked_scan`.  Unlike the scan it
+    refuses a spectrum with |exp(z*L) - 1| <= 1e-12, where its quotient
+    form of the row sum is undefined.
     """
     _require_variant(params, "softmax")
     u = np.asarray(u, dtype=float)
@@ -119,3 +144,98 @@ def run_softmax_stable(params, u, eps=DEFAULT_EPS):
         x = xt * np.exp(out_rate * (k - (l - 1))) * recip
         y[k] = (params.w @ x).real
     return y, x
+
+
+_CHUNK = 32
+
+
+def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
+    """Every coordinate's recurrence over a (B, H, L) input, in chunks.
+
+    ``lam`` (N,) is the effective spectrum the H coordinates share,
+    ``delta`` (H,) their sample times and ``w`` (H, N) their weights, in
+    the form the variant's kernel takes them.  Returns y of u's shape:
+    y[b, h] is what :func:`run_exp` (``exp``) or :func:`run_softmax_stable`
+    (``softmax``, horizon L) gives for coordinate h on u[b, h], and for
+    ``exp_no_scale`` the recurrence with input map 1, whose impulse
+    response is that variant's kernel.  The (B, H, N) state is held as
+    (H, B, N), so each product batches over H, and the loop runs once per
+    chunk of 32 steps; see the module docstring.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    lam = np.asarray(lam, dtype=np.complex128).reshape(-1)
+    delta = np.asarray(delta, dtype=float).reshape(-1)
+    w = np.asarray(w, dtype=np.complex128)
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 3 or u.shape[2] < 1:
+        raise ValueError("input must have shape (batch, coordinates, length >= 1)")
+    b, h, l = u.shape
+    n = lam.size
+    if delta.shape != (h,) or w.shape != (h, n):
+        raise ValueError("delta must have shape (H,) and w (H, N) for input (B, H, L)")
+    for name, value in (("lam", lam), ("delta", delta), ("w", w)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
+    if np.any(delta <= 0):
+        raise ValueError("delta must be positive")
+    if variant != "exp_no_scale" and np.any(lam == 0):
+        raise ValueError("singular lambda")
+
+    # Per-(H,N) rates with Re(rate) <= 0: lam*dt, or -lam*dt for the
+    # softmax modes read from the horizon (accumulate, then scale).
+    z = delta[:, None] * lam
+    far = (lam.real > 0) if variant == "softmax" else np.zeros(n, dtype=bool)
+    rate = np.where(far, -z, z)
+    block = min(l, _CHUNK)
+    powers = np.exp(rate[..., None] * np.arange(block + 1))    # e^{rate t}, t <= T
+    fwd = powers[..., :block]
+    gain, coef = np.ones_like(z), w       # input map and read-out weights
+    if variant == "exp":
+        gain = (powers[..., 1] - 1.0) / lam
+    elif variant == "softmax":
+        # Row sums sum_{k<L} e^{rate k}: chunk starts times in-chunk sums.
+        starts = np.arange(0, l, block)
+        in_chunk = np.cumsum(fwd, axis=-1)[..., np.minimum(block, l - starts) - 1]
+        row_sum = (np.exp(rate[..., None] * starts) * in_chunk).sum(axis=-1)
+        coef = w / lam * reciprocal_eps(row_sum, eps)
+
+    # The first T kernel values as a Toeplitz block: e^{rate m} for the
+    # near modes, e^{rate (L-1-m)} = e^{rate (L-T)} e^{rate (T-1-m)} for the far.
+    impulse = np.where(far[:, None], np.exp(rate * (l - block))[..., None] * fwd[..., ::-1],
+                       gain[..., None] * fwd)
+    head = np.einsum("hn,hnm->hm", coef, impulse).real
+    lag = np.arange(block)[None, :] - np.arange(block)[:, None]
+    toeplitz = np.where(lag >= 0, head[:, np.maximum(lag, 0)], 0.0)    # (H, s, t)
+
+    def read_map(tc):
+        # Re(state . R) for the chunk's tc outputs, as a real (H, 2N, tc)
+        # matrix against the state's interleaved (re, im) view.
+        r = coef[..., None] * np.where(far[:, None], powers[..., tc - 1::-1],
+                                       powers[..., 1:tc + 1])
+        return np.stack([r.real, -r.imag], axis=2).reshape(h, 2 * n, tc)
+
+    read = read_map(block)
+    inject = np.where(far[:, None], fwd, gain[..., None] * fwd[..., ::-1])
+    inject = np.ascontiguousarray(inject.transpose(0, 2, 1)).view(np.float64)  # (H, T, 2N)
+    decay = np.where(far, 1.0, powers[..., block])[:, None, :]
+    # Chunk offsets of the far modes, folded into the state: e^{rate c0}
+    # on what a chunk injects, e^{rate (L - c0 - tc)} on what it reads.
+    shift = np.where(far, rate, 0.0)[:, None, :] if far.any() else None
+
+    y = np.empty_like(u)
+    state = np.zeros((h, b, n), dtype=np.complex128)
+    for c0 in range(0, l, block):
+        tc = min(block, l - c0)
+        uc = u[:, :, c0:c0 + tc].transpose(1, 0, 2)
+        yc = uc @ toeplitz[:, :tc, :tc]
+        if c0:
+            carried = state if shift is None else state * np.exp(shift * (l - c0 - tc))
+            yc += carried.view(np.float64) @ (read if tc == block else read_map(tc))
+        y[:, :, c0:c0 + tc] = yc.transpose(1, 0, 2)
+        if c0 + tc < l:
+            fresh = (uc @ inject).view(np.complex128)
+            if shift is not None:
+                fresh *= np.exp(shift * c0)
+            state = decay * state + fresh
+    return y

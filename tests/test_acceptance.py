@@ -171,7 +171,7 @@ def test_criterion_10_long_range_training(tmp_path):
                f"({rep['final_mse'] / rep['initial_mse']:.2%}), {elapsed:.0f}s")
 
 
-@pytest.mark.parametrize("variant", ["softmax", "exp"])
+@pytest.mark.parametrize("variant", ["softmax", "exp", "exp_no_scale"])
 def test_criterion_11_layer_mode_equivalence(variant):
     params = init_layer(8, 16, variant, seed=42)
     rng = np.random.RandomState(17)

@@ -107,6 +107,17 @@ def test_bench_csv_shape(capsys):
     assert first[3] == ""  # recurrence not timed in conv mode
 
 
+def test_bench_recurrent_exp_no_scale(capsys):
+    code, out, _ = run(["bench", "--l", "40", "--n", "4", "--h", "2", "--b", "1",
+                        "--variant", "exp_no_scale", "--mode", "recurrent"], capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == 2
+    row = lines[1].split(",")
+    assert row[0] == "40" and row[2] == ""
+    assert float(row[3]) >= 0.0
+
+
 def test_bench_rejects_zero_length(capsys):
     code, _, _ = run(["bench", "--l", "0", "--n", "4", "--h", "2"], capsys)
     assert code == 1

@@ -136,19 +136,34 @@ def test_layer_forward_refuses_bad_projection(field, bad):
 
 @pytest.mark.parametrize("variant", ["exp", "softmax", "exp_no_scale"])
 def test_layer_modes_agree(variant):
-    if variant == "exp_no_scale":
-        # no sequential view exists for the unscaled kernel; conv only
-        params = small_layer(variant)
-        u = np.random.RandomState(1).standard_normal((1, 4, 32))
-        assert layer_forward(params, u).shape == (1, 4, 32)
-        with pytest.raises(ValueError):
-            ssm_outputs(params, u, mode="recurrent")
-        return
     params = small_layer(variant)
     u = np.random.RandomState(1).standard_normal((2, 4, 128))
     out_conv = layer_forward(params, u, mode="conv")
     out_rec = layer_forward(params, u, mode="recurrent")
     assert np.abs(out_conv - out_rec).max() < 1e-6
+
+
+def test_modes_agree_where_softmax_row_sum_vanishes():
+    # e^{lam dt L} = 1 (Re lam = 0, Im lam = 2 pi / (dt L)): the row sum of
+    # that mode is zero up to rounding, and both modes give the same
+    # eps-regularized output instead of the recurrence raising
+    l = 64
+    params = init_layer(1, 2, "softmax", 0)
+    params.lambda_re[1] = 0.0
+    params.lambda_im[1] = 2.0 * math.pi / (math.exp(params.delta_log[0]) * l)
+    u = np.random.RandomState(0).standard_normal((2, 1, l))
+    out_conv = ssm_outputs(params, u, mode="conv")
+    out_rec = ssm_outputs(params, u, mode="recurrent")
+    assert np.isfinite(out_rec).all()
+    assert np.abs(out_conv - out_rec).max() < 1e-6
+
+
+@pytest.mark.parametrize("field", ["lambda_re", "delta_log", "w"])
+def test_recurrent_mode_refuses_non_finite(field):
+    params = small_layer("softmax")
+    getattr(params, field).flat[0] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        ssm_outputs(params, np.ones((1, 4, 16)), mode="recurrent")
 
 
 @pytest.mark.parametrize("variant", ["exp", "softmax", "exp_no_scale"])

@@ -5,14 +5,19 @@ import pytest
 
 from diagssm import (
     KernelParams,
+    LayerParams,
     build_kernel,
     causal_conv_fft,
+    chunked_scan,
     dss_exp_kernel,
+    effective_lambda,
     run_exp,
     run_softmax_stable,
+    ssm_outputs,
     zoh_discretize_diag,
 )
 from diagssm.checks import sample_exp_params, sample_softmax_params
+from diagssm.recurrence import _CHUNK
 
 LN2 = math.log(2.0)
 
@@ -145,3 +150,84 @@ def test_run_softmax_rejects_zero_lambda():
     p = KernelParams("softmax", [0.0], [0.0], [1.0], 0.0)
     with pytest.raises(ValueError, match="singular lambda"):
         run_softmax_stable(p, np.ones(4))
+
+
+def _step_oracle(kp, u, eps):
+    """One coordinate's output stepped position by position."""
+    if kp.variant == "exp":
+        return run_exp(kp, u)[0]
+    if kp.variant == "softmax":
+        return run_softmax_stable(kp, u, eps)[0]
+    a_bar = zoh_discretize_diag(effective_lambda(kp), np.ones(kp.n), kp.delta).a_bar
+    x = np.zeros(kp.n, dtype=np.complex128)
+    y = np.empty(u.size)
+    for k, uk in enumerate(u):
+        x = a_bar * x + uk
+        y[k] = (kp.w @ x).real
+    return y
+
+
+def _scan_instance(rng, variant, h=2, n=6):
+    """Layer parameters with |Re(lam)*dt| spread log-uniformly over
+    [1e-4, 50] on the first coordinate; softmax modes take both signs."""
+    delta = 10.0 ** rng.uniform(-3.0, -1.0, h)
+    re_dt = 10.0 ** rng.uniform(-4.0, math.log10(50.0), n)
+    re_dt[:2] = (1e-4, 50.0)
+    if variant == "softmax":
+        lambda_re = re_dt * rng.permutation(np.resize([1.0, -1.0], n)) / delta[0]
+    else:
+        lambda_re = np.log(re_dt / delta[0])      # Re(lam) = -exp(lambda_re)
+    return LayerParams(
+        variant=variant, h=h, n=n,
+        lambda_re=lambda_re,
+        lambda_im=rng.uniform(-3.0, 3.0, n) / delta[0],
+        delta_log=np.log(delta),
+        w=rng.standard_normal((h, n)) + 1j * rng.standard_normal((h, n)),
+        w_out=np.eye(h), b_out=np.zeros(h),
+    )
+
+
+SCAN_CASES = [(variant, eps) for variant in ("exp", "exp_no_scale", "softmax")
+              for eps in ((1e-7,) if variant != "softmax" else (1e-7, 1e-14))]
+
+
+@pytest.mark.parametrize("l", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 1000, 4096])
+@pytest.mark.parametrize("variant, eps", SCAN_CASES)
+def test_chunked_scan_matches_step_oracle_and_conv(variant, eps, l):
+    rng = np.random.RandomState(l + 7 * len(variant) + int(eps < 1e-10))
+    params = _scan_instance(rng, variant)
+    u = rng.standard_normal((2, params.h, l))
+    y = ssm_outputs(params, u, mode="recurrent", eps=eps)
+    assert np.isfinite(y).all()
+    scale = max(1.0, float(np.abs(y).max()))
+    if variant == "softmax" and l >= 1000:
+        # e^{Re(lam) dt L} is past the float range for some unstable modes
+        z_l = params.lambda_re.max() * math.exp(params.delta_log.max()) * l
+        assert z_l > 709.0
+    worst = 0.0
+    for bi in range(u.shape[0]):
+        for hi in range(params.h):
+            want = _step_oracle(params.coordinate_kernel_params(hi), u[bi, hi], eps)
+            worst = max(worst, float(np.abs(y[bi, hi] - want).max()))
+    assert worst <= 1e-10 * scale
+    conv = ssm_outputs(params, u, mode="conv", eps=eps)
+    assert float(np.abs(y - conv).max()) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"variant": "bogus"}, "unknown variant"),
+    ({"u": np.zeros((2, 3))}, "input must have shape"),
+    ({"u": np.zeros((1, 2, 0))}, "input must have shape"),
+    ({"delta": np.ones(3)}, "delta must have shape"),
+    ({"w": np.ones((2, 5))}, "delta must have shape"),
+    ({"delta": np.array([1.0, np.nan])}, "delta must be finite"),
+    ({"w": np.full((2, 4), np.inf)}, "w must be finite"),
+    ({"delta": np.array([1.0, 0.0])}, "delta must be positive"),
+    ({"lam": np.array([-1.0, 0.0, -1.0, -1.0])}, "singular lambda"),
+])
+def test_chunked_scan_rejects_bad_input(change, message):
+    args = {"variant": "exp", "lam": np.full(4, -1.0 + 1j), "delta": np.ones(2),
+            "w": np.ones((2, 4)), "u": np.zeros((1, 2, 8))}
+    args.update(change)
+    with pytest.raises(ValueError, match=message):
+        chunked_scan(**args)
