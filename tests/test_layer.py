@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from diagssm import (
     save_layer_params,
     ssm_outputs,
 )
-from diagssm.layer import DELTA_INIT_HIGH, DELTA_INIT_LOW, LayerParams
+from diagssm.kernel import VARIANTS
+from diagssm.layer import _GELU_BLOCK, DELTA_INIT_HIGH, DELTA_INIT_LOW, LayerParams
 
 
 def small_layer(variant="softmax", h=4, n=6, seed=11):
@@ -98,6 +100,119 @@ def test_gelu_erf_accuracy():
     xs = np.linspace(-6, 6, 4001)
     want = np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2))) for v in xs])
     assert np.abs(gelu(xs) - want).max() < 1e-7
+
+
+_ORACLE_ERF_COEFFS = (
+    -1.26551223, 1.00002368, 0.37409196, 0.09678418, -0.18628806,
+    0.27886807, -1.13520398, 1.48851587, -0.82215223, 0.17087277,
+)
+
+
+def oracle_gelu(x):
+    # The unblocked one-line GELU the blocked one must reproduce bit for bit.
+    x = np.asarray(x, dtype=float)
+    s = x / math.sqrt(2.0)
+    z = np.abs(s)
+    t = 1.0 / (1.0 + 0.5 * z)
+    poly = np.zeros_like(t)
+    for coeff in reversed(_ORACLE_ERF_COEFFS[1:]):
+        poly = t * (poly + coeff)
+    erfc = t * np.exp(-z * z + _ORACLE_ERF_COEFFS[0] + poly)
+    erf = np.where(s >= 0.0, 1.0 - erfc, erfc - 1.0)
+    return 0.5 * x * (1.0 + erf)
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("size", [0, 1, _GELU_BLOCK - 1, _GELU_BLOCK, _GELU_BLOCK + 1,
+                                  3 * _GELU_BLOCK + 7])
+def test_gelu_matches_unblocked_formula_bitwise(size):
+    x = 4.0 * np.random.default_rng(size).standard_normal(size)
+    kept = x.copy()
+    assert_bitwise(gelu(x), oracle_gelu(x))
+    assert_bitwise(x, kept)
+
+
+def test_gelu_bitwise_on_any_layout_and_non_finite_entries():
+    rng = np.random.default_rng(7)
+    block = 3.0 * rng.standard_normal((5, 2 * _GELU_BLOCK // 5 + 3))
+    specials = block.copy()
+    specials.flat[rng.choice(specials.size, 30, replace=False)] = [np.nan, np.inf, -np.inf] * 10
+    cases = [
+        block.T,                    # transposed view
+        block[::2, 1::3],           # strided view
+        specials,
+        np.array([-0.0, 0.0, 5e-324, -5e-324, 40.0, -40.0, 1e300, -1e300]),
+        np.arange(-20, 21),         # int array
+    ]
+    for x in cases:
+        kept = x.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_bitwise(gelu(x), oracle_gelu(x))
+        assert_bitwise(x, kept)
+    for scalar in (0.0, -1.5, 2, np.float64(0.3)):
+        got = gelu(scalar)
+        assert np.ndim(got) == 0 and isinstance(got, np.float64)
+        assert_bitwise(got, oracle_gelu(scalar))
+
+
+def test_gelu_scratch_memory_is_cache_sized():
+    # Blocked evaluation: besides its output gelu holds only block-sized
+    # buffers, where the unblocked formula held ~9 input-sized temporaries.
+    x = np.random.default_rng(0).standard_normal((4, 16, 16384))
+    tracemalloc.start()
+    try:
+        out = gelu(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * out.nbytes
+
+
+def test_gelu_erf_within_1e7_of_math_erf():
+    # erf recovered from gelu as 2*gelu(x)/x - 1 at x = sqrt(2)*s, which
+    # adds ~1e-15 of rounding to the erfcc approximation's own error.
+    s = np.random.default_rng(2024).uniform(-10.0, 10.0, 200_000)
+    s = s[s != 0.0]
+    x = s * math.sqrt(2.0)
+    erf = 2.0 * gelu(x) / x - 1.0
+    want = np.array([math.erf(v) for v in x / math.sqrt(2.0)])
+    assert np.abs(erf - want).max() < 1e-7
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("mode", ["conv", "recurrent"])
+def test_layer_forward_matches_einsum_projection(variant, mode):
+    params = small_layer(variant, h=5, n=6, seed=3)
+    rng = np.random.default_rng(VARIANTS.index(variant))
+    params.w_out = rng.standard_normal((5, 5))
+    params.b_out = rng.standard_normal(5)
+    u = rng.standard_normal((3, 5, 100))
+    kept = u.copy()
+    out = layer_forward(params, u, mode=mode)
+    want = (np.einsum("ij,bjl->bil", params.w_out, oracle_gelu(ssm_outputs(params, u, mode) + u))
+            + params.b_out[None, :, None])
+    assert np.abs(out - want).max() <= 1e-12 * max(1.0, np.abs(out).max())
+    assert_bitwise(u, kept)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("mode", ["conv", "recurrent"])
+def test_non_finite_input_is_refused(variant, mode):
+    # Unrefused, one NaN turns earlier positions NaN in both modes.
+    params = small_layer(variant)
+    rng = np.random.default_rng([VARIANTS.index(variant), mode == "conv"])
+    for bad in (np.nan, np.inf, -np.inf):
+        u = rng.standard_normal((2, 4, 64))
+        u[tuple(rng.integers(dim) for dim in u.shape)] = bad
+        with pytest.raises(ValueError, match="input u must be finite"):
+            ssm_outputs(params, u, mode=mode)
+        with pytest.raises(ValueError, match="input u must be finite"):
+            layer_forward(params, u, mode=mode)
 
 
 def test_layer_forward_zero_input_zero_output():
