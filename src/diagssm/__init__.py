@@ -21,6 +21,7 @@ from .kernel import (
     VARIANTS,
     build_kernel,
     dense_to_diagonal_weights,
+    diagonal_kernels,
     dss_exp_kernel,
     dss_exp_noscale_kernel,
     dss_softmax_kernel,

@@ -60,8 +60,6 @@ def _cmd_kernel(args):
         lambda_re = _parse_float_list(args.lambda_re)
         lambda_im = _parse_float_list(args.lambda_im)
         w = _parse_complex_list(args.w)
-        if not (lambda_re.size == lambda_im.size == w.size):
-            raise ValueError("override lengths disagree")
         delta_log = math.log(args.delta) if args.delta is not None else 0.0
         params = KernelParams(args.variant, lambda_re, lambda_im, w, delta_log)
     else:

@@ -20,10 +20,10 @@ def reciprocal_eps(x, eps=DEFAULT_EPS):
 
     The denominator is real and at least eps, so the result is finite for
     every finite input and its magnitude never exceeds 1/(2*sqrt(eps)).
-    Accepts scalars or arrays of any shape.
+    Accepts scalars or arrays of any shape; eps must be finite and > 0.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < np.inf:      # false for NaN too
+        raise ValueError("eps must be finite and positive")
     x = np.asarray(x, dtype=np.complex128)
     return x.conj() / (x.real * x.real + x.imag * x.imag + eps)
 

@@ -7,14 +7,13 @@ readout C has the length-L impulse response
 
 When A is diagonal with entries lambda_i this collapses to a weighted sum
 of sampled exponentials, a Vandermonde product, so the kernel is
-computable in O(N*L) without any matrix powers.  The exponentials are
-built in blocks of 64 positions, e^{z k} = e^{64 z j} * e^{z r} for
-k = 64 j + r: one exp pass over the N x ceil(L/64) block starts and one
-over the N x 64 offsets, followed by one ceil(L/64) x N by N x 64 matrix
-product (two for a softmax kernel with modes on both sides of the
-imaginary axis).  A build thus costs about N*(L/64 + 64) complex
-exponentials and never holds an N x L array.  Three parameterizations are
-provided:
+computable in O(N*L) without any matrix powers.  :func:`diagonal_kernels`
+builds the kernels of a layer's H coordinates, which share the spectrum;
+the one-coordinate functions are its H = 1 case.  Exponentials are built
+in blocks of 64 positions, e^{z k} = e^{64 z j} * e^{z r} for k = 64 j + r,
+then each kernel is one ceil(L/64) x N by N x 64 matrix product (two for
+softmax modes on both sides of the imaginary axis): about N*(L/64 + 64)
+exponentials per kernel, no N x L array.  Three parameterizations:
 
 * ``exp``           -- weights w~ against (exp(lam*dt)-1)/lam * exp(lam*dt*k),
                        with lam forced into the left half plane;
@@ -122,6 +121,39 @@ def effective_lambda(params):
     return -np.exp(params.lambda_re) + 1j * params.lambda_im
 
 
+def _diagonal_form(params):
+    """(lam, delta (H,), w (H, N)) of a KernelParams or LayerParams; exp overflow gives inf."""
+    with np.errstate(over="ignore"):
+        lam, delta = effective_lambda(params), np.exp(np.atleast_1d(params.delta_log))
+    return lam, delta, np.atleast_2d(params.w)
+
+
+def _diagonal_rates(variant, lam, delta, w, h, l):
+    """Both layer views' parameter check: lam (N,), w (H, N), rates, far modes.
+
+    Rates delta_h*lam_i, negated for far modes (softmax, Re(lam) > 0), must
+    not overflow times L.  Each ValueError names the field.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    lam = np.asarray(lam, dtype=np.complex128).reshape(-1)
+    delta = np.asarray(delta, dtype=float).reshape(-1)
+    w = np.asarray(w, dtype=np.complex128)
+    if delta.shape != (h,) or w.shape != (h, lam.size):
+        raise ValueError("delta must have shape (H,) and w (H, N) for H coordinates, N modes")
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = delta[:, None] * lam
+        for name, value in (("lam", lam), ("delta", delta), ("w", w), ("lam*delta*L", z * l)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
+    if np.any(delta <= 0):
+        raise ValueError("delta must be positive")
+    if variant != "exp_no_scale" and np.any(lam == 0):
+        raise ValueError("singular lambda")
+    far = (lam.real > 0) & (variant == "softmax")
+    return lam, w, np.where(far, -z, z), far
+
+
 _BLOCK = 64
 
 
@@ -140,11 +172,6 @@ def _exp_blocks(z, l):
     return np.exp(np.outer(z, starts)), np.exp(np.outer(z, np.arange(block, dtype=float)))
 
 
-def _blocked_combine(coef, outer, inner, l):
-    """sum_i coef_i e^{z_i k} for 0 <= k < L, as one matrix product."""
-    return ((coef[:, None] * outer).T @ inner).reshape(-1)[:l]
-
-
 def _blocked_row_sums(outer, inner, l):
     """sum_{k<L} e^{z_i k} per row: full blocks, then the partial last one."""
     tail = l - inner.shape[1] * (outer.shape[1] - 1)
@@ -152,21 +179,37 @@ def _blocked_row_sums(outer, inner, l):
             + outer[:, -1] * inner[:, :tail].sum(axis=1))
 
 
-def _exp_rates(params):
-    """dt*lam and the scale (e^{lam dt} - 1)/lam of the exp variant."""
-    lam = effective_lambda(params)
-    if np.any(lam == 0):
-        raise ValueError("singular lambda")
-    z = lam * params.delta
-    return z, (np.exp(z) - 1.0) / lam
+def diagonal_kernels(variant, lam, delta, w, l, eps=DEFAULT_EPS):
+    """The (H, L) kernels of H coordinates sharing one diagonal spectrum.
+
+    ``lam`` (N,) is the effective spectrum, ``delta`` (H,) the sample times
+    and ``w`` (H, N) the weights in the variant's form; row h is the
+    ``dss_*`` kernel of (lam, delta_h, w_h).  Softmax rows are taken
+    relative to their largest entry, e^{lam_i dt k} if Re(lam_i) <= 0 and
+    e^{-lam_i dt (L-1-k)} from the far end if not: no exponent is positive.
+    """
+    l = _check_length(l)
+    lam, w, rate, far = _diagonal_rates(variant, lam, delta, w, np.size(delta), l)
+    if variant == "exp":
+        w = w * ((np.exp(rate) - 1.0) / lam)
+    out = np.zeros((len(w), l))
+    for flip in np.unique(far):             # near modes, then far ones, where present
+        sel = far == flip
+        # One row's exponentials at a time: an (H, N, L/64) block leaves the cache.
+        for row, dst in enumerate(out):
+            outer, inner = _exp_blocks(rate[row, sel], l)
+            coef = w[row, sel]
+            if variant == "softmax":
+                coef = coef / lam[sel] * reciprocal_eps(_blocked_row_sums(outer, inner, l), eps)
+            kernel = ((coef[:, None] * outer).T @ inner).reshape(-1)[:l].real
+            dst += kernel[::-1] if flip else kernel
+    return out
 
 
 def dss_exp_kernel(params, l):
     """Kernel K_k = Re( sum_i w~_i (e^{lam_i dt}-1)/lam_i e^{lam_i dt k} )."""
     _require_variant(params, "exp")
-    l = _check_length(l)
-    z, scale = _exp_rates(params)
-    return _blocked_combine(params.w * scale, *_exp_blocks(z, l), l).real
+    return build_kernel(params, l)
 
 
 def exp_basis(params, l):
@@ -181,53 +224,28 @@ def exp_basis(params, l):
     """
     _require_variant(params, "exp")
     l = _check_length(l)
-    z, scale = _exp_rates(params)
-    outer, inner = _exp_blocks(z, l)
+    lam, _, z, _ = _diagonal_rates("exp", *_diagonal_form(params), 1, l)
+    outer, inner = _exp_blocks(z[0], l)
+    scale = (np.exp(z[0]) - 1.0) / lam
     full = (scale[:, None, None] * outer[:, :, None] * inner[:, None, :]).reshape(params.n, -1)
     return np.ascontiguousarray(full[:, :l])
 
 
 def dss_softmax_kernel(params, l, eps=DEFAULT_EPS):
-    """Kernel K_k = Re( (w / lam) . row_softmax(P) ), P_{i,k} = lam_i*dt*k.
-
-    Each row of P is passed through the eps-stabilized softmax, taken
-    relative to the row's entry with the largest real part: e^{lam_i dt k}
-    when Re(lam_i) <= 0, and e^{-lam_i dt (L-1-k)}, built from the far end
-    of the window, when Re(lam_i) > 0.  Every exponential factor then has
-    a non-positive real part, so the output stays finite for any finite
-    parameters.
-    """
+    """Kernel K_k = Re( (w / lam) . row_softmax_eps(P) ), P_{i,k} = lam_i*dt*k."""
     _require_variant(params, "softmax")
-    l = _check_length(l)
-    lam = effective_lambda(params)
-    if np.any(lam == 0):
-        raise ValueError("singular lambda")
-    dt_lam = lam * params.delta
-    far = lam.real > 0
-    outer, inner = _exp_blocks(np.where(far, -dt_lam, dt_lam), l)
-    coef = (params.w / lam) * reciprocal_eps(_blocked_row_sums(outer, inner, l), eps)
-    near = ~far
-    out = _blocked_combine(coef[near], outer[near], inner[near], l)
-    if far.any():
-        out += _blocked_combine(coef[far], outer[far], inner[far], l)[::-1]
-    return out.real
+    return build_kernel(params, l, eps)
 
 
 def dss_exp_noscale_kernel(params, l):
     """Kernel K_k = Re( sum_i w~_i e^{lam_i dt k} ), scale term omitted."""
     _require_variant(params, "exp_no_scale")
-    l = _check_length(l)
-    z = effective_lambda(params) * params.delta
-    return _blocked_combine(params.w, *_exp_blocks(z, l), l).real
+    return build_kernel(params, l)
 
 
 def build_kernel(params, l, eps=DEFAULT_EPS):
-    """Dispatch to the variant's kernel construction."""
-    if params.variant == "exp":
-        return dss_exp_kernel(params, l)
-    if params.variant == "softmax":
-        return dss_softmax_kernel(params, l, eps)
-    return dss_exp_noscale_kernel(params, l)
+    """One coordinate's kernel: the H = 1 case of :func:`diagonal_kernels`."""
+    return diagonal_kernels(params.variant, *_diagonal_form(params), l, eps)[0]
 
 
 def _matexp_taylor(m, max_terms=200):
@@ -352,7 +370,7 @@ class KernelGradients:
 def _blocked_project(outer, inner, seqs):
     """sum_{k<L} e^{z_i k} seqs[m, k] for each row m of an M x L array.
 
-    Returns M rows of length N: the transpose of :func:`_blocked_combine`,
+    Returns M rows of length N: the transpose of a blocked kernel product,
     with the sequences zero-padded to whole blocks.
     """
     n, nblocks = outer.shape

@@ -22,11 +22,10 @@ import numpy as np
 from .cnum import DEFAULT_EPS
 from .fftconv import causal_conv_fft
 from .hippo import skew_hippo_lambda
-from .kernel import KernelParams, VARIANTS, build_kernel, effective_lambda, exp_basis, truncate_kernel
-from .kernel import kernel_grad_exp  # noqa: F401  ssmbench/tracer.py wraps layer.kernel_grad_exp
+from .kernel import KernelParams, VARIANTS, _diagonal_form, diagonal_kernels, exp_basis, truncate_kernel
 from .recurrence import chunked_scan
-# The per-step oracles stay bound here: ssmbench/tracer.py wraps
-# layer.run_exp and layer.run_softmax_stable.
+# Bound only because ssmbench/tracer.py wraps these names here; the layer calls none.
+from .kernel import build_kernel, kernel_grad_exp  # noqa: F401
 from .recurrence import run_exp, run_softmax_stable  # noqa: F401
 
 PARAMS_FORMAT_VERSION = 1
@@ -204,11 +203,8 @@ def gelu(x):
 
 
 def layer_kernels(params, l, eps=DEFAULT_EPS, kernel_limit=None):
-    """The H per-coordinate kernels of length L, stacked as an H x L array."""
-    kernels = np.stack([
-        build_kernel(params.coordinate_kernel_params(h_idx), l, eps)
-        for h_idx in range(params.h)
-    ])
+    """The H per-coordinate kernels of length L, as one H x L array."""
+    kernels = diagonal_kernels(params.variant, *_diagonal_form(params), l, eps)
     if kernel_limit is not None:
         kernels = truncate_kernel(kernels, kernel_limit)
     return kernels
@@ -228,6 +224,7 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
     truncated kernel is no longer the impulse response of the underlying
     recurrence.
 
+    Both views share one parameter check and refuse the same parameters.
     Raises ValueError naming ``u`` when the input holds NaN or +-inf: in
     either mode one NaN would otherwise spread to earlier positions.
     """
@@ -247,8 +244,7 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
         return causal_conv_fft(layer_kernels(params, l, eps, kernel_limit), u)
     if kernel_limit is not None:
         raise ValueError("kernel_limit requires conv mode")
-    return chunked_scan(params.variant, effective_lambda(params),
-                        np.exp(params.delta_log), params.w, u, eps)
+    return chunked_scan(params.variant, *_diagonal_form(params), u, eps)
 
 
 def _check_projection(params):
@@ -343,6 +339,8 @@ def train_toy_delay(n, l, lag, steps, lr=1e-3, seed=0):
     long-range capability check.  Returns a report dict with the loss
     history every 100 steps.
     """
+    if not all(isinstance(v, (int, np.integer)) for v in (n, l, lag, steps)):
+        raise ValueError("n, l, lag and steps must be integers")
     if not 0 <= lag < l:
         raise ValueError("lag must satisfy 0 <= lag < l")
     if steps < 1:

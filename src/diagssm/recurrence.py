@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnum import DEFAULT_EPS, reciprocal_eps
-from .kernel import VARIANTS, _require_variant, effective_lambda
+from .kernel import _diagonal_rates, _require_variant, effective_lambda
 
 
 @dataclass
@@ -160,37 +160,21 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
     ``exp_no_scale`` the recurrence with input map 1, whose impulse
     response is that variant's kernel.  The (B, H, N) state is held as
     (H, B, N), so each product batches over H, and the loop runs once per
-    chunk of 32 steps; see the module docstring.
+    chunk of 32 steps; see the module docstring.  NaN or inf in u is refused.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    lam = np.asarray(lam, dtype=np.complex128).reshape(-1)
-    delta = np.asarray(delta, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=np.complex128)
     u = np.asarray(u, dtype=float)
     if u.ndim != 3 or u.shape[2] < 1:
         raise ValueError("input must have shape (batch, coordinates, length >= 1)")
+    if not np.isfinite(u).all():
+        raise ValueError("input u must be finite (no NaN or inf)")
     b, h, l = u.shape
+    # Re(rate) <= 0: the far modes accumulate, then are scaled at read-out.
+    lam, w, rate, far = _diagonal_rates(variant, lam, delta, w, h, l)
     n = lam.size
-    if delta.shape != (h,) or w.shape != (h, n):
-        raise ValueError("delta must have shape (H,) and w (H, N) for input (B, H, L)")
-    for name, value in (("lam", lam), ("delta", delta), ("w", w)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite")
-    if np.any(delta <= 0):
-        raise ValueError("delta must be positive")
-    if variant != "exp_no_scale" and np.any(lam == 0):
-        raise ValueError("singular lambda")
-
-    # Per-(H,N) rates with Re(rate) <= 0: lam*dt, or -lam*dt for the
-    # softmax modes read from the horizon (accumulate, then scale).
-    z = delta[:, None] * lam
-    far = (lam.real > 0) if variant == "softmax" else np.zeros(n, dtype=bool)
-    rate = np.where(far, -z, z)
     block = min(l, _CHUNK)
     powers = np.exp(rate[..., None] * np.arange(block + 1))    # e^{rate t}, t <= T
     fwd = powers[..., :block]
-    gain, coef = np.ones_like(z), w       # input map and read-out weights
+    gain, coef = np.ones_like(rate), w       # input map and read-out weights
     if variant == "exp":
         gain = (powers[..., 1] - 1.0) / lam
     elif variant == "softmax":

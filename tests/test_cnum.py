@@ -38,6 +38,13 @@ def test_reciprocal_eps_rejects_bad_eps():
         reciprocal_eps(1 + 0j, 0.0)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -1e-7])
+def test_reciprocal_eps_rejects_non_finite_eps(eps):
+    # NaN passes an "eps <= 0" test and would make every output NaN.
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        reciprocal_eps(np.array([1 + 0j, 0j]), eps)
+
+
 def test_cmax_by_real_tie_breaks_low_index():
     idx, val = cmax_by_real(np.array([1 + 2j, 3 - 1j, 3 + 5j]))
     assert idx == 1

@@ -7,6 +7,7 @@ from diagssm import (
     GeneralSSM,
     KernelParams,
     dense_to_diagonal_weights,
+    diagonal_kernels,
     dss_exp_kernel,
     dss_exp_noscale_kernel,
     dss_softmax_kernel,
@@ -14,6 +15,7 @@ from diagssm import (
     exp_basis,
     finite_diff_grad,
     general_ssm_kernel,
+    init_layer,
     kernel_grad_exp,
     truncate_kernel,
     write_kernel_csv,
@@ -181,6 +183,23 @@ def test_blocked_kernels_match_direct_exp(variant, l):
         want = direct_kernel(params, l)
         assert got.shape == (l,) and np.isfinite(got).all()
         assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+    # H > 1 in one diagonal_kernels call, each row against its own oracle:
+    # three coordinates on a random spectrum and, for softmax, the 16 x 64
+    # benchmark layer with 32 modes at Re(lam) = +0.25.
+    base = random_kernel_params(rng, variant, int(rng.integers(1, 9)))
+    w = rng.standard_normal((3, base.n)) + 1j * rng.standard_normal((3, base.n))
+    layers = [(base.lambda_re, base.lambda_im, base.delta_log + rng.uniform(-1.0, 1.0, 3), w)]
+    if variant == "softmax":
+        layer = init_layer(16, 64, "softmax", 1)
+        layer.lambda_re[np.random.default_rng(0).choice(64, 32, replace=False)] = 0.25
+        layers.append((layer.lambda_re, layer.lambda_im, layer.delta_log, layer.w))
+    for lambda_re, lambda_im, delta_log, w in layers:
+        rows = [KernelParams(variant, lambda_re, lambda_im, w_h, d) for w_h, d in zip(w, delta_log)]
+        got = diagonal_kernels(variant, effective_lambda(rows[0]), np.exp(delta_log), w, l)
+        assert got.shape == (len(rows), l) and np.isfinite(got).all()
+        for row, params in zip(got, rows):
+            want = direct_kernel(params, l)
+            assert np.abs(row - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("l", [1, 65, 1024])

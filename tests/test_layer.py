@@ -18,6 +18,7 @@ from diagssm import (
     params_to_json,
     save_layer_params,
     ssm_outputs,
+    train_toy_delay,
 )
 from diagssm.kernel import VARIANTS
 from diagssm.layer import _GELU_BLOCK, DELTA_INIT_HIGH, DELTA_INIT_LOW, LayerParams
@@ -344,6 +345,14 @@ def test_kernel_stats_zero_kernel_row():
     stats = kernel_stats(params, 8)
     assert stats.argmax_pos[0] == 0
     assert np.array_equal(stats.profiles[0], np.zeros(8))
+
+
+@pytest.mark.parametrize("args", [(4, 16, 1.5, 2), (4.0, 16, 1, 2), (4, 16.0, 1, 2),
+                                  (4, 16, 1, 2.0)])
+def test_train_toy_refuses_non_integer_sizes(args):
+    # A fractional lag used to reach the target array as an index (IndexError).
+    with pytest.raises(ValueError, match="must be integers"):
+        train_toy_delay(*args)
 
 
 def test_nearest_rank_percentile_definition():

@@ -224,6 +224,8 @@ def test_chunked_scan_matches_step_oracle_and_conv(variant, eps, l):
     ({"w": np.full((2, 4), np.inf)}, "w must be finite"),
     ({"delta": np.array([1.0, 0.0])}, "delta must be positive"),
     ({"lam": np.array([-1.0, 0.0, -1.0, -1.0])}, "singular lambda"),
+    ({"u": np.full((1, 2, 8), np.nan)}, "input u must be finite"),
+    ({"delta": np.array([1.0, 1e308])}, r"lam\*delta\*L must be finite"),
 ])
 def test_chunked_scan_rejects_bad_input(change, message):
     args = {"variant": "exp", "lam": np.full(4, -1.0 + 1j), "delta": np.ones(2),
