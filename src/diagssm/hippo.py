@@ -30,8 +30,8 @@ def skew_hippo_matrix(n):
 
     Adding I/2 leaves an exactly skew-symmetric matrix.
     """
-    if n < 1:
-        raise ValueError("state size must be >= 1")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("state size must be an integer >= 1")
     dim = 2 * n
     root = np.sqrt(2.0 * np.arange(dim) + 1.0)
     outer = np.outer(root, root) / 2.0

@@ -12,8 +12,11 @@ builds the kernels of a layer's H coordinates, which share the spectrum;
 the one-coordinate functions are its H = 1 case.  Exponentials are built
 in blocks of 64 positions, e^{z k} = e^{64 z j} * e^{z r} for k = 64 j + r,
 then each kernel is one ceil(L/64) x N by N x 64 matrix product (two for
-softmax modes on both sides of the imaginary axis): about N*(L/64 + 64)
-exponentials per kernel, no N x L array.  Three parameterizations:
+softmax modes on both sides of the imaginary axis), no N x L array.  Every
+table of powers in the package, these two and the recurrent scan's, comes
+from one primitive that splits it again into two tables of about
+sqrt(count) entries: about N*(2*sqrt(L/64) + 16) exponentials per kernel,
+48 per mode at L = 16384.  Three parameterizations:
 
 * ``exp``           -- weights w~ against (exp(lam*dt)-1)/lam * exp(lam*dt*k),
                        with lam forced into the left half plane;
@@ -129,10 +132,12 @@ def _diagonal_form(params):
 
 
 def _diagonal_rates(variant, lam, delta, w, h, l):
-    """Both layer views' parameter check: lam (N,), w (H, N), rates, far modes.
+    """Both layer views' parameter check: lam (N,), coef (H, N), rates, far modes.
 
     Rates delta_h*lam_i, negated for far modes (softmax, Re(lam) > 0), must
-    not overflow times L.  Each ValueError names the field.
+    not overflow times L.  ``coef`` is w times the variant's input map:
+    (e^{lam*delta}-1)/lam for ``exp``, 1/lam for ``softmax`` (before its
+    row sums), 1 for ``exp_no_scale``.  Each ValueError names the field.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -150,11 +155,34 @@ def _diagonal_rates(variant, lam, delta, w, h, l):
         raise ValueError("delta must be positive")
     if variant != "exp_no_scale" and np.any(lam == 0):
         raise ValueError("singular lambda")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if variant == "exp":
+            w = w * ((np.exp(z) - 1.0) / lam)
+        elif variant == "softmax":
+            w = w / lam
+    if not np.isfinite(w).all():
+        raise ValueError("lam gives a non-finite input map w/lam or w*(e^{lam*delta}-1)/lam")
     far = (lam.real > 0) & (variant == "softmax")
     return lam, w, np.where(far, -z, z), far
 
 
 _BLOCK = 64
+
+
+def _exp_range(z, count, step=1):
+    """e^{z step k} for 0 <= k < count, an array of z's shape plus (count,).
+
+    With m = ceil(sqrt(count)) and k = m a + r, each power is the product
+    e^{z step m a} * e^{z step r} of two tables of about sqrt(count)
+    entries: about 2 sqrt(count) exponentials per rate instead of count.
+    Each factor's exponent is z step times an integer in [0, count), so
+    when Re(z) <= 0 neither factor exceeds one in magnitude.
+    """
+    z = np.asarray(z, dtype=np.complex128)[..., None]
+    m = math.isqrt(count - 1) + 1
+    hi = np.exp(z * (step * m * np.arange(-(-count // m), dtype=float)))
+    lo = np.exp(z * (step * np.arange(m, dtype=float)))
+    return (hi[..., :, None] * lo[..., None, :]).reshape(*z.shape[:-1], -1)[..., :count]
 
 
 def _exp_blocks(z, l):
@@ -168,15 +196,14 @@ def _exp_blocks(z, l):
     magnitude.
     """
     block = min(l, _BLOCK)
-    starts = block * np.arange(-(-l // block), dtype=float)
-    return np.exp(np.outer(z, starts)), np.exp(np.outer(z, np.arange(block, dtype=float)))
+    return _exp_range(z, -(-l // block), block), _exp_range(z, block)
 
 
 def _blocked_row_sums(outer, inner, l):
-    """sum_{k<L} e^{z_i k} per row: full blocks, then the partial last one."""
-    tail = l - inner.shape[1] * (outer.shape[1] - 1)
-    return (outer[:, :-1].sum(axis=1) * inner.sum(axis=1)
-            + outer[:, -1] * inner[:, :tail].sum(axis=1))
+    """sum_{k<L} e^{z k} per rate, over the last axis: full blocks, then the partial last one."""
+    tail = l - inner.shape[-1] * (outer.shape[-1] - 1)
+    return (outer[..., :-1].sum(axis=-1) * inner.sum(axis=-1)
+            + outer[..., -1] * inner[..., :tail].sum(axis=-1))
 
 
 def diagonal_kernels(variant, lam, delta, w, l, eps=DEFAULT_EPS):
@@ -189,9 +216,7 @@ def diagonal_kernels(variant, lam, delta, w, l, eps=DEFAULT_EPS):
     e^{-lam_i dt (L-1-k)} from the far end if not: no exponent is positive.
     """
     l = _check_length(l)
-    lam, w, rate, far = _diagonal_rates(variant, lam, delta, w, np.size(delta), l)
-    if variant == "exp":
-        w = w * ((np.exp(rate) - 1.0) / lam)
+    _, w, rate, far = _diagonal_rates(variant, lam, delta, w, np.size(delta), l)
     out = np.zeros((len(w), l))
     for flip in np.unique(far):             # near modes, then far ones, where present
         sel = far == flip
@@ -200,7 +225,7 @@ def diagonal_kernels(variant, lam, delta, w, l, eps=DEFAULT_EPS):
             outer, inner = _exp_blocks(rate[row, sel], l)
             coef = w[row, sel]
             if variant == "softmax":
-                coef = coef / lam[sel] * reciprocal_eps(_blocked_row_sums(outer, inner, l), eps)
+                coef = coef * reciprocal_eps(_blocked_row_sums(outer, inner, l), eps)
             kernel = ((coef[:, None] * outer).T @ inner).reshape(-1)[:l].real
             dst += kernel[::-1] if flip else kernel
     return out
@@ -224,10 +249,10 @@ def exp_basis(params, l):
     """
     _require_variant(params, "exp")
     l = _check_length(l)
-    lam, _, z, _ = _diagonal_rates("exp", *_diagonal_form(params), 1, l)
+    lam, delta, _ = _diagonal_form(params)
+    _, scale, z, _ = _diagonal_rates("exp", lam, delta, np.ones((1, lam.size)), 1, l)
     outer, inner = _exp_blocks(z[0], l)
-    scale = (np.exp(z[0]) - 1.0) / lam
-    full = (scale[:, None, None] * outer[:, :, None] * inner[:, None, :]).reshape(params.n, -1)
+    full = (scale[0, :, None, None] * outer[:, :, None] * inner[:, None, :]).reshape(params.n, -1)
     return np.ascontiguousarray(full[:, :l])
 
 

@@ -22,8 +22,12 @@ matrix product per chunk, so the Python loop runs ceil(L/T) times.  Every
 factor is e^{rho t} with Re(rho) <= 0 and 0 <= t, where rho is lam*dt, or
 -lam*dt for the softmax modes with Re(lam) > 0; for those modes the
 chunk's offset from the start (injection) and from the horizon (read-out)
-are applied to the carried state as two more such factors.  The softmax
-row sums are formed from the same factors as sums of e^{rho k}, never as
+are applied to the carried state as two more such factors.  All of them
+come from two tables built before the loop, the in-chunk powers e^{rho t},
+t <= T, and, for softmax, the chunk starts e^{rho T j}, each from
+``kernel._exp_range``: about 12 exponentials per mode and coordinate, plus
+2*sqrt(L/T) for softmax, and none inside the loop.  The softmax row sums
+are formed from the same tables as sums of e^{rho k}, never as
 (e^{rho L}-1)/(e^{rho}-1), so a spectrum with e^{rho L} = 1 gives the
 eps-regularized output of the convolution view instead of an error.
 
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnum import DEFAULT_EPS, reciprocal_eps
-from .kernel import _diagonal_rates, _require_variant, effective_lambda
+from .kernel import _blocked_row_sums, _diagonal_rates, _exp_range, _require_variant, effective_lambda
 
 
 @dataclass
@@ -169,25 +173,35 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
         raise ValueError("input u must be finite (no NaN or inf)")
     b, h, l = u.shape
     # Re(rate) <= 0: the far modes accumulate, then are scaled at read-out.
-    lam, w, rate, far = _diagonal_rates(variant, lam, delta, w, h, l)
+    # coef holds the input map, so every mode's state is fed u unscaled.
+    lam, coef, rate, far = _diagonal_rates(variant, lam, delta, w, h, l)
     n = lam.size
     block = min(l, _CHUNK)
-    powers = np.exp(rate[..., None] * np.arange(block + 1))    # e^{rate t}, t <= T
+    chunks = -(-l // block)
+    powers = _exp_range(rate, block + 1)           # e^{rate t}, t <= T
     fwd = powers[..., :block]
-    gain, coef = np.ones_like(rate), w       # input map and read-out weights
-    if variant == "exp":
-        gain = (powers[..., 1] - 1.0) / lam
-    elif variant == "softmax":
-        # Row sums sum_{k<L} e^{rate k}: chunk starts times in-chunk sums.
-        starts = np.arange(0, l, block)
-        in_chunk = np.cumsum(fwd, axis=-1)[..., np.minimum(block, l - starts) - 1]
-        row_sum = (np.exp(rate[..., None] * starts) * in_chunk).sum(axis=-1)
-        coef = w / lam * reciprocal_eps(row_sum, eps)
+    if variant == "softmax":
+        starts = _exp_range(rate, chunks, block)    # e^{rate T j}, j < chunks
+        coef = coef * reciprocal_eps(_blocked_row_sums(starts, fwd, l), eps)
 
-    # The first T kernel values as a Toeplitz block: e^{rate m} for the
-    # near modes, e^{rate (L-1-m)} = e^{rate (L-T)} e^{rate (T-1-m)} for the far.
-    impulse = np.where(far[:, None], np.exp(rate * (l - block))[..., None] * fwd[..., ::-1],
-                       gain[..., None] * fwd)
+    # The far modes' chunk offsets as (chunks, H, 1, N) tables, 1 on near
+    # modes: ahead[j] = e^{rate c0} on what chunk j injects, behind[j] =
+    # e^{rate (L - c0 - tc)} on what it reads, which is
+    # e^{rate T (chunks-2-j)} e^{rate tail} before the last chunk, 1 in it.
+    ahead = behind = None
+    impulse, inject, decay = fwd, fwd[..., ::-1], powers[..., block]
+    if far.any():
+        ahead = np.ascontiguousarray(np.where(far[:, None], starts, 1.0).transpose(2, 0, 1))
+        ahead = ahead[:, :, None, :]
+        tail = np.where(far, powers[..., l - block * (chunks - 1)], 1.0)[:, None, :]
+        behind = np.concatenate([ahead[:chunks - 1][::-1] * tail, np.ones_like(ahead[:1])])
+        # Far kernel values e^{rate (L-1-m)} = e^{rate (L-T)} e^{rate (T-1-m)},
+        # and behind[0] is e^{rate (L-T)}.
+        impulse = np.where(far[:, None], behind[0].transpose(0, 2, 1) * inject, fwd)
+        inject = np.where(far[:, None], fwd, inject)
+        decay = np.where(far, 1.0, decay)
+
+    # The first T kernel values as a Toeplitz block.
     head = np.einsum("hn,hnm->hm", coef, impulse).real
     lag = np.arange(block)[None, :] - np.arange(block)[:, None]
     toeplitz = np.where(lag >= 0, head[:, np.maximum(lag, 0)], 0.0)    # (H, s, t)
@@ -200,26 +214,22 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
         return np.stack([r.real, -r.imag], axis=2).reshape(h, 2 * n, tc)
 
     read = read_map(block)
-    inject = np.where(far[:, None], fwd, gain[..., None] * fwd[..., ::-1])
     inject = np.ascontiguousarray(inject.transpose(0, 2, 1)).view(np.float64)  # (H, T, 2N)
-    decay = np.where(far, 1.0, powers[..., block])[:, None, :]
-    # Chunk offsets of the far modes, folded into the state: e^{rate c0}
-    # on what a chunk injects, e^{rate (L - c0 - tc)} on what it reads.
-    shift = np.where(far, rate, 0.0)[:, None, :] if far.any() else None
+    decay = decay[:, None, :]
 
     y = np.empty_like(u)
     state = np.zeros((h, b, n), dtype=np.complex128)
-    for c0 in range(0, l, block):
+    for j, c0 in enumerate(range(0, l, block)):
         tc = min(block, l - c0)
         uc = u[:, :, c0:c0 + tc].transpose(1, 0, 2)
         yc = uc @ toeplitz[:, :tc, :tc]
         if c0:
-            carried = state if shift is None else state * np.exp(shift * (l - c0 - tc))
+            carried = state if behind is None else state * behind[j]
             yc += carried.view(np.float64) @ (read if tc == block else read_map(tc))
         y[:, :, c0:c0 + tc] = yc.transpose(1, 0, 2)
         if c0 + tc < l:
             fresh = (uc @ inject).view(np.complex128)
-            if shift is not None:
-                fresh *= np.exp(shift * c0)
+            if ahead is not None:
+                fresh *= ahead[j]
             state = decay * state + fresh
     return y

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from diagssm import init_layer, save_layer_params
+from diagssm import cli, init_layer, save_layer_params
 from diagssm.cli import main
 
 
@@ -105,6 +105,17 @@ def test_bench_csv_shape(capsys):
     assert first[0] == "64"
     assert float(first[1]) >= 0.0
     assert first[3] == ""  # recurrence not timed in conv mode
+
+
+def test_bench_times_warm_calls(monkeypatch, capsys):
+    # One untimed warm-up call, then the best of 5 timed ones, per cell.
+    calls = []
+    real = cli.layer_kernels
+    monkeypatch.setattr(cli, "layer_kernels", lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run(["bench", "--l", "16,32", "--n", "4", "--h", "2", "--b", "1",
+                        "--mode", "conv"], capsys)
+    assert code == 0 and len(out.strip().split("\n")) == 3
+    assert [a[1] for a in calls] == [16] * 6 + [32] * 6
 
 
 def test_bench_recurrent_exp_no_scale(capsys):

@@ -19,6 +19,7 @@ from diagssm import (
     effective_lambda,
     init_layer,
     layer_forward,
+    skew_hippo_lambda,
     ssm_outputs,
 )
 
@@ -95,3 +96,24 @@ def test_softmax_layer_refuses_nan_eps(mode):
     params = init_layer(2, 4, "softmax", 0)
     with pytest.raises(ValueError, match="eps must be finite and positive"):
         layer_forward(params, np.ones((1, 2, 8)), mode, eps=math.nan)
+
+
+@pytest.mark.parametrize("mode", ["conv", "recurrent"])
+def test_subnormal_softmax_lambda_is_refused(mode):
+    # A nonzero but subnormal lam passes the singular check; w/lam overflows.
+    params = init_layer(1, 2, "softmax", 0)
+    params.lambda_re = np.full(2, 1e-320)
+    params.lambda_im = np.zeros(2)
+    with pytest.raises(ValueError, match="lam gives a non-finite input map"):
+        ssm_outputs(params, np.ones((1, 1, 8)), mode)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (init_layer, (2.5, 4, "exp", 0)),
+    (init_layer, (2, 2.5, "exp", 0)),
+    (init_layer, (2, 4.0, "softmax", 0)),
+    (skew_hippo_lambda, (2.5,)),
+])
+def test_non_integer_sizes_are_refused(fn, args):
+    with pytest.raises(ValueError, match="integer"):
+        fn(*args)

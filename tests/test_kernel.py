@@ -6,6 +6,7 @@ import pytest
 from diagssm import (
     GeneralSSM,
     KernelParams,
+    chunked_scan,
     dense_to_diagonal_weights,
     diagonal_kernels,
     dss_exp_kernel,
@@ -22,6 +23,7 @@ from diagssm import (
 )
 from diagssm.checks import check_grad, check_prop1
 from diagssm.cnum import reciprocal_eps
+from diagssm.kernel import _exp_range
 
 LN2 = math.log(2.0)
 
@@ -159,6 +161,14 @@ def direct_kernel(params, l):
     return (coef @ e).real
 
 
+def benchmark_layer(variant):
+    """The 16 x 64 benchmark layer; softmax has 32 modes at Re(lam) = +0.25."""
+    layer = init_layer(16, 64, variant, 1)
+    if variant == "softmax":
+        layer.lambda_re[np.random.default_rng(0).choice(64, 32, replace=False)] = 0.25
+    return layer
+
+
 def random_kernel_params(rng, variant, n):
     delta_log = rng.uniform(math.log(1e-3), 0.0)
     if variant == "softmax":
@@ -190,8 +200,7 @@ def test_blocked_kernels_match_direct_exp(variant, l):
     w = rng.standard_normal((3, base.n)) + 1j * rng.standard_normal((3, base.n))
     layers = [(base.lambda_re, base.lambda_im, base.delta_log + rng.uniform(-1.0, 1.0, 3), w)]
     if variant == "softmax":
-        layer = init_layer(16, 64, "softmax", 1)
-        layer.lambda_re[np.random.default_rng(0).choice(64, 32, replace=False)] = 0.25
+        layer = benchmark_layer("softmax")
         layers.append((layer.lambda_re, layer.lambda_im, layer.delta_log, layer.w))
     for lambda_re, lambda_im, delta_log, w in layers:
         rows = [KernelParams(variant, lambda_re, lambda_im, w_h, d) for w_h, d in zip(w, delta_log)]
@@ -200,6 +209,58 @@ def test_blocked_kernels_match_direct_exp(variant, l):
         for row, params in zip(got, rows):
             want = direct_kernel(params, l)
             assert np.abs(row - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("step", [1, 32, 64])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 63, 64, 65, 255, 256, 257, 1024])
+def test_exp_range_matches_direct_exp(count, step):
+    rng = np.random.default_rng(count * step)
+    re = -np.concatenate([[0.0, 0.0, 50.0], 10.0 ** rng.uniform(-6.0, math.log10(50.0), 61)])
+    im = np.concatenate([[0.0, 10.0, -10.0], rng.uniform(-10.0, 10.0, 61)])
+    z = (re + 1j * im).reshape(8, 8)
+    got = _exp_range(z, count, step)
+    want = np.exp(np.outer(z, step * np.arange(count))).reshape(8, 8, count)
+    assert got.shape == (8, 8, count)
+    eps = np.finfo(float).eps
+    # The rounding of the exponent z*step*k itself, which either route carries.
+    assert np.abs(got - want).max() <= eps * (1.0 + np.abs(z).max() * step * count)
+    assert np.abs(got).max() <= 1.0 + 4.0 * eps
+
+
+def count_exps(monkeypatch, fn):
+    """The number of elements np.exp evaluates during fn()."""
+    count = [0]
+    real_exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        count[0] += np.size(x)
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    try:
+        fn()
+    finally:
+        monkeypatch.undo()
+    return count[0]
+
+
+@pytest.mark.parametrize("variant", ["exp", "softmax", "exp_no_scale"])
+def test_kernel_exps_grow_with_sqrt_of_length(variant, monkeypatch):
+    layer = benchmark_layer(variant)
+    lam, delta = effective_lambda(layer), np.exp(layer.delta_log)
+    exps = count_exps(monkeypatch, lambda: diagonal_kernels(variant, lam, delta, layer.w, 16384))
+    # About 2 sqrt(256) + 2 sqrt(64) = 48 per mode; an N x L/64 table would be 256.
+    assert exps <= 16 * 64 * 100
+
+
+def test_scan_exps_do_not_scale_with_chunks(monkeypatch):
+    layer = benchmark_layer("softmax")
+    lam, delta = effective_lambda(layer), np.exp(layer.delta_log)
+    rng = np.random.default_rng(3)
+    exps = {l: count_exps(monkeypatch, lambda: chunked_scan(
+                "softmax", lam, delta, layer.w, rng.standard_normal((1, 16, l))))
+            for l in (1024, 4096)}
+    assert exps[4096] < 2 * exps[1024]
 
 
 @pytest.mark.parametrize("l", [1, 65, 1024])

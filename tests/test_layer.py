@@ -21,7 +21,13 @@ from diagssm import (
     train_toy_delay,
 )
 from diagssm.kernel import VARIANTS
-from diagssm.layer import _GELU_BLOCK, DELTA_INIT_HIGH, DELTA_INIT_LOW, LayerParams
+from diagssm.layer import (
+    _GELU_BLOCK,
+    DELTA_INIT_HIGH,
+    DELTA_INIT_LOW,
+    LayerParams,
+    _cache_aligned_empty,
+)
 
 
 def small_layer(variant="softmax", h=4, n=6, seed=11):
@@ -353,6 +359,18 @@ def test_train_toy_refuses_non_integer_sizes(args):
     # A fractional lag used to reach the target array as an index (IndexError).
     with pytest.raises(ValueError, match="must be integers"):
         train_toy_delay(*args)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 1024)])
+def test_cache_aligned_empty(shape):
+    # Every offset of numpy's 16-byte-aligned allocations, by interleaving small ones.
+    keep = [np.empty(k) for k in range(1, 9)]
+    for _ in range(8):
+        a = _cache_aligned_empty(shape)
+        assert a.shape == shape and a.dtype == np.float64 and a.flags.writeable
+        assert a.ctypes.data % 64 == 0
+        keep.append(a)
+        keep.append(np.empty(3))
 
 
 def test_nearest_rank_percentile_definition():
