@@ -169,20 +169,36 @@ def _diagonal_rates(variant, lam, delta, w, h, l):
 _BLOCK = 64
 
 
-def _exp_range(z, count, step=1):
-    """e^{z step k} for 0 <= k < count, an array of z's shape plus (count,).
+def _exp_factors(z, count, step=1):
+    """(hi, lo): e^{z step k} = hi[..., k // m] * lo[..., k % m] for 0 <= k < count.
 
-    With m = ceil(sqrt(count)) and k = m a + r, each power is the product
-    e^{z step m a} * e^{z step r} of two tables of about sqrt(count)
-    entries: about 2 sqrt(count) exponentials per rate instead of count.
-    Each factor's exponent is z step times an integer in [0, count), so
-    when Re(z) <= 0 neither factor exceeds one in magnitude.
+    m = ceil(sqrt(count)) is lo's last axis; hi has ceil(count/m) entries
+    there, e^{z step m a}, and lo has e^{z step r} for r < m: about
+    2 sqrt(count) exponentials per rate instead of count.  Each factor's
+    exponent is z step times an integer in [0, count), so when Re(z) <= 0
+    neither factor exceeds one in magnitude.
     """
     z = np.asarray(z, dtype=np.complex128)[..., None]
     m = math.isqrt(count - 1) + 1
     hi = np.exp(z * (step * m * np.arange(-(-count // m), dtype=float)))
     lo = np.exp(z * (step * np.arange(m, dtype=float)))
-    return (hi[..., :, None] * lo[..., None, :]).reshape(*z.shape[:-1], -1)[..., :count]
+    return hi, lo
+
+
+def _exp_range(z, count, step=1):
+    """e^{z step k} for 0 <= k < count, an array of z's shape plus (count,).
+
+    The broadcast product of the two tables of :func:`_exp_factors`.
+    """
+    hi, lo = _exp_factors(z, count, step)
+    return (hi[..., :, None] * lo[..., None, :]).reshape(*hi.shape[:-1], -1)[..., :count]
+
+
+def _factor_sum(hi, lo, count):
+    """sum_{k<count} hi[..., k // m] * lo[..., k % m] over the tables of :func:`_exp_factors`."""
+    full, part = divmod(count, lo.shape[-1])
+    total = hi[..., :full].sum(axis=-1) * lo.sum(axis=-1)
+    return total + hi[..., full] * lo[..., :part].sum(axis=-1) if part else total
 
 
 def _exp_blocks(z, l):

@@ -23,10 +23,12 @@ factor is e^{rho t} with Re(rho) <= 0 and 0 <= t, where rho is lam*dt, or
 -lam*dt for the softmax modes with Re(lam) > 0; for those modes the
 chunk's offset from the start (injection) and from the horizon (read-out)
 are applied to the carried state as two more such factors.  All of them
-come from two tables built before the loop, the in-chunk powers e^{rho t},
-t <= T, and, for softmax, the chunk starts e^{rho T j}, each from
-``kernel._exp_range``: about 12 exponentials per mode and coordinate, plus
-2*sqrt(L/T) for softmax, and none inside the loop.  The softmax row sums
+come from tables built before the loop: the in-chunk powers e^{rho t},
+t <= T, from ``kernel._exp_range``, and, for softmax, the chunk starts
+e^{rho T j} as ``kernel._exp_factors``' two tables of about sqrt(L/T)
+rows, whose product the loop takes one row pair at a time: about 12
+exponentials per mode and coordinate, plus 2*sqrt(L/T) for softmax, none
+inside the loop, and no table of L/T rows.  The softmax row sums
 are formed from the same tables as sums of e^{rho k}, never as
 (e^{rho L}-1)/(e^{rho}-1), so a spectrum with e^{rho L} = 1 gives the
 eps-regularized output of the convolution view instead of an error.
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnum import DEFAULT_EPS, reciprocal_eps
-from .kernel import _blocked_row_sums, _diagonal_rates, _exp_range, _require_variant, effective_lambda
+from .kernel import _diagonal_rates, _exp_factors, _exp_range, _factor_sum, _require_variant, effective_lambda
 
 
 @dataclass
@@ -180,24 +182,39 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
     chunks = -(-l // block)
     powers = _exp_range(rate, block + 1)           # e^{rate t}, t <= T
     fwd = powers[..., :block]
+    tail = l - block * (chunks - 1)                 # the last chunk's length
     if variant == "softmax":
-        starts = _exp_range(rate, chunks, block)    # e^{rate T j}, j < chunks
-        coef = coef * reciprocal_eps(_blocked_row_sums(starts, fwd, l), eps)
+        # Chunk starts e^{rate T j} = hi[j // m] lo[j % m], j < chunks.
+        hi, lo = _exp_factors(rate, chunks, block)
+        m = lo.shape[-1]
+        last = hi[..., (chunks - 1) // m] * lo[..., (chunks - 1) % m]
+        row_sum = (_factor_sum(hi, lo, chunks - 1) * fwd.sum(axis=-1)
+                   + last * fwd[..., :tail].sum(axis=-1))
+        coef = coef * reciprocal_eps(row_sum, eps)
 
-    # The far modes' chunk offsets as (chunks, H, 1, N) tables, 1 on near
-    # modes: ahead[j] = e^{rate c0} on what chunk j injects, behind[j] =
-    # e^{rate (L - c0 - tc)} on what it reads, which is
-    # e^{rate T (chunks-2-j)} e^{rate tail} before the last chunk, 1 in it.
-    ahead = behind = None
+    # The far modes' chunk offsets come from (., H, 1, N) factor tables, 1 on
+    # near modes: ahead(j) = e^{rate c0} on what chunk j injects, behind(j) =
+    # e^{rate (L - c0 - tc)} on what it reads, which is e^{rate T (chunks-2-j)}
+    # e^{rate tail} before the last chunk, 1 in it.  Each is one product of
+    # two rows, so the loop holds no (chunks, H, N) table.
+    far_hi = None
     impulse, inject, decay = fwd, fwd[..., ::-1], powers[..., block]
     if far.any():
-        ahead = np.ascontiguousarray(np.where(far[:, None], starts, 1.0).transpose(2, 0, 1))
-        ahead = ahead[:, :, None, :]
-        tail = np.where(far, powers[..., l - block * (chunks - 1)], 1.0)[:, None, :]
-        behind = np.concatenate([ahead[:chunks - 1][::-1] * tail, np.ones_like(ahead[:1])])
+        far_hi = np.where(far, np.moveaxis(hi, -1, 0), 1.0)[:, :, None, :]
+        far_lo = np.where(far, np.moveaxis(lo, -1, 0), 1.0)[:, :, None, :]
+        far_lo_tail = far_lo * np.where(far, powers[..., tail], 1.0)[:, None, :]
+
+        def ahead(j):
+            return far_hi[j // m] * far_lo[j % m]
+
+        def behind(j):
+            k = chunks - 2 - j
+            return far_hi[k // m] * far_lo_tail[k % m]
+
         # Far kernel values e^{rate (L-1-m)} = e^{rate (L-T)} e^{rate (T-1-m)},
-        # and behind[0] is e^{rate (L-T)}.
-        impulse = np.where(far[:, None], behind[0].transpose(0, 2, 1) * inject, fwd)
+        # and e^{rate (L-T)} is behind(0), or 1 when one chunk covers L.
+        lead = behind(0) if chunks > 1 else np.ones_like(far_hi[0])
+        impulse = np.where(far[:, None], lead.transpose(0, 2, 1) * inject, fwd)
         inject = np.where(far[:, None], fwd, inject)
         decay = np.where(far, 1.0, decay)
 
@@ -224,12 +241,12 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
         uc = u[:, :, c0:c0 + tc].transpose(1, 0, 2)
         yc = uc @ toeplitz[:, :tc, :tc]
         if c0:
-            carried = state if behind is None else state * behind[j]
+            carried = state if far_hi is None or j == chunks - 1 else state * behind(j)
             yc += carried.view(np.float64) @ (read if tc == block else read_map(tc))
         y[:, :, c0:c0 + tc] = yc.transpose(1, 0, 2)
         if c0 + tc < l:
             fresh = (uc @ inject).view(np.complex128)
-            if ahead is not None:
-                fresh *= ahead[j]
+            if far_hi is not None:
+                fresh *= ahead(j)
             state = decay * state + fresh
     return y

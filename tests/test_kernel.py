@@ -23,7 +23,7 @@ from diagssm import (
 )
 from diagssm.checks import check_grad, check_prop1
 from diagssm.cnum import reciprocal_eps
-from diagssm.kernel import _exp_range
+from diagssm.kernel import _exp_factors, _exp_range, _factor_sum
 
 LN2 = math.log(2.0)
 
@@ -225,6 +225,17 @@ def test_exp_range_matches_direct_exp(count, step):
     # The rounding of the exponent z*step*k itself, which either route carries.
     assert np.abs(got - want).max() <= eps * (1.0 + np.abs(z).max() * step * count)
     assert np.abs(got).max() <= 1.0 + 4.0 * eps
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 31, 32, 33, 128])
+def test_factor_sum_is_the_sum_over_the_range(count):
+    rng = np.random.default_rng(count)
+    z = -rng.uniform(0.0, 2.0, 16) + 1j * rng.uniform(-10.0, 10.0, 16)
+    hi, lo = _exp_factors(z, count, 32)
+    want = np.exp(np.outer(z, 32 * np.arange(count)))
+    for upto in sorted({0, 1, count // 2, count - 1, count}):
+        got = _factor_sum(hi, lo, upto)
+        assert np.abs(got - want[:, :upto].sum(axis=1)).max() <= 1e-12 * count
 
 
 def count_exps(monkeypatch, fn):
