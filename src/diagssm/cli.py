@@ -11,6 +11,7 @@ import json
 import math
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -113,6 +114,16 @@ def _time_ms(fn):
     return best * 1e3
 
 
+def _peak_mb(fn):
+    """tracemalloc's peak over one call, in MB of 2^20 bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def _cmd_bench(args):
     try:
         l_list = [int(v) for v in args.l.split(",")]
@@ -122,18 +133,18 @@ def _cmd_bench(args):
         raise ValueError("sequence lengths must be >= 1")
     params = init_layer(args.h, args.n, args.variant, args.seed)
     rng = np.random.RandomState(args.seed)
-    print("L,kernel_ms,conv_ms,recur_ms")
+    print("L,kernel_ms,conv_ms,recur_ms,conv_peak_mb")
     for l in l_list:
         u = rng.standard_normal((args.b, args.h, l))
         kernel_ms = _time_ms(lambda: layer_kernels(params, l))
-        conv_ms = ""
-        recur_ms = ""
+        conv_ms = recur_ms = conv_peak_mb = ""
         if args.mode in ("conv", "both"):
             conv_ms = "%.3f" % _time_ms(lambda: ssm_outputs(params, u, mode="conv"))
+            conv_peak_mb = "%.3f" % _peak_mb(lambda: ssm_outputs(params, u, mode="conv"))
         if args.mode in ("recurrent", "both"):
             recur_ms = "%.3f" % _time_ms(
                 lambda: ssm_outputs(params, u, mode="recurrent"))
-        print("%d,%.3f,%s,%s" % (l, kernel_ms, conv_ms, recur_ms))
+        print("%d,%.3f,%s,%s,%s" % (l, kernel_ms, conv_ms, recur_ms, conv_peak_mb))
     return EXIT_OK
 
 
@@ -204,7 +215,8 @@ def _build_parser():
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("bench", help="time kernel, convolution and recurrence "
-                                       "(best of 5 warm calls per cell)")
+                                       "(best of 5 warm calls per cell), and "
+                                       "trace the convolution's peak memory")
     p.add_argument("--l", required=True, help="comma list of sequence lengths")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--h", type=int, default=16)

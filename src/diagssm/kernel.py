@@ -429,19 +429,21 @@ def kernel_grad_exp(params, l, upstream):
     Hand-differentiated through K_k = Re(sum_i w~_i g_ik) with
     g_ik = (e^{lam dt} - 1)/lam * e^{lam dt k}, then through the
     parameterizations lam = -e^{lambda_re} + i*lambda_im and
-    dt = e^{delta_log}.
+    dt = e^{delta_log}.  Parameters :func:`dss_exp_kernel` refuses raise
+    the same ValueError.
     """
     _require_variant(params, "exp")
     l = _check_length(l)
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != (l,):
         raise ValueError("upstream must be a real vector of the kernel length")
-    lam = effective_lambda(params)
     dt = params.delta
+    lam, scale, z, _ = _diagonal_rates("exp", effective_lambda(params), [dt],
+                                       np.ones((1, params.n)), 1, l)
+    scale, z = scale[0], z[0]
     pos = np.arange(l, dtype=float)
-    e_dt = np.exp(lam * dt)
-    scale = (e_dt - 1.0) / lam
-    outer, inner = _exp_blocks(lam * dt, l)
+    e_dt = np.exp(z)
+    outer, inner = _exp_blocks(z, l)
 
     # G_i = sum_k u_k g_ik and its derivatives w.r.t. lam_i and dt.
     g_u, gk_u = _blocked_project(outer, inner, np.stack([upstream, pos * upstream]))

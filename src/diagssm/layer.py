@@ -238,9 +238,9 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
         raise ValueError("input length must be >= 1")
     if mode not in ("conv", "recurrent"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not np.isfinite(u).all():
-        raise ValueError("input u must be finite (no NaN or inf)")
     if mode == "conv":
+        if not np.isfinite(u).all():        # chunked_scan makes the same check
+            raise ValueError("input u must be finite (no NaN or inf)")
         return causal_conv_fft(layer_kernels(params, l, eps, kernel_limit), u)
     if kernel_limit is not None:
         raise ValueError("kernel_limit requires conv mode")

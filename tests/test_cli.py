@@ -99,12 +99,14 @@ def test_bench_csv_shape(capsys):
                         "--b", "1", "--mode", "conv"], capsys)
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0] == "L,kernel_ms,conv_ms,recur_ms"
+    assert lines[0] == "L,kernel_ms,conv_ms,recur_ms,conv_peak_mb"
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "64"
     assert float(first[1]) >= 0.0
     assert first[3] == ""  # recurrence not timed in conv mode
+    # the traced peak holds at least the (B, H, L) result, 2 x 256 doubles
+    assert float(lines[2].split(",")[4]) * 2 ** 20 >= 2 * 256 * 8
 
 
 def test_bench_times_warm_calls(monkeypatch, capsys):
@@ -125,7 +127,7 @@ def test_bench_recurrent_exp_no_scale(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 2
     row = lines[1].split(",")
-    assert row[0] == "40" and row[2] == ""
+    assert row[0] == "40" and row[2] == "" and row[4] == ""
     assert float(row[3]) >= 0.0
 
 

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from diagssm import (
     causal_conv_fft,
     causal_conv_naive,
     fft,
+    fftconv,
     softmax_eps,
     softmax_via_fft,
 )
@@ -124,6 +128,52 @@ def test_conv_length_mismatch():
         causal_conv_fft(np.ones((3, 4)), np.ones((2, 3, 5)))
     with pytest.raises(ValueError, match="lengths must match"):
         causal_conv_naive(np.ones(4), np.ones(5))
+    # a kernel that does not broadcast to the input's shape
+    for kernel_shape, input_shape in (((3, 5), (5,)), ((2, 5), (3, 5)), ((2, 3, 5), (3, 5))):
+        message = re.escape(f"kernel of shape {kernel_shape} does not broadcast "
+                            f"to the input's shape {input_shape}")
+        with pytest.raises(ValueError, match=message):
+            causal_conv_fft(np.ones(kernel_shape), np.ones(input_shape))
+
+
+def one_shot_conv(kernel, u):
+    """The whole-array formula the blocked convolution must reproduce bit for bit."""
+    l = u.shape[-1]
+    n = fftconv._next_pow2(2 * l)
+    return np.fft.irfft(np.fft.rfft(u, n) * np.fft.rfft(kernel, n), n)[..., :l]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("l", [1, 2, 33])
+def test_conv_blocks_are_bitwise_the_one_shot_formula(monkeypatch, rows, l):
+    # A budget of exactly `rows` row spectra; blocks then split H unevenly
+    # (H = 5), hold whole (H, L) slices (H = 1, 2) or run over extra axes.
+    n = fftconv._next_pow2(2 * l)
+    monkeypatch.setattr(fftconv, "_BLOCK_BYTES", rows * 16 * (n // 2 + 1))
+    rng = np.random.default_rng(100 * rows + l)
+    cases = [((5, l), (3, 5, l)), ((2, l), (4, 2, l)), ((1, l), (3, 1, l)),
+             ((l,), (3, 5, l)), ((l,), (l,)), ((l,), (4, l)), ((3, 1, l), (2, 3, 2, l))]
+    for kernel_shape, input_shape in cases:
+        kernel = rng.standard_normal(kernel_shape)
+        u = rng.standard_normal(input_shape)
+        got = causal_conv_fft(kernel, u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, one_shot_conv(kernel, u)), (kernel_shape, input_shape)
+
+
+def test_conv_traced_peak_is_bounded():
+    # The result and the kernel's spectrum (1 and 0.5 x the output's bytes
+    # at B = 4) plus two 2 MB blocks; the whole-array transform held 5 x.
+    rng = np.random.default_rng(6)
+    kernel = rng.standard_normal((16, 16384))
+    u = rng.standard_normal((4, 16, 16384))
+    tracemalloc.start()
+    try:
+        out = causal_conv_fft(kernel, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * out.nbytes
 
 
 def test_softmax_via_fft_two_point_hand_value():

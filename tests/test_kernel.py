@@ -383,6 +383,16 @@ def test_kernel_grad_weight_entry_hand_value():
     assert g.d_w_re[0] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_kernel_grad_refuses_what_the_kernel_builder_refuses():
+    # lam = -e^{-744} is subnormal: its input map (e^{lam dt} - 1)/lam is not finite.
+    p = KernelParams("exp", [-744.0], [0.0], [1.0], 0.0)
+    with pytest.raises(ValueError, match="lam") as built:
+        dss_exp_kernel(p, 4)
+    with pytest.raises(ValueError, match="lam") as grad:
+        kernel_grad_exp(p, 4, np.ones(4))
+    assert str(grad.value) == str(built.value)
+
+
 def test_kernel_grad_matches_finite_differences():
     for trial in check_grad(trials=10, seed=6):
         assert trial.errors["grad"] < 1e-4

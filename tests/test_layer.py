@@ -222,6 +222,22 @@ def test_non_finite_input_is_refused(variant, mode):
             layer_forward(params, u, mode=mode)
 
 
+@pytest.mark.parametrize("mode", ["conv", "recurrent"])
+def test_input_is_scanned_for_non_finite_values_once(monkeypatch, mode):
+    params = small_layer("softmax")
+    u = np.random.default_rng(3).standard_normal((2, 4, 40))
+    scans = []
+    real = np.isfinite
+
+    def counting_isfinite(x, *args, **kwargs):
+        scans.append(np.shape(x) == u.shape)
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    ssm_outputs(params, u, mode=mode)
+    assert sum(scans) == 1
+
+
 def test_layer_forward_zero_input_zero_output():
     params = small_layer()
     out = layer_forward(params, np.zeros((2, 4, 32)))
