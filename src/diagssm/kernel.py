@@ -25,6 +25,11 @@ sqrt(count) entries: about N*(2*sqrt(L/64) + 16) exponentials per kernel,
 * ``exp_no_scale``  -- the ``exp`` form with the (exp(lam*dt)-1)/lam scale
                        term omitted.
 
+Every diagonal path, oracles and gradient included, is checked and
+discretized by ``_diagonal_rates``: dt = exp(delta_log) from
+``_diagonal_form``, and the exp scale as expm1(lam*dt)/lam, exact as
+lam*dt -> 0.
+
 ``general_ssm_kernel`` evaluates the dense formula directly (Taylor matrix
 exponential plus Gaussian elimination) and serves as the independent
 reference the closed forms are checked against.
@@ -77,7 +82,8 @@ class KernelParams:
 
     @property
     def delta(self):
-        return math.exp(self.delta_log)
+        """exp(delta_log) as :func:`_diagonal_form` forms it: inf on overflow."""
+        return float(_diagonal_form(self)[1][0])
 
 
 @dataclass
@@ -136,8 +142,9 @@ def _diagonal_rates(variant, lam, delta, w, h, l):
 
     Rates delta_h*lam_i, negated for far modes (softmax, Re(lam) > 0), must
     not overflow times L.  ``coef`` is w times the variant's input map:
-    (e^{lam*delta}-1)/lam for ``exp``, 1/lam for ``softmax`` (before its
-    row sums), 1 for ``exp_no_scale``.  Each ValueError names the field.
+    the zero-order-hold scale expm1(lam*delta)/lam for ``exp``, 1/lam for
+    ``softmax`` (before its row sums), 1 for ``exp_no_scale``.  Each
+    ValueError names the field.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -157,7 +164,7 @@ def _diagonal_rates(variant, lam, delta, w, h, l):
         raise ValueError("singular lambda")
     with np.errstate(over="ignore", invalid="ignore"):
         if variant == "exp":
-            w = w * ((np.exp(z) - 1.0) / lam)
+            w = w * (np.expm1(z) / lam)
         elif variant == "softmax":
             w = w / lam
     if not np.isfinite(w).all():
@@ -215,13 +222,6 @@ def _exp_blocks(z, l):
     return _exp_range(z, -(-l // block), block), _exp_range(z, block)
 
 
-def _blocked_row_sums(outer, inner, l):
-    """sum_{k<L} e^{z k} per rate, over the last axis: full blocks, then the partial last one."""
-    tail = l - inner.shape[-1] * (outer.shape[-1] - 1)
-    return (outer[..., :-1].sum(axis=-1) * inner.sum(axis=-1)
-            + outer[..., -1] * inner[..., :tail].sum(axis=-1))
-
-
 def diagonal_kernels(variant, lam, delta, w, l, eps=DEFAULT_EPS):
     """The (H, L) kernels of H coordinates sharing one diagonal spectrum.
 
@@ -241,7 +241,7 @@ def diagonal_kernels(variant, lam, delta, w, l, eps=DEFAULT_EPS):
             outer, inner = _exp_blocks(rate[row, sel], l)
             coef = w[row, sel]
             if variant == "softmax":
-                coef = coef * reciprocal_eps(_blocked_row_sums(outer, inner, l), eps)
+                coef = coef * reciprocal_eps(_factor_sum(outer, inner, l), eps)
             kernel = ((coef[:, None] * outer).T @ inner).reshape(-1)[:l].real
             dst += kernel[::-1] if flip else kernel
     return out
@@ -268,8 +268,7 @@ def exp_basis(params, l):
     lam, delta, _ = _diagonal_form(params)
     _, scale, z, _ = _diagonal_rates("exp", lam, delta, np.ones((1, lam.size)), 1, l)
     outer, inner = _exp_blocks(z[0], l)
-    full = (scale[0, :, None, None] * outer[:, :, None] * inner[:, None, :]).reshape(params.n, -1)
-    return np.ascontiguousarray(full[:, :l])
+    return ((scale[0, :, None] * outer)[:, :, None] * inner[:, None, :]).reshape(params.n, -1)[:, :l]
 
 
 def dss_softmax_kernel(params, l, eps=DEFAULT_EPS):
@@ -382,7 +381,7 @@ def dense_to_diagonal_weights(cv, vinvb, lam, delta, l):
     z = l * delta * lam
     if np.any(z.real > 700.0):
         raise OverflowError("weight overflow")
-    grow = np.exp(z) - 1.0
+    grow = np.expm1(z)
     if np.any(np.abs(grow) <= 1e-12):
         raise ValueError("softmax weight undefined")
     return w_tilde, w_tilde * grow
@@ -423,11 +422,26 @@ def _blocked_project(outer, inner, seqs):
     return (per_block.reshape(n, m, nblocks) * outer[:, None, :]).sum(axis=2).T
 
 
+def _scale_slope(z, e_z):
+    """phi(z) = (z e^z - expm1 z)/z^2 = sum_k (k+1) z^k/(k+2)!, given e_z = e^z.
+
+    dt^2 phi(z) is d/dlam of the exp scale dt*expm1(z)/z, z = lam*dt.  The
+    quotient cancels as z -> 0; where |z| < 1/2 the series is summed.
+    """
+    near = np.abs(z) < 0.5
+    zs = np.where(near, z, 0.0)
+    series = np.zeros_like(zs)
+    for k in range(14, -1, -1):
+        series = series * zs + (k + 1) / math.factorial(k + 2)
+    zq = np.where(near, 1.0, z)
+    return np.where(near, series, (zq * e_z - np.expm1(zq)) / zq / zq)
+
+
 def kernel_grad_exp(params, l, upstream):
     """Analytic gradient of f = sum_k upstream_k * K_k, exp variant.
 
     Hand-differentiated through K_k = Re(sum_i w~_i g_ik) with
-    g_ik = (e^{lam dt} - 1)/lam * e^{lam dt k}, then through the
+    g_ik = expm1(lam dt)/lam * e^{lam dt k}, then through the
     parameterizations lam = -e^{lambda_re} + i*lambda_im and
     dt = e^{delta_log}.  Parameters :func:`dss_exp_kernel` refuses raise
     the same ValueError.
@@ -435,23 +449,19 @@ def kernel_grad_exp(params, l, upstream):
     _require_variant(params, "exp")
     l = _check_length(l)
     upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (l,):
-        raise ValueError("upstream must be a real vector of the kernel length")
-    dt = params.delta
-    lam, scale, z, _ = _diagonal_rates("exp", effective_lambda(params), [dt],
-                                       np.ones((1, params.n)), 1, l)
-    scale, z = scale[0], z[0]
-    pos = np.arange(l, dtype=float)
-    e_dt = np.exp(z)
+    if upstream.shape != (l,) or not np.isfinite(upstream).all():
+        raise ValueError("upstream must be a finite real vector of the kernel length")
+    lam, delta, w = _diagonal_form(params)
+    lam, scale, z, _ = _diagonal_rates("exp", lam, delta, np.ones_like(w), 1, l)
+    dt, scale, z, w = delta[0], scale[0], z[0], w[0]
+    e_z = np.exp(z)
     outer, inner = _exp_blocks(z, l)
 
     # G_i = sum_k u_k g_ik and its derivatives w.r.t. lam_i and dt.
-    g_u, gk_u = _blocked_project(outer, inner, np.stack([upstream, pos * upstream]))
-    dscale = (dt * e_dt - scale) / lam
-    dg_dlam = dscale * g_u + scale * dt * gk_u
-    dg_ddt = e_dt * g_u + scale * lam * gk_u
+    g_u, gk_u = _blocked_project(outer, inner, np.stack([upstream, np.arange(l) * upstream]))
+    dg_dlam = dt * (dt * _scale_slope(z, e_z)) * g_u + scale * dt * gk_u
+    dg_ddt = e_z * g_u + scale * lam * gk_u
 
-    w = params.w
     sens = w * dg_dlam
     return KernelGradients(
         d_lambda_re=(sens * (-np.exp(params.lambda_re))).real,

@@ -4,7 +4,7 @@ A diagonal state space steps each coordinate independently:
 
     x_{i,k} = exp(lam_i*dt) * x_{i,k-1} + bbar_i * u_k ,   y_k = Re(c_i . x_k).
 
-For the exp variant bbar_i = (exp(lam_i*dt)-1)/lam_i and Re(lam_i) < 0, so
+For the exp variant bbar_i = expm1(lam_i*dt)/lam_i and Re(lam_i) < 0, so
 the step factors have magnitude below one and the recurrence is run as
 written; ``exp_no_scale`` is the same with bbar_i = 1.  The softmax
 variant's input map divides by its row sum and, with Re(lam) > 0, the
@@ -35,7 +35,8 @@ eps-regularized output of the convolution view instead of an error.
 
 :func:`run_exp` and :func:`run_softmax_stable` step one coordinate's
 recurrence position by position.  They are the reference oracles the
-scan and the convolution view are checked against.
+scan and the convolution view are checked against.  Every view here
+discretizes, and checks its parameters, in ``kernel._diagonal_rates``.
 
 With zero initial state every recurrence reproduces the convolution of the
 input with the corresponding kernel.
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnum import DEFAULT_EPS, reciprocal_eps
-from .kernel import _diagonal_rates, _exp_factors, _exp_range, _factor_sum, _require_variant, effective_lambda
+from .kernel import _diagonal_form, _diagonal_rates, _exp_factors, _exp_range, _factor_sum, _require_variant
 
 
 @dataclass
@@ -58,15 +59,10 @@ class DiagDiscretization:
 
 
 def zoh_discretize_diag(lam, b, delta):
-    """a_bar_i = exp(lam_i*delta), b_bar_i = (a_bar_i - 1)/lam_i * b_i."""
-    lam = np.asarray(lam, dtype=np.complex128).reshape(-1)
-    b = np.asarray(b, dtype=np.complex128).reshape(-1)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if np.any(lam == 0):
-        raise ValueError("singular lambda")
-    a_bar = np.exp(lam * delta)
-    return DiagDiscretization(a_bar=a_bar, b_bar=(a_bar - 1.0) / lam * b)
+    """a_bar = exp(lam*delta), b_bar = b*expm1(lam*delta)/lam: ``kernel._diagonal_rates``' exp map."""
+    b = np.asarray(b, dtype=np.complex128).reshape(1, -1)
+    _, b_bar, z, _ = _diagonal_rates("exp", lam, [delta], b, 1, 1)
+    return DiagDiscretization(a_bar=np.exp(z[0]), b_bar=b_bar[0])
 
 
 def run_exp(params, u, x_init=None):
@@ -80,16 +76,16 @@ def run_exp(params, u, x_init=None):
     """
     _require_variant(params, "exp")
     u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
-        raise ValueError("input must be one-dimensional")
-    lam = effective_lambda(params)
-    d = zoh_discretize_diag(lam, np.ones(params.n), params.delta)
+    if u.ndim != 1 or not np.isfinite(u).all():
+        raise ValueError("input must be one-dimensional and finite (no NaN or inf)")
+    lam, delta, _ = _diagonal_form(params)
+    d = zoh_discretize_diag(lam, np.ones(params.n), delta[0])
     if x_init is None:
         x = np.zeros(params.n, dtype=np.complex128)
     else:
         x = np.asarray(x_init, dtype=np.complex128).reshape(-1).copy()
-        if x.size != params.n:
-            raise ValueError("x_init must match the state size")
+        if x.size != params.n or not np.isfinite(x).all():
+            raise ValueError("x_init must be a finite state of the state size")
     y = np.empty(u.size)
     for k, uk in enumerate(u):
         x = d.a_bar * x + d.b_bar * uk
@@ -105,46 +101,39 @@ def run_softmax_stable(params, u, eps=DEFAULT_EPS):
         x~_k = exp(lam*dt*(1-p)) * x~_{k-1} + exp(-k*lam*dt*p) * u_k
         x_k  = x~_k * exp(lam*dt*p*(k-(L-1))) / (lam * s)
 
-    where s = (exp(z*L)-1)/(exp(z)-1) with z = lam*dt*(1-2p) is the
-    softmax row sum after the same max-real-part shift the kernel path
-    applies.  The division by s goes through the eps-regularized
-    reciprocal so this view matches the kernel-convolution view for any
-    eps, not just in exact arithmetic.  The horizon L is the input length;
-    it enters the input map, so the recurrence cannot be resumed or
-    extended past it.  This is the per-step reference oracle for one
-    coordinate; layers run :func:`chunked_scan`.  Unlike the scan it
-    refuses a spectrum with |exp(z*L) - 1| <= 1e-12, where its quotient
-    form of the row sum is undefined.
+    where s = expm1(z*L)/expm1(z) with z = lam*dt*(1-2p) is the softmax
+    row sum after the same max-real-part shift the kernel path applies.
+    The division by s goes through the eps-regularized reciprocal so this
+    view matches the kernel-convolution view for any eps, not just in
+    exact arithmetic.  The horizon L is the input length; it enters the
+    input map, so the recurrence cannot be resumed or extended past it.
+    This is the per-step reference oracle for one coordinate; layers run
+    :func:`chunked_scan`.  It takes its parameter check and its input map
+    1/lam from ``kernel._diagonal_rates``; unlike the scan it also refuses
+    a spectrum with |expm1(z*L)| <= 1e-12, where its quotient form of the
+    row sum is undefined.
     """
     _require_variant(params, "softmax")
     u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
-        raise ValueError("input must be one-dimensional")
+    if u.ndim != 1 or not np.isfinite(u).all():
+        raise ValueError("input must be one-dimensional and finite (no NaN or inf)")
     l = u.size
     if l < 1:
         raise ValueError("input must be nonempty")
-    lam = effective_lambda(params)
-    if np.any(lam == 0):
-        raise ValueError("singular lambda")
-    dt = params.delta
-    p = (lam.real > 0).astype(float)
-    z = lam * dt * (1.0 - 2.0 * p)
-    den = np.exp(z * l) - 1.0
+    lam, delta, _ = _diagonal_form(params)
+    _, inv_lam, z, far = _diagonal_rates("softmax", lam, delta, np.ones((1, params.n)), 1, l)
+    z = z[0]                            # lam*dt, negated where Re(lam) > 0: Re(z) <= 0
+    den = np.expm1(z * l)
     if np.any(np.abs(den) <= 1e-12):
         raise ValueError("softmax weight undefined")
-    row_sum = den / (np.exp(z) - 1.0)
-    recip = reciprocal_eps(row_sum, eps) / lam
-
-    step = np.exp(lam * dt * (1.0 - p))
-    assert np.all((lam * dt * (1.0 - p)).real <= 0.0)
-    assert np.all((z * l).real <= 0.0)
+    recip = reciprocal_eps(den / np.expm1(z), eps) * inv_lam[0]
 
     xt = np.zeros(params.n, dtype=np.complex128)
     x = xt
     y = np.empty(l)
-    inj_rate = -lam * dt * p      # exp(inj_rate * k) has |.| <= 1 for k >= 0
-    out_rate = lam * dt * p       # exp(out_rate * (k - (L-1))) has |.| <= 1 for k < L
-    assert np.all(inj_rate.real <= 0.0) and np.all(out_rate.real >= 0.0)
+    step = np.exp(np.where(far, 0.0, z))
+    inj_rate = np.where(far, z, 0.0)    # exp(inj_rate * k) has |.| <= 1 for k >= 0
+    out_rate = -inj_rate                # exp(out_rate * (k - (L-1))) has |.| <= 1 for k < L
     for k, uk in enumerate(u):
         xt = step * xt + np.exp(inj_rate * k) * uk
         x = xt * np.exp(out_rate * (k - (l - 1))) * recip

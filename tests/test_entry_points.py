@@ -3,7 +3,9 @@
 Every draw must give finite output or a ValueError, never NaN, inf or a
 numpy RuntimeWarning (the suite turns those into errors), and the
 convolution and recurrent views must refuse exactly the same draws, with
-the same message.
+the same message.  The one-coordinate paths (the per-step oracles, the exp
+gradient and basis) must give finite output or a ValueError on the same
+draws; they may refuse more than the layer does.
 """
 
 import math
@@ -17,8 +19,12 @@ from diagssm import (
     chunked_scan,
     diagonal_kernels,
     effective_lambda,
+    exp_basis,
     init_layer,
+    kernel_grad_exp,
     layer_forward,
+    run_exp,
+    run_softmax_stable,
     skew_hippo_lambda,
     ssm_outputs,
 )
@@ -62,10 +68,25 @@ def outcome(fn):
     return None
 
 
+def coordinate_paths(variant, params, u):
+    """The one-coordinate entry points on coordinate 0 and u[0, 0], as thunks."""
+    u0, l = u[0, 0], u.shape[-1]
+
+    def gradient(kp):
+        g = kernel_grad_exp(kp, l, u0)
+        return np.concatenate([g.d_lambda_re, g.d_lambda_im, g.d_w_re, g.d_w_im, [g.d_delta_log]])
+
+    paths = {"exp": [lambda kp: np.concatenate(run_exp(kp, u0)), gradient,
+                     lambda kp: exp_basis(kp, l)],
+             "softmax": [lambda kp: np.concatenate(run_softmax_stable(kp, u0))],
+             "exp_no_scale": []}[variant]
+    return [lambda fn=fn: fn(params.coordinate_kernel_params(0)) for fn in paths]
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_entry_points_give_finite_output_or_value_error(variant):
     rng = np.random.default_rng(VARIANTS.index(variant))
-    refused = finite = 0
+    refused = finite = path_runs = path_refused = 0
     for _ in range(300):
         params, u, limit = draw_case(rng, variant)
         l = u.shape[-1]
@@ -85,10 +106,14 @@ def test_entry_points_give_finite_output_or_value_error(variant):
         rows = [outcome(lambda: build_kernel(params.coordinate_kernel_params(h_idx), l))
                 for h_idx in range(H)]
         assert (kernels is None) == all(row is None for row in rows)
+        for path in coordinate_paths(variant, params, u):
+            path_runs += 1
+            path_refused += outcome(path) is not None
         refused += conv is not None
         finite += conv is None
     # Both outcomes occur, so neither half of the property holds vacuously.
     assert refused > 30 and finite > 30
+    assert path_runs == 0 or 30 < path_refused < path_runs - 30
 
 
 @pytest.mark.parametrize("mode", ["conv", "recurrent"])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from diagssm import (
     general_ssm_kernel,
     init_layer,
     kernel_grad_exp,
+    run_exp,
+    run_softmax_stable,
     truncate_kernel,
     write_kernel_csv,
 )
 from diagssm.checks import check_grad, check_prop1
 from diagssm.cnum import reciprocal_eps
-from diagssm.kernel import _exp_factors, _exp_range, _factor_sum
+from diagssm.kernel import _diagonal_rates, _exp_factors, _exp_range, _factor_sum, _scale_slope
 
 LN2 = math.log(2.0)
 
@@ -391,6 +394,55 @@ def test_kernel_grad_refuses_what_the_kernel_builder_refuses():
     with pytest.raises(ValueError, match="lam") as grad:
         kernel_grad_exp(p, 4, np.ones(4))
     assert str(grad.value) == str(built.value)
+
+
+def exact_series(z, coef, terms=24):
+    """sum_{k<terms} coef(k) z^k in exact rationals, rounded once to a complex."""
+    z_re, z_im = Fraction(z.real), Fraction(z.imag)
+    p_re, p_im, s_re, s_im = Fraction(1), Fraction(0), Fraction(0), Fraction(0)
+    for k in range(terms):
+        s_re, s_im = s_re + coef(k) * p_re, s_im + coef(k) * p_im
+        p_re, p_im = p_re * z_re - p_im * z_im, p_re * z_im + p_im * z_re
+    return complex(float(s_re), float(s_im))
+
+
+def test_exp_scale_and_its_slope_match_exact_series():
+    # The subtraction forms (e^z-1)/lam and (dt e^z - scale)/lam lose about
+    # 1e-16/|z| relative as z -> 0; expm1 and the series do not.
+    rng = np.random.default_rng(11)
+    worst_scale = worst_slope = 0.0
+    for _ in range(300):
+        z0 = 10.0 ** rng.uniform(-14.0, 0.0) * np.exp(1j * rng.uniform(0.5, 1.5) * math.pi)
+        delta = 10.0 ** rng.uniform(-3.0, 1.0)
+        _, scale, z, _ = _diagonal_rates("exp", [z0 / delta], [delta], [[1.0]], 1, 1)
+        scale, z = scale[0, 0], z[0, 0]
+        assert z.real <= 0.0
+        slope = delta * (delta * _scale_slope(z, np.exp(z)))
+        d = Fraction(delta)
+        want_scale = exact_series(z, lambda k: d / math.factorial(k + 1))
+        want_slope = exact_series(z, lambda k: d * d * (k + 1) / math.factorial(k + 2))
+        worst_scale = max(worst_scale, abs(scale - want_scale) / abs(want_scale))
+        worst_slope = max(worst_slope, abs(slope - want_slope) / abs(want_slope))
+    assert worst_scale <= 1e-15 and worst_slope <= 2e-15, (worst_scale, worst_slope)
+
+
+def test_exp_scale_keeps_delta_for_tiny_rates():
+    # lam*dt = -1e-14: the subtraction form gave 0.009992.
+    p = exp_params([math.log(1e-12)], [0.0], [1.0], math.log(0.01))
+    assert dss_exp_kernel(p, 1)[0] == pytest.approx(0.01, rel=1e-14)
+
+
+@pytest.mark.parametrize("entry", ["kernel_grad_exp", "run_exp", "run_softmax_stable", "exp_basis"])
+def test_overflowing_delta_is_refused_by_every_path(entry):
+    variant = "softmax" if entry == "run_softmax_stable" else "exp"
+    p = KernelParams(variant, [0.0], [1.0], [1.0], 710.0)
+    call = {"kernel_grad_exp": lambda: kernel_grad_exp(p, 4, np.ones(4)),
+            "run_exp": lambda: run_exp(p, np.ones(4)),
+            "run_softmax_stable": lambda: run_softmax_stable(p, np.ones(4)),
+            "exp_basis": lambda: exp_basis(p, 4)}[entry]
+    assert p.delta == math.inf
+    with pytest.raises(ValueError, match="^delta must be finite$"):
+        call()
 
 
 def test_kernel_grad_matches_finite_differences():

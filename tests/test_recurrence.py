@@ -45,6 +45,19 @@ def test_zoh_rejects_zero_lambda():
         zoh_discretize_diag([0j], [1.0], 0.5)
 
 
+@pytest.mark.parametrize("lam, delta", [([math.nan + 0j], 0.5), ([-1.0 + 0j], math.inf)])
+def test_zoh_refuses_non_finite_parameters(lam, delta):
+    with pytest.raises(ValueError, match="must be finite"):
+        zoh_discretize_diag(lam, [1.0], delta)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_run_exp_refuses_non_finite_state(bad):
+    p = KernelParams("exp", [0.1], [0.4], [1.0], -0.5)
+    with pytest.raises(ValueError, match="x_init must be a finite state"):
+        run_exp(p, np.ones(8), x_init=[bad])
+
+
 def test_run_exp_zero_input():
     p = KernelParams("exp", [0.1], [0.4], [1.0], -0.5)
     y, x = run_exp(p, np.zeros(16))
