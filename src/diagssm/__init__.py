@@ -51,12 +51,6 @@ from .layer import (
     train_toy_delay,
     write_report_json,
 )
-from .recurrence import (
-    DiagDiscretization,
-    chunked_scan,
-    run_exp,
-    run_softmax_stable,
-    zoh_discretize_diag,
-)
+from .recurrence import chunked_scan, run_exp, run_softmax_stable
 
 __version__ = "0.1.0"

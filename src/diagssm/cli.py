@@ -7,7 +7,6 @@ malformed input file, 3 a check suite (or the trained lag) failed,
 """
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -18,6 +17,7 @@ import numpy as np
 from .checks import SUITES, TOLERANCES
 from .kernel import KernelParams, VARIANTS, build_kernel, write_kernel_csv
 from .layer import (
+    _to_json,
     init_layer,
     kernel_stats,
     layer_kernels,
@@ -76,7 +76,7 @@ def _cmd_kernel(args):
             print(f"kernel: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        print(",".join("%.17g" % v for v in kernel))
+        write_kernel_csv(sys.stdout, kernel)
     return EXIT_OK
 
 
@@ -156,14 +156,11 @@ def _cmd_heatmap(args):
         return EXIT_IO
     stats = kernel_stats(params, args.l)
     sidecar = args.out.rsplit(".", 1)[0] + ".stats.json"
+    text = _to_json({"argmax": stats.argmax_pos, "argmax_p95": stats.argmax_p95})
     try:
         write_kernel_csv(args.out, stats.profiles, header=True)
         with open(sidecar, "w") as fh:
-            json.dump({
-                "argmax": [int(v) for v in stats.argmax_pos],
-                "argmax_p95": stats.argmax_p95,
-            }, fh)
-            fh.write("\n")
+            fh.write(text + "\n")
     except OSError as exc:
         print(f"heatmap: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

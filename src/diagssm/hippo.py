@@ -20,9 +20,6 @@ class DiagSpectrum:
     lambda_re: np.ndarray
     lambda_im: np.ndarray
 
-    def as_complex(self):
-        return self.lambda_re + 1j * self.lambda_im
-
 
 def skew_hippo_matrix(n):
     """The 2N x 2N long-memory matrix: -1/2 on the diagonal, and

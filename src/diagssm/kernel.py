@@ -28,7 +28,7 @@ sqrt(count) entries: about N*(2*sqrt(L/64) + 16) exponentials per kernel,
 Every diagonal path, oracles and gradient included, is checked and
 discretized by ``_diagonal_rates``: dt = exp(delta_log) from
 ``_diagonal_form``, and the exp scale as expm1(lam*dt)/lam, exact as
-lam*dt -> 0.
+lam*dt -> 0 (its limit dt where lam*dt is subnormal or 0).
 
 ``general_ssm_kernel`` evaluates the dense formula directly (Taylor matrix
 exponential plus Gaussian elimination) and serves as the independent
@@ -142,7 +142,8 @@ def _diagonal_rates(variant, lam, delta, w, h, l):
 
     Rates delta_h*lam_i, negated for far modes (softmax, Re(lam) > 0), must
     not overflow times L.  ``coef`` is w times the variant's input map:
-    the zero-order-hold scale expm1(lam*delta)/lam for ``exp``, 1/lam for
+    the zero-order-hold scale expm1(lam*delta)/lam for ``exp`` (its limit
+    delta*(1 + lam*delta/2) where |lam*delta| < 1e-8), 1/lam for
     ``softmax`` (before its row sums), 1 for ``exp_no_scale``.  Each
     ValueError names the field.
     """
@@ -164,7 +165,9 @@ def _diagonal_rates(variant, lam, delta, w, h, l):
         raise ValueError("singular lambda")
     with np.errstate(over="ignore", invalid="ignore"):
         if variant == "exp":
-            w = w * (np.expm1(z) / lam)
+            # The quotient loses its digits (or overflows) where z is subnormal
+            # or 0; its limit delta*(1 + z/2) is off by at most |z|^2/6 relative.
+            w = w * np.where(np.abs(z) < 1e-8, delta[:, None] * (1 + z / 2), np.expm1(z) / lam)
         elif variant == "softmax":
             w = w / lam
     if not np.isfinite(w).all():
@@ -486,10 +489,7 @@ def finite_diff_grad(f, theta, h=1e-6):
 
 
 def write_kernel_csv(path, kernels, header=False):
-    """Write kernels as CSV, one kernel per row, full %.17g precision."""
+    """Write kernels as CSV to a path or text stream, one kernel per row at %.17g."""
     rows = np.atleast_2d(np.asarray(kernels, dtype=float))
-    with open(path, "w") as fh:
-        if header:
-            fh.write(",".join(f"k{i}" for i in range(rows.shape[1])) + "\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    names = ",".join(f"k{i}" for i in range(rows.shape[1])) if header else ""
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=names, comments="")

@@ -10,7 +10,9 @@ exactly 2N + H + 2HN real parameters.
 
 Randomness is fully pinned: a splitmix64 generator drives Box-Muller
 sampling, and the stream layout is documented on :class:`SplitMix64` so a
-port in any language can reproduce parameter files bit for bit.
+port in any language can reproduce the parameters bit for bit from a seed.
+To reproduce the parameter file's text too, a port must write floats as
+their shortest round-trip decimals, as Python's ``json`` does.
 """
 
 import json
@@ -274,11 +276,10 @@ def layer_forward(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
 
 def nearest_rank_percentile(values, p):
     """The ceil(p*N)-th smallest value (1-based nearest-rank percentile)."""
-    values = np.sort(np.asarray(values).reshape(-1))
+    values = np.asarray(values)
     if values.size == 0:
         raise ValueError("empty sample")
-    rank = max(1, math.ceil(p * values.size))
-    return values[rank - 1]
+    return np.quantile(values, p, method="inverted_cdf")
 
 
 @dataclass
@@ -417,42 +418,42 @@ def train_toy_delay(n, l, lag, steps, lr=1e-3, seed=0):
     }
 
 
-def _g17(value):
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"cannot write non-finite value {value!r} as JSON")
-    return "%.17g" % value
+def _json_default(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
-def _json_vector(values):
-    return "[" + ",".join(_g17(v) for v in np.asarray(values).reshape(-1)) + "]"
+def _to_json(obj):
+    """obj as compact JSON text; ndarrays and numpy scalars go through tolist().
 
-
-def _json_matrix(values):
-    rows = np.atleast_2d(np.asarray(values))
-    return "[" + ",".join(_json_vector(row) for row in rows) + "]"
+    Floats are written as Python's shortest round-trip decimal.  Raises
+    ValueError on a non-finite value, which JSON cannot hold.
+    """
+    try:
+        return json.dumps(obj, allow_nan=False, separators=(",", ":"), default=_json_default)
+    except ValueError as exc:
+        raise ValueError(f"cannot write a non-finite value as JSON ({exc})") from None
 
 
 def params_to_json(params):
-    """Serialize layer parameters; all numbers carry %.17g precision.
+    """Serialize layer parameters; every float reads back bit for bit.
 
     Raises ValueError on a non-finite value, which JSON cannot hold.
     """
-    return (
-        "{"
-        f'"version":{PARAMS_FORMAT_VERSION},'
-        f'"variant":"{params.variant}",'
-        f'"h":{params.h},'
-        f'"n":{params.n},'
-        f'"lambda_re":{_json_vector(params.lambda_re)},'
-        f'"lambda_im":{_json_vector(params.lambda_im)},'
-        f'"delta_log":{_json_vector(params.delta_log)},'
-        f'"w_re":{_json_matrix(params.w.real)},'
-        f'"w_im":{_json_matrix(params.w.imag)},'
-        f'"w_out":{_json_matrix(params.w_out)},'
-        f'"b_out":{_json_vector(params.b_out)}'
-        "}"
-    )
+    return _to_json({
+        "version": PARAMS_FORMAT_VERSION,
+        "variant": params.variant,
+        "h": params.h,
+        "n": params.n,
+        "lambda_re": params.lambda_re,
+        "lambda_im": params.lambda_im,
+        "delta_log": params.delta_log,
+        "w_re": params.w.real,
+        "w_im": params.w.imag,
+        "w_out": params.w_out,
+        "b_out": params.b_out,
+    })
 
 
 def save_layer_params(path, params):
@@ -483,6 +484,11 @@ def params_from_json(text):
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     h, n = int(raw["h"]), int(raw["n"])
+    w = np.asarray(raw["w_re"], dtype=np.complex128)  # re + 1j*im would turn -0.0 into 0.0
+    w_im = np.asarray(raw["w_im"], dtype=float)
+    if w_im.shape != w.shape:                          # assignment would broadcast
+        raise ValueError("w_re and w_im shapes differ")
+    w.imag = w_im
     params = LayerParams(
         variant=variant,
         h=h,
@@ -490,7 +496,7 @@ def params_from_json(text):
         lambda_re=np.asarray(raw["lambda_re"], dtype=float),
         lambda_im=np.asarray(raw["lambda_im"], dtype=float),
         delta_log=np.asarray(raw["delta_log"], dtype=float),
-        w=np.asarray(raw["w_re"], dtype=float) + 1j * np.asarray(raw["w_im"], dtype=float),
+        w=w,
         w_out=np.asarray(raw["w_out"], dtype=float),
         b_out=np.asarray(raw["b_out"], dtype=float),
     )
@@ -509,20 +515,7 @@ def load_layer_params(path):
 
 
 def write_report_json(path, report):
-    """Training report as JSON, numbers at %.17g."""
-    hist = ",".join(
-        '{"step":%d,"mse":%s}' % (item["step"], _g17(item["mse"]))
-        for item in report["history"]
-    )
-    text = (
-        "{"
-        f'"n":{report["n"]},"l":{report["l"]},"lag":{report["lag"]},'
-        f'"steps":{report["steps"]},"lr":{_g17(report["lr"])},"seed":{report["seed"]},'
-        f'"initial_mse":{_g17(report["initial_mse"])},'
-        f'"final_mse":{_g17(report["final_mse"])},'
-        f'"final_argmax":{report["final_argmax"]},'
-        f'"history":[{hist}]'
-        "}"
-    )
+    """Training report as JSON; every float reads back bit for bit."""
+    text = _to_json(report)
     with open(path, "w") as fh:
         fh.write(text + "\n")

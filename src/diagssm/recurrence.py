@@ -42,27 +42,10 @@ With zero initial state every recurrence reproduces the convolution of the
 input with the corresponding kernel.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cnum import DEFAULT_EPS, reciprocal_eps
 from .kernel import _diagonal_form, _diagonal_rates, _exp_factors, _exp_range, _factor_sum, _require_variant
-
-
-@dataclass
-class DiagDiscretization:
-    """Zero-order-hold step factors of a diagonal system."""
-
-    a_bar: np.ndarray
-    b_bar: np.ndarray
-
-
-def zoh_discretize_diag(lam, b, delta):
-    """a_bar = exp(lam*delta), b_bar = b*expm1(lam*delta)/lam: ``kernel._diagonal_rates``' exp map."""
-    b = np.asarray(b, dtype=np.complex128).reshape(1, -1)
-    _, b_bar, z, _ = _diagonal_rates("exp", lam, [delta], b, 1, 1)
-    return DiagDiscretization(a_bar=np.exp(z[0]), b_bar=b_bar[0])
 
 
 def run_exp(params, u, x_init=None):
@@ -79,7 +62,8 @@ def run_exp(params, u, x_init=None):
     if u.ndim != 1 or not np.isfinite(u).all():
         raise ValueError("input must be one-dimensional and finite (no NaN or inf)")
     lam, delta, _ = _diagonal_form(params)
-    d = zoh_discretize_diag(lam, np.ones(params.n), delta[0])
+    _, b_bar, z, _ = _diagonal_rates("exp", lam, delta, np.ones((1, params.n)), 1, 1)
+    a_bar, b_bar = np.exp(z[0]), b_bar[0]
     if x_init is None:
         x = np.zeros(params.n, dtype=np.complex128)
     else:
@@ -88,7 +72,7 @@ def run_exp(params, u, x_init=None):
             raise ValueError("x_init must be a finite state of the state size")
     y = np.empty(u.size)
     for k, uk in enumerate(u):
-        x = d.a_bar * x + d.b_bar * uk
+        x = a_bar * x + b_bar * uk
         y[k] = (params.w @ x).real
     return y, x
 

@@ -387,13 +387,25 @@ def test_kernel_grad_weight_entry_hand_value():
 
 
 def test_kernel_grad_refuses_what_the_kernel_builder_refuses():
-    # lam = -e^{-744} is subnormal: its input map (e^{lam dt} - 1)/lam is not finite.
-    p = KernelParams("exp", [-744.0], [0.0], [1.0], 0.0)
-    with pytest.raises(ValueError, match="lam") as built:
-        dss_exp_kernel(p, 4)
-    with pytest.raises(ValueError, match="lam") as grad:
-        kernel_grad_exp(p, 4, np.ones(4))
+    # lam = -e^{709} ~ -8.2e307: lam*dt*L overflows at L = 65.
+    p = KernelParams("exp", [709.0], [0.0], [1.0], 0.0)
+    with pytest.raises(ValueError, match=r"lam\*delta\*L must be finite") as built:
+        dss_exp_kernel(p, 65)
+    with pytest.raises(ValueError, match=r"lam\*delta\*L must be finite") as grad:
+        kernel_grad_exp(p, 65, np.ones(65))
     assert str(grad.value) == str(built.value)
+
+
+@pytest.mark.parametrize("lambda_re, delta_log", [(-700.0, -60.0), (-700.0, -40.0),
+                                                  (-744.0, 0.0)])
+def test_exp_scale_is_delta_when_lam_delta_underflows(lambda_re, delta_log):
+    # lam*dt is subnormal or rounds to 0, where expm1(lam dt)/lam loses its
+    # digits (or overflows); kernel, basis and impulse response are dt throughout.
+    p = KernelParams("exp", [lambda_re], [0.0], [1.0], delta_log)
+    delta = math.exp(delta_log)
+    assert np.allclose(dss_exp_kernel(p, 3), delta, rtol=1e-15, atol=0.0)
+    assert np.allclose(exp_basis(p, 3), delta, rtol=1e-15, atol=0.0)
+    assert np.allclose(run_exp(p, [1.0, 0.0, 0.0])[0], delta, rtol=1e-15, atol=0.0)
 
 
 def exact_series(z, coef, terms=24):

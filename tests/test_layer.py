@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from diagssm import (
     save_layer_params,
     ssm_outputs,
     train_toy_delay,
+    write_report_json,
 )
 from diagssm.kernel import VARIANTS
 from diagssm.layer import (
@@ -437,9 +439,83 @@ def test_params_json_refuses_non_finite(tmp_path, field, bad):
     assert path.read_text() == "kept"
 
 
+_PARAM_ARRAYS = ("lambda_re", "lambda_im", "delta_log", "w", "w_out", "b_out")
+
+
+def assert_params_bitwise_equal(got, want):
+    assert (got.variant, got.h, got.n) == (want.variant, want.h, want.n)
+    for name in _PARAM_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_version_1_file_loads_bitwise():
+    # Written by save_layer_params(path, init_layer(3, 4, "softmax", 21))
+    # when floats were written at %.17g.
+    path = Path(__file__).parent / "data" / "params_v1.json"
+    assert_params_bitwise_equal(load_layer_params(path), init_layer(3, 4, "softmax", 21))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_params_with_extreme_entries_round_trip_bitwise(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    params = init_layer(3, 4, VARIANTS[seed % 3], seed)
+    extremes = np.array([-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.1, 1 / 3])
+    for name in ("lambda_re", "lambda_im", "delta_log", "w_out", "b_out"):
+        value = getattr(params, name)
+        value.flat[rng.choice(value.size, 2, replace=False)] = rng.choice(extremes, 2)
+    params.w.real.flat[rng.choice(params.w.size, 3, replace=False)] = rng.choice(extremes, 3)
+    params.w.imag.flat[rng.choice(params.w.size, 3, replace=False)] = rng.choice(extremes, 3)
+    path = tmp_path / "params.json"
+    save_layer_params(path, params)
+    text = path.read_text()
+    loaded = load_layer_params(path)
+    assert_params_bitwise_equal(loaded, params)
+    save_layer_params(path, loaded)
+    assert path.read_text() == text
+
+
+def test_numpy_integer_sizes_and_seeds_are_written(tmp_path):
+    params = init_layer(np.int64(3), np.int64(4), "exp", np.int64(5))
+    path = tmp_path / "params.json"
+    save_layer_params(path, params)
+    assert_params_bitwise_equal(load_layer_params(path), init_layer(3, 4, "exp", 5))
+    report = train_toy_delay(np.int64(4), np.int64(16), np.int64(3), 2, seed=np.int64(7))
+    out = tmp_path / "report.json"
+    write_report_json(out, report)
+    back = json.loads(out.read_text())
+    assert list(back) == list(report)
+    assert (back["n"], back["l"], back["lag"], back["seed"]) == (4, 16, 3, 7)
+    assert back["final_mse"] == report["final_mse"]
+    assert back["history"] == report["history"]
+
+
+def test_params_json_refuses_w_im_of_another_shape():
+    raw = json.loads(params_to_json(small_layer()))
+    raw["w_im"] = raw["w_im"][0]        # one row, which would broadcast over all of them
+    with pytest.raises(ValueError, match="w_re and w_im shapes differ"):
+        params_from_json(json.dumps(raw))
+
+
 @pytest.mark.parametrize("key", ["variant", "n", "w_im", "b_out"])
 def test_params_json_names_missing_key(key):
     raw = json.loads(params_to_json(small_layer()))
     del raw[key]
     with pytest.raises(ValueError, match=key):
         params_from_json(json.dumps(raw))
+
+
+def test_modes_agree_where_lam_delta_underflows():
+    # Coordinates with lam*dt subnormal or 0: every kernel entry is n*dt.
+    params = LayerParams(
+        variant="exp", h=3, n=2,
+        lambda_re=np.array([-700.0, -744.0]), lambda_im=np.zeros(2),
+        delta_log=np.array([-60.0, -40.0, 0.0]), w=np.ones((3, 2), dtype=complex),
+        w_out=np.eye(3), b_out=np.zeros(3))
+    u = np.random.default_rng(0).standard_normal((2, 3, 40))
+    want = 2 * np.exp(params.delta_log)[:, None] * np.cumsum(u, axis=-1)
+    for mode in ("conv", "recurrent"):
+        y = ssm_outputs(params, u, mode)
+        assert np.allclose(y, want, rtol=0.0, atol=1e-13 * np.abs(want).max(axis=-1, keepdims=True))
+    assert np.allclose(layer_forward(params, u, "conv"), layer_forward(params, u, "recurrent"),
+                       rtol=0.0, atol=1e-13)

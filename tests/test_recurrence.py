@@ -14,7 +14,6 @@ from diagssm import (
     run_exp,
     run_softmax_stable,
     ssm_outputs,
-    zoh_discretize_diag,
 )
 from diagssm.checks import sample_exp_params, sample_softmax_params
 from diagssm.recurrence import _CHUNK
@@ -22,33 +21,33 @@ from diagssm.recurrence import _CHUNK
 LN2 = math.log(2.0)
 
 
-def test_zoh_halving_mode():
-    d = zoh_discretize_diag([-1.0 + 0j], [1.0], LN2)
-    assert abs(d.a_bar[0] - 0.5) < 1e-15
-    assert abs(d.b_bar[0] - 0.5) < 1e-15
+def test_run_exp_halving_mode():
+    # lam = -1, dt = ln 2: a_bar = 1/2 and input map (e^{lam dt} - 1)/lam = 1/2.
+    p = KernelParams("exp", [0.0], [0.0], [1.0], math.log(LN2))
+    y, _ = run_exp(p, np.eye(1, 8).ravel())
+    assert np.allclose(y, 0.5 * 0.5 ** np.arange(8), rtol=1e-15, atol=0.0)
 
 
-def test_zoh_zero_input_map():
-    d = zoh_discretize_diag([-1.0 + 0j, -2.0 + 1j], [0.0, 0.0], 0.7)
-    assert np.array_equal(d.b_bar, np.zeros(2))
-
-
-def test_zoh_contractive_for_stable_modes():
+def test_run_exp_state_contracts_for_stable_modes():
     rng = np.random.RandomState(0)
-    lam = -np.abs(rng.standard_normal(8)) - 0.01 + 1j * rng.standard_normal(8)
-    d = zoh_discretize_diag(lam, np.ones(8), 0.3)
-    assert np.all(np.abs(d.a_bar) < 1.0)
+    p = KernelParams("exp", rng.standard_normal(8), rng.standard_normal(8), np.ones(8),
+                     math.log(0.3))
+    _, x = run_exp(p, [0.0], x_init=np.ones(8))      # one step: x = a_bar
+    assert np.all(np.abs(x) < 1.0)
 
 
-def test_zoh_rejects_zero_lambda():
+def test_run_exp_rejects_zero_lambda():
+    p = KernelParams("exp", [-746.0], [0.0], [1.0], 0.0)   # -e^{-746} underflows to 0
     with pytest.raises(ValueError, match="singular lambda"):
-        zoh_discretize_diag([0j], [1.0], 0.5)
+        run_exp(p, np.ones(4))
 
 
-@pytest.mark.parametrize("lam, delta", [([math.nan + 0j], 0.5), ([-1.0 + 0j], math.inf)])
-def test_zoh_refuses_non_finite_parameters(lam, delta):
-    with pytest.raises(ValueError, match="must be finite"):
-        zoh_discretize_diag(lam, [1.0], delta)
+def test_run_exp_refuses_nan_lambda():
+    # An infinite delta is refused in tests/test_kernel.py, on every path.
+    p = KernelParams("exp", [0.0], [0.0], [1.0], 0.0)
+    p.lambda_re = np.array([math.nan])      # past the constructor's own check
+    with pytest.raises(ValueError, match="lam must be finite"):
+        run_exp(p, np.ones(4))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -171,7 +170,7 @@ def _step_oracle(kp, u, eps):
         return run_exp(kp, u)[0]
     if kp.variant == "softmax":
         return run_softmax_stable(kp, u, eps)[0]
-    a_bar = zoh_discretize_diag(effective_lambda(kp), np.ones(kp.n), kp.delta).a_bar
+    a_bar = np.exp(kp.delta * effective_lambda(kp))
     x = np.zeros(kp.n, dtype=np.complex128)
     y = np.empty(u.size)
     for k, uk in enumerate(u):
