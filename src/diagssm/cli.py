@@ -8,6 +8,7 @@ malformed input file, 3 a check suite (or the trained lag) failed,
 
 import argparse
 import math
+import os
 import sys
 import time
 import tracemalloc
@@ -18,6 +19,7 @@ from .checks import SUITES, TOLERANCES
 from .kernel import KernelParams, VARIANTS, build_kernel, write_kernel_csv
 from .layer import (
     _to_json,
+    _write_text,
     init_layer,
     kernel_stats,
     layer_kernels,
@@ -68,15 +70,7 @@ def _cmd_kernel(args):
         params = layer.coordinate_kernel_params(0)
         if args.delta is not None:
             params.delta_log = math.log(args.delta)
-    kernel = build_kernel(params, args.l)
-    if args.out:
-        try:
-            write_kernel_csv(args.out, kernel)
-        except OSError as exc:
-            print(f"kernel: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        write_kernel_csv(sys.stdout, kernel)
+    write_kernel_csv(args.out or sys.stdout, build_kernel(params, args.l))
     return EXIT_OK
 
 
@@ -155,15 +149,9 @@ def _cmd_heatmap(args):
         print(f"heatmap: cannot load {args.params}: {exc}", file=sys.stderr)
         return EXIT_IO
     stats = kernel_stats(params, args.l)
-    sidecar = args.out.rsplit(".", 1)[0] + ".stats.json"
-    text = _to_json({"argmax": stats.argmax_pos, "argmax_p95": stats.argmax_p95})
-    try:
-        write_kernel_csv(args.out, stats.profiles, header=True)
-        with open(sidecar, "w") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        print(f"heatmap: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_kernel_csv(args.out, stats.profiles, header=True)
+    _write_text(os.path.splitext(args.out)[0] + ".stats.json",
+                _to_json({"argmax": stats.argmax_pos, "argmax_p95": stats.argmax_p95}))
     return EXIT_OK
 
 
@@ -176,11 +164,7 @@ def _cmd_train_toy(args):
         print(f"train-toy: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     if args.out:
-        try:
-            write_report_json(args.out, report)
-        except OSError as exc:
-            print(f"train-toy: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        write_report_json(args.out, report)
     print("final_mse=%.6g final_argmax=%d" % (report["final_mse"], report["final_argmax"]))
     return EXIT_OK if report["final_argmax"] == args.lag else EXIT_CHECK_FAILED
 
@@ -252,6 +236,10 @@ def main(argv=None):
     except ValueError as exc:
         print(f"diagssm {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:      # reads that can fail are caught where they happen
+        reason = f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}"
+        print(f"diagssm {args.command}: {reason}", file=sys.stderr)
+        return EXIT_IO
 
 
 def entry():

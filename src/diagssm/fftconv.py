@@ -67,11 +67,13 @@ def causal_conv_fft(kernel, u):
 
     Leading axes broadcast, kernel against input (an H x L kernel stack
     against a B x H x L input), and the result has the input's shape; a
-    kernel that would widen it raises ValueError.  The kernel's spectrum
-    is taken once; the input is transformed in runs of rows whose spectrum
-    fits ``_BLOCK_BYTES``, so beyond the result and the kernel's spectrum
-    the call holds about two blocks.  numpy's FFT transforms each row on
-    its own, so the result does not depend on the block size.
+    kernel that would widen it raises ValueError, as does a NaN or inf in
+    either (the transform would spread it to every output, where the
+    direct sum keeps it to later ones).  The kernel's spectrum is taken
+    once; the input is transformed in runs of rows whose spectrum fits
+    ``_BLOCK_BYTES``, so beyond the result and the kernel's spectrum the
+    call holds about two blocks.  numpy's FFT transforms each row on its
+    own, so the result does not depend on the block size.
     """
     kernel = np.asarray(kernel, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -87,6 +89,9 @@ def causal_conv_fft(kernel, u):
     if widened:
         raise ValueError(f"kernel of shape {kernel.shape} does not broadcast "
                          f"to the input's shape {u.shape}")
+    for name, x in (("input u", u), ("kernel", kernel)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite (no NaN or inf)")
     n = _next_pow2(2 * l)
     out = np.empty(u.shape)
     u = u.reshape((1,) * (3 - u.ndim) + u.shape)        # at least (B, H, L)

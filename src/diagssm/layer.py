@@ -99,6 +99,37 @@ class LayerParams:
         )
 
 
+def _check_sizes(h, n, variant):
+    """h and n must be integers >= 1 (bools are not), variant one of ``VARIANTS``."""
+    for name, size in (("h", h), ("n", n)):
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+
+
+# The layer's arrays and their shapes, one letter per axis: "h" for H, "n" for N.
+_LAYOUT = {"lambda_re": "n", "lambda_im": "n", "delta_log": "h", "w": "hn",
+           "w_out": "hh", "b_out": "h"}
+
+
+def _check_layout(params):
+    """Refuse, naming the field, a LayerParams not laid out as ``_LAYOUT`` says.
+
+    Also refuses what :func:`_check_sizes` does and a non-finite projection;
+    the kernel parameters' values are ``kernel._diagonal_rates``' to check.
+    """
+    _check_sizes(params.h, params.n, params.variant)
+    sizes = {"h": params.h, "n": params.n}
+    for name, axes in _LAYOUT.items():
+        shape, want = np.shape(getattr(params, name)), tuple(sizes[a] for a in axes)
+        if shape != want:
+            raise ValueError(f"{name} must have shape {want}, got {shape}")
+    for name in ("w_out", "b_out"):
+        if not np.isfinite(getattr(params, name)).all():
+            raise ValueError(f"{name} must be finite, got a non-finite entry")
+
+
 DELTA_INIT_LOW = 0.001
 DELTA_INIT_HIGH = 0.1
 
@@ -114,10 +145,7 @@ def init_layer(h, n, variant, seed):
     near-passthrough.  Draw order: H uniforms for delta_log, then W row by
     row, real part before imaginary part.
     """
-    if not all(isinstance(v, (int, np.integer)) for v in (h, n)) or h < 1 or n < 1:
-        raise ValueError("h and n must be integers >= 1")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_sizes(h, n, variant)
     spectrum = skew_hippo_lambda(n)
     if variant == "softmax":
         lambda_re = spectrum.lambda_re.copy()
@@ -226,10 +254,13 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
     truncated kernel is no longer the impulse response of the underlying
     recurrence.
 
-    Both views share one parameter check and refuse the same parameters.
-    Raises ValueError naming ``u`` when the input holds NaN or +-inf: in
-    either mode one NaN would otherwise spread to earlier positions.
+    Both views share one layout check (:func:`_check_layout`) and one
+    parameter check, and refuse the same parameters.  Raises ValueError
+    naming ``u`` when the input holds NaN or +-inf (the convolution and
+    the scan each check the input they consume): in either mode one NaN
+    would otherwise spread to earlier positions.
     """
+    _check_layout(params)
     u = np.asarray(u, dtype=float)
     if u.ndim != 3:
         raise ValueError("input must have shape (batch, coordinates, length)")
@@ -241,31 +272,19 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
     if mode not in ("conv", "recurrent"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "conv":
-        if not np.isfinite(u).all():        # chunked_scan makes the same check
-            raise ValueError("input u must be finite (no NaN or inf)")
         return causal_conv_fft(layer_kernels(params, l, eps, kernel_limit), u)
     if kernel_limit is not None:
         raise ValueError("kernel_limit requires conv mode")
     return chunked_scan(params.variant, *_diagonal_form(params), u, eps)
 
 
-def _check_projection(params):
-    for name, shape in (("w_out", (params.h, params.h)), ("b_out", (params.h,))):
-        value = np.asarray(getattr(params, name))
-        if value.shape != shape:
-            raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite")
-
-
 def layer_forward(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
     """Full layer: out_t = W_out . gelu(y_t + u_t) + b_out, position-wise.
 
-    Raises ValueError naming ``w_out`` or ``b_out`` when the projection is
-    not H x H and length H, or holds a non-finite value, and naming ``u``
-    when the input does (see :func:`ssm_outputs`).
+    Raises ValueError naming the field of a layer that
+    :func:`_check_layout` refuses, and naming ``u`` when the input holds a
+    non-finite value (see :func:`ssm_outputs`).
     """
-    _check_projection(params)
     u = np.asarray(u, dtype=float)
     y = ssm_outputs(params, u, mode, kernel_limit, eps)    # a fresh array
     y += u
@@ -439,73 +458,73 @@ def _to_json(obj):
 def params_to_json(params):
     """Serialize layer parameters; every float reads back bit for bit.
 
-    Raises ValueError on a non-finite value, which JSON cannot hold.
+    Raises ValueError where :func:`_check_layout` does, so what this writes
+    loads again, and on a non-finite value, which JSON cannot hold.
     """
-    return _to_json({
-        "version": PARAMS_FORMAT_VERSION,
-        "variant": params.variant,
-        "h": params.h,
-        "n": params.n,
-        "lambda_re": params.lambda_re,
-        "lambda_im": params.lambda_im,
-        "delta_log": params.delta_log,
-        "w_re": params.w.real,
-        "w_im": params.w.imag,
-        "w_out": params.w_out,
-        "b_out": params.b_out,
-    })
+    _check_layout(params)
+    fields = {"version": PARAMS_FORMAT_VERSION, "variant": params.variant,
+              "h": params.h, "n": params.n}
+    for name in _LAYOUT:        # w is written as its real and imaginary parts
+        value = getattr(params, name)
+        fields.update({"w_re": value.real, "w_im": value.imag} if name == "w" else {name: value})
+    return _to_json(fields)
 
 
-def save_layer_params(path, params):
-    text = params_to_json(params)  # before open: a refused file is not truncated
+def _write_text(path, text):
+    """Write text and a newline to path; form text first, so a refusal leaves the file."""
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
 
-_PARAMS_KEYS = ("version", "variant", "h", "n", "lambda_re", "lambda_im",
-                "delta_log", "w_re", "w_im", "w_out", "b_out")
+def save_layer_params(path, params):
+    _write_text(path, params_to_json(params))
+
+
+def _finite_float(token):
+    if not math.isfinite(value := float(token)):
+        raise ValueError(f"parameter file holds the non-finite number {token}")
+    return value
+
+
+def _entry(raw, key):
+    if key not in raw:
+        raise ValueError(f"parameter file lacks {key}")
+    return raw[key]
+
+
+def _file_array(raw, key):
+    """raw[key] as a float array; ValueError names a null, non-numeric or ragged entry."""
+    value = _entry(raw, key)
+    try:
+        value = np.array(value)
+    except ValueError:                  # ragged nesting
+        raise ValueError(f"{key} is not a rectangular array of numbers") from None
+    if value.dtype.kind not in "iuf":
+        raise ValueError(f"{key} must hold numbers only, got {value.dtype} entries")
+    return value.astype(float, copy=False)
 
 
 def params_from_json(text):
     """Layer parameters from the text :func:`params_to_json` writes.
 
-    A missing key raises ValueError naming it, as do a wrong version,
-    variant or shape.
+    Raises ValueError on a missing key, a wrong version, a non-finite
+    number, a null, non-numeric or ragged array, and where
+    :func:`_check_layout` does, naming the key.
     """
-    raw = json.loads(text)
+    raw = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     if not isinstance(raw, dict):
         raise ValueError("parameter file is not a JSON object")
-    missing = [key for key in _PARAMS_KEYS if key not in raw]
-    if missing:
-        raise ValueError(f"parameter file lacks {', '.join(missing)}")
-    if raw["version"] != PARAMS_FORMAT_VERSION:
+    if _entry(raw, "version") != PARAMS_FORMAT_VERSION:
         raise ValueError("unsupported parameter file version")
-    variant = raw["variant"]
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    h, n = int(raw["h"]), int(raw["n"])
-    w = np.asarray(raw["w_re"], dtype=np.complex128)  # re + 1j*im would turn -0.0 into 0.0
-    w_im = np.asarray(raw["w_im"], dtype=float)
-    if w_im.shape != w.shape:                          # assignment would broadcast
-        raise ValueError("w_re and w_im shapes differ")
-    w.imag = w_im
-    params = LayerParams(
-        variant=variant,
-        h=h,
-        n=n,
-        lambda_re=np.asarray(raw["lambda_re"], dtype=float),
-        lambda_im=np.asarray(raw["lambda_im"], dtype=float),
-        delta_log=np.asarray(raw["delta_log"], dtype=float),
-        w=w,
-        w_out=np.asarray(raw["w_out"], dtype=float),
-        b_out=np.asarray(raw["b_out"], dtype=float),
-    )
-    if params.lambda_re.shape != (n,) or params.lambda_im.shape != (n,):
-        raise ValueError("spectrum length does not match n")
-    if params.delta_log.shape != (h,) or params.w.shape != (h, n):
-        raise ValueError("per-coordinate parameter shapes do not match h, n")
-    if params.w_out.shape != (h, h) or params.b_out.shape != (h,):
-        raise ValueError("projection shapes do not match h")
+    arrays = {name: _file_array(raw, name) for name in _LAYOUT if name != "w"}
+    w_re, w_im = _file_array(raw, "w_re"), _file_array(raw, "w_im")
+    try:  # re + 1j*im would turn -0.0 into 0.0, and w.imag = im would broadcast
+        w = np.stack([w_re, w_im], axis=-1).view(np.complex128)[..., 0]
+    except ValueError:
+        raise ValueError("w_re and w_im shapes differ") from None
+    params = LayerParams(variant=_entry(raw, "variant"), h=_entry(raw, "h"), n=_entry(raw, "n"),
+                         w=w, **arrays)
+    _check_layout(params)
     return params
 
 
@@ -516,6 +535,4 @@ def load_layer_params(path):
 
 def write_report_json(path, report):
     """Training report as JSON; every float reads back bit for bit."""
-    text = _to_json(report)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    _write_text(path, _to_json(report))

@@ -144,8 +144,6 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
     u = np.asarray(u, dtype=float)
     if u.ndim != 3 or u.shape[2] < 1:
         raise ValueError("input must have shape (batch, coordinates, length >= 1)")
-    if not np.isfinite(u).all():
-        raise ValueError("input u must be finite (no NaN or inf)")
     b, h, l = u.shape
     # Re(rate) <= 0: the far modes accumulate, then are scaled at read-out.
     # coef holds the input map, so every mode's state is fed u unscaled.
@@ -164,6 +162,9 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
         row_sum = (_factor_sum(hi, lo, chunks - 1) * fwd.sum(axis=-1)
                    + last * fwd[..., :tail].sum(axis=-1))
         coef = coef * reciprocal_eps(row_sum, eps)
+    # After the parameter checks, so both layer views name the same fault first.
+    if not np.isfinite(u).all():
+        raise ValueError("input u must be finite (no NaN or inf)")
 
     # The far modes' chunk offsets come from (., H, 1, N) factor tables, 1 on
     # near modes: ahead(j) = e^{rate c0} on what chunk j injects, behind(j) =

@@ -170,6 +170,30 @@ def test_heatmap_outputs(tmp_path, capsys):
     assert stats["argmax_p95"] == srt[math.ceil(0.95 * 4) - 1]
 
 
+def test_heatmap_sidecar_sits_beside_the_csv(tmp_path, monkeypatch, capsys):
+    # The extension is cut from the file name, not from a dotted directory name.
+    save_layer_params(tmp_path / "params.json", init_layer(2, 3, "exp", seed=0))
+    (tmp_path / "run.1").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(["heatmap", "--params", "params.json", "--l", "8",
+                      "--out", "run.1/prof"], capsys)
+    assert code == 0
+    assert (tmp_path / "run.1" / "prof").is_file()
+    assert len(json.loads((tmp_path / "run.1" / "prof.stats.json").read_text())["argmax"]) == 2
+    assert not (tmp_path / "run.stats.json").exists()
+
+
+@pytest.mark.parametrize("command", ["heatmap", "train-toy"])
+def test_unwritable_output_is_an_io_error(tmp_path, capsys, command):
+    save_layer_params(tmp_path / "params.json", init_layer(2, 3, "exp", seed=0))
+    out = tmp_path / "no" / "dir" / "out.csv"
+    argv = {"heatmap": ["heatmap", "--params", str(tmp_path / "params.json"), "--l", "8"],
+            "train-toy": ["train-toy", "--lag", "0", "--l", "8", "--n", "2", "--steps", "1"]}
+    code, _, err = run(argv[command] + ["--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"diagssm {command}: cannot write {out}: ")
+
+
 def test_heatmap_malformed_json(tmp_path, capsys):
     bad = tmp_path / "params.json"
     bad.write_text("{not json")

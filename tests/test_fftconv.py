@@ -61,6 +61,16 @@ def test_conv_rejects_scalar_input():
         causal_conv_fft(np.zeros(4), np.float64(1.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_conv_refuses_non_finite_kernel_or_input(bad):
+    # The transform would spread one NaN to every output, not only to later ones.
+    spoiled = np.array([0.0, 0.0, 0.0, bad])
+    with pytest.raises(ValueError, match="kernel must be finite"):
+        causal_conv_fft(spoiled, np.ones(4))
+    with pytest.raises(ValueError, match="input u must be finite"):
+        causal_conv_fft(np.ones((2, 4)), np.stack([np.ones(4), spoiled]))
+
+
 def test_conv_length_one():
     got = causal_conv_fft(np.array([3.0]), np.array([-2.0]))
     assert got.shape == (1,)

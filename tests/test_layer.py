@@ -22,6 +22,7 @@ from diagssm import (
     train_toy_delay,
     write_report_json,
 )
+from diagssm.cli import main as cli_main
 from diagssm.kernel import VARIANTS
 from diagssm.layer import (
     _GELU_BLOCK,
@@ -503,6 +504,107 @@ def test_params_json_names_missing_key(key):
     del raw[key]
     with pytest.raises(ValueError, match=key):
         params_from_json(json.dumps(raw))
+
+
+# Seeded property test: one layout decides what the writer writes, the
+# reader loads and the layer runs.  Each draw takes a random size, variant
+# and seed; the valid layers also get random entries, signed zeros included.
+
+def random_layer(rng):
+    params = init_layer(int(rng.integers(1, 5)), int(rng.integers(1, 6)),
+                        VARIANTS[int(rng.integers(3))], int(rng.integers(2 ** 31)))
+    for name in _PARAM_ARRAYS:
+        value = getattr(params, name)
+        picks = rng.random(value.shape) < 0.3
+        if name == "w":
+            value[picks] = rng.standard_normal(picks.sum()) + 1j * rng.choice([0.0, -0.0, 1e-300])
+        else:
+            value[picks] = rng.choice([0.0, -0.0, 5e-324, 1.7e308, 1 / 3], picks.sum())
+    return params
+
+
+def test_property_valid_layers_round_trip_bitwise(tmp_path):
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "params.json"
+    for _ in range(60):
+        params = random_layer(rng)
+        save_layer_params(path, params)
+        text = path.read_text()
+        loaded = load_layer_params(path)
+        assert_params_bitwise_equal(loaded, params)
+        save_layer_params(path, loaded)
+        assert path.read_text() == text
+
+
+def spoil_one_number(rows, rng, value):
+    """Replace one number of a nested list with value."""
+    while isinstance(rows[0], list):
+        rows = rows[rng.integers(len(rows))]
+    rows[rng.integers(len(rows))] = value
+
+
+def with_one_coordinate(raw, h):
+    """raw cut to its first coordinate, with h written as the given value."""
+    for key in ("delta_log", "w_re", "w_im", "b_out"):
+        raw[key] = raw[key][:1]
+    raw.update(h=h, w_out=[[1.0]])
+
+
+_ARRAY_KEYS = ("lambda_re", "lambda_im", "delta_log", "w_re", "w_im", "w_out", "b_out")
+_FILE_MUTATIONS = {
+    "nan token": lambda raw, key, rng: spoil_one_number(raw[key], rng, math.nan),
+    "infinity token": lambda raw, key, rng: spoil_one_number(raw[key], rng, -math.inf),
+    "null entry": lambda raw, key, rng: spoil_one_number(raw[key], rng, None),
+    "string entry": lambda raw, key, rng: spoil_one_number(raw[key], rng, "0.5"),
+    "ragged array": lambda raw, key, rng: spoil_one_number(raw[key], rng, [1.0]),
+    "short array": lambda raw, key, rng: raw.update({key: raw[key][:-1]}),
+    "null size": lambda raw, key, rng: raw.update({"hn"[rng.integers(2)]: None}),
+    "bool size": lambda raw, key, rng: with_one_coordinate(raw, True),
+    "float size": lambda raw, key, rng: with_one_coordinate(raw, 1.0),
+}
+
+
+@pytest.mark.parametrize("mutation", _FILE_MUTATIONS)
+def test_property_malformed_files_are_refused(tmp_path, capsys, mutation):
+    rng = np.random.default_rng([2024, list(_FILE_MUTATIONS).index(mutation)])
+    path = tmp_path / "params.json"
+    for _ in range(8):
+        raw = json.loads(params_to_json(random_layer(rng)))
+        _FILE_MUTATIONS[mutation](raw, _ARRAY_KEYS[rng.integers(len(_ARRAY_KEYS))], rng)
+        path.write_text(json.dumps(raw))         # json writes NaN and -Infinity tokens
+        with pytest.raises(ValueError):
+            params_from_json(path.read_text())
+        code = cli_main(["heatmap", "--params", str(path), "--l", "8",
+                         "--out", str(tmp_path / "heat.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and "cannot load" in err, err
+
+
+_LAYER_MUTATIONS = {
+    "short lambda_re": lambda p: setattr(p, "lambda_re", p.lambda_re[:1].copy()),
+    "stale h": lambda p: setattr(p, "h", p.h + 1),
+    "stale n": lambda p: setattr(p, "n", p.n + 1),
+    "row b_out": lambda p: setattr(p, "b_out", p.b_out[None, :]),
+}
+
+
+@pytest.mark.parametrize("mutation", _LAYER_MUTATIONS)
+def test_property_malformed_layers_are_refused_everywhere(tmp_path, mutation):
+    rng = np.random.default_rng([2025, list(_LAYER_MUTATIONS).index(mutation)])
+    path = tmp_path / "params.json"
+    for _ in range(8):
+        params = random_layer(rng)
+        if mutation == "short lambda_re" and params.n == 1:
+            params = init_layer(params.h, 3, params.variant, 0)    # one entry would be valid
+        u = rng.standard_normal((2, params.h, 16))
+        _LAYER_MUTATIONS[mutation](params)
+        path.write_text("kept")
+        with pytest.raises(ValueError, match="must have shape"):
+            save_layer_params(path, params)
+        assert path.read_text() == "kept"
+        for mode in ("conv", "recurrent"):
+            with pytest.raises(ValueError, match="must have shape"):
+                layer_forward(params, u, mode)
 
 
 def test_modes_agree_where_lam_delta_underflows():
