@@ -17,7 +17,7 @@ their shortest round-trip decimals, as Python's ``json`` does.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .cnum import DEFAULT_EPS
 from .fftconv import causal_conv_fft
 from .hippo import skew_hippo_lambda
 from .kernel import KernelParams, VARIANTS, _diagonal_form, diagonal_kernels, exp_basis, truncate_kernel
-from .recurrence import chunked_scan
+from .recurrence import _scan_plan, _scan_run
 # Bound only because ssmbench/tracer.py wraps these names here; the layer calls none.
 from .kernel import build_kernel, kernel_grad_exp  # noqa: F401
 from .recurrence import run_exp, run_softmax_stable  # noqa: F401
@@ -87,6 +87,13 @@ class LayerParams:
     w: np.ndarray           # H x N complex
     w_out: np.ndarray       # H x H
     b_out: np.ndarray       # length H
+    # (key, plan) of the latest recurrent call; see _recurrent_plan.
+    _scan_cache: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # Copies and pickles drop the plan: its arrays' memory layouts, which
+        # steer BLAS rounding, would not survive them.
+        return {**self.__dict__, "_scan_cache": None}
 
     def coordinate_kernel_params(self, h_idx):
         """Kernel parameters of a single coordinate."""
@@ -116,15 +123,20 @@ _LAYOUT = {"lambda_re": "n", "lambda_im": "n", "delta_log": "h", "w": "hn",
 def _check_layout(params):
     """Refuse, naming the field, a LayerParams not laid out as ``_LAYOUT`` says.
 
-    Also refuses what :func:`_check_sizes` does and a non-finite projection;
-    the kernel parameters' values are ``kernel._diagonal_rates``' to check.
+    Also refuses what :func:`_check_sizes` does, a dtype other than real
+    floating (floating or complex for w) and a non-finite projection; the
+    kernel parameters' values are ``kernel._diagonal_rates``' to check.
     """
     _check_sizes(params.h, params.n, params.variant)
     sizes = {"h": params.h, "n": params.n}
     for name, axes in _LAYOUT.items():
-        shape, want = np.shape(getattr(params, name)), tuple(sizes[a] for a in axes)
+        value = np.asarray(getattr(params, name))
+        shape, want = value.shape, tuple(sizes[a] for a in axes)
         if shape != want:
             raise ValueError(f"{name} must have shape {want}, got {shape}")
+        if value.dtype.kind not in ("fc" if name == "w" else "f"):
+            kind = "a floating or complex" if name == "w" else "a real floating"
+            raise ValueError(f"{name} must have {kind} dtype, got {value.dtype}")
     for name in ("w_out", "b_out"):
         if not np.isfinite(getattr(params, name)).all():
             raise ValueError(f"{name} must be finite, got a non-finite entry")
@@ -240,13 +252,33 @@ def layer_kernels(params, l, eps=DEFAULT_EPS, kernel_limit=None):
     return kernels
 
 
+def _recurrent_plan(params, l, eps):
+    """The scan plan of params at length l and eps, built once and kept on params.
+
+    The kept plan is reused while the key matches: the variant, sizes, l,
+    eps, and the dtype and bytes of the four arrays the scan reads, so an
+    in-place edit of any of them builds a new plan.  :func:`_check_layout`
+    has fixed their shapes and kinds, so equal keys mean equal parameters.
+    """
+    arrays = (params.lambda_re, params.lambda_im, params.delta_log, params.w)
+    key = (params.variant, params.h, params.n, l, eps,
+           *((a.dtype, a.tobytes()) for a in map(np.asarray, arrays)))
+    cached = params._scan_cache
+    if cached is None or cached[0] != key:
+        cached = params._scan_cache = (
+            key, _scan_plan(params.variant, *_diagonal_form(params), params.h, l, eps))
+    return cached[1]
+
+
 def ssm_outputs(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
     """Per-coordinate state-space outputs y, before residual and projection.
 
     ``mode="conv"`` convolves each coordinate with its kernel (FFT path);
     ``mode="recurrent"`` runs the recurrences instead, all coordinates and
     batch rows in one :func:`~diagssm.recurrence.chunked_scan` over a
-    (B,H,N) state, for every variant.  The scan's step factors come from
+    (B,H,N) state, for every variant.  The scan's parameter-only tables
+    (its plan) are built once per layer and reused until the parameters,
+    L or eps change (:func:`_recurrent_plan`).  Its step factors come from
     lam*dt alone, with every exponent's real part non-positive (softmax
     modes with Re(lam) > 0 accumulate first and are scaled at read-out),
     so it shares no closed form with the kernels.  The two modes agree to
@@ -275,7 +307,7 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
         return causal_conv_fft(layer_kernels(params, l, eps, kernel_limit), u)
     if kernel_limit is not None:
         raise ValueError("kernel_limit requires conv mode")
-    return chunked_scan(params.variant, *_diagonal_form(params), u, eps)
+    return _scan_run(_recurrent_plan(params, l, eps), u)
 
 
 def layer_forward(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
@@ -492,9 +524,15 @@ def _entry(raw, key):
     return raw[key]
 
 
+def _holds_bool(value):
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 def _file_array(raw, key):
-    """raw[key] as a float array; ValueError names a null, non-numeric or ragged entry."""
+    """raw[key] as a float array; ValueError names a null, boolean, non-numeric or ragged entry."""
     value = _entry(raw, key)
+    if _holds_bool(value):              # numpy would cast true among numbers to 1.0
+        raise ValueError(f"{key} must hold numbers only, got a boolean entry")
     try:
         value = np.array(value)
     except ValueError:                  # ragged nesting
@@ -507,14 +545,15 @@ def _file_array(raw, key):
 def params_from_json(text):
     """Layer parameters from the text :func:`params_to_json` writes.
 
-    Raises ValueError on a missing key, a wrong version, a non-finite
-    number, a null, non-numeric or ragged array, and where
-    :func:`_check_layout` does, naming the key.
+    Raises ValueError on a missing key, a version other than the integer
+    1, a non-finite number, a null, boolean, non-numeric or ragged array,
+    and where :func:`_check_layout` does, naming the key.
     """
     raw = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     if not isinstance(raw, dict):
         raise ValueError("parameter file is not a JSON object")
-    if _entry(raw, "version") != PARAMS_FORMAT_VERSION:
+    version = _entry(raw, "version")
+    if type(version) is not int or version != PARAMS_FORMAT_VERSION:     # true == 1.0 == 1
         raise ValueError("unsupported parameter file version")
     arrays = {name: _file_array(raw, name) for name in _LAYOUT if name != "w"}
     w_re, w_im = _file_array(raw, "w_re"), _file_array(raw, "w_im")

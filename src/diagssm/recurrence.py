@@ -42,6 +42,8 @@ With zero initial state every recurrence reproduces the convolution of the
 input with the corresponding kernel.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .cnum import DEFAULT_EPS, reciprocal_eps
@@ -140,11 +142,43 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
     response is that variant's kernel.  The (B, H, N) state is held as
     (H, B, N), so each product batches over H, and the loop runs once per
     chunk of 32 steps; see the module docstring.  NaN or inf in u is refused.
+
+    This is :func:`_scan_plan` then :func:`_scan_run`; a caller that runs
+    the same parameters again at the same L and eps may keep the plan.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 3 or u.shape[2] < 1:
         raise ValueError("input must have shape (batch, coordinates, length >= 1)")
-    b, h, l = u.shape
+    _, h, l = u.shape
+    return _scan_run(_scan_plan(variant, lam, delta, w, h, l, eps), u)
+
+
+class _ScanPlan(NamedTuple):
+    """The scan's tables for H coordinates at length L; no array depends on B."""
+    h: int
+    l: int
+    toeplitz: np.ndarray    # (H, T, T): the first T kernel values
+    read: np.ndarray        # (H, 2N, T): a full chunk's read-out
+    read_tail: np.ndarray   # (H, 2N, tail): the last chunk's read-out
+    inject: np.ndarray      # (H, T, 2N)
+    decay: np.ndarray       # (H, 1, N): e^{rate T}, 1 on far modes
+    far_hi: object          # the far modes' offset tables (see _scan_plan), or None
+    far_lo: object
+    far_lo_tail: object
+
+
+def _far_offset(hi, lo, k):
+    """hi[k // m] * lo[k % m], m rows in lo: row k of a table split as in ``_exp_factors``."""
+    m = lo.shape[0]
+    return hi[k // m] * lo[k % m]
+
+
+def _scan_plan(variant, lam, delta, w, h, l, eps=DEFAULT_EPS):
+    """Everything :func:`chunked_scan` forms from the parameters, for H and L.
+
+    Runs the parameter check (``kernel._diagonal_rates``) and builds every
+    table of powers, so :func:`_scan_run` evaluates no exponential.
+    """
     # Re(rate) <= 0: the far modes accumulate, then are scaled at read-out.
     # coef holds the input map, so every mode's state is fed u unscaled.
     lam, coef, rate, far = _diagonal_rates(variant, lam, delta, w, h, l)
@@ -162,32 +196,23 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
         row_sum = (_factor_sum(hi, lo, chunks - 1) * fwd.sum(axis=-1)
                    + last * fwd[..., :tail].sum(axis=-1))
         coef = coef * reciprocal_eps(row_sum, eps)
-    # After the parameter checks, so both layer views name the same fault first.
-    if not np.isfinite(u).all():
-        raise ValueError("input u must be finite (no NaN or inf)")
 
     # The far modes' chunk offsets come from (., H, 1, N) factor tables, 1 on
-    # near modes: ahead(j) = e^{rate c0} on what chunk j injects, behind(j) =
-    # e^{rate (L - c0 - tc)} on what it reads, which is e^{rate T (chunks-2-j)}
-    # e^{rate tail} before the last chunk, 1 in it.  Each is one product of
-    # two rows, so the loop holds no (chunks, H, N) table.
-    far_hi = None
+    # near modes: e^{rate c0} on what chunk j injects is row j of (far_hi,
+    # far_lo), and e^{rate (L - c0 - tc)} on what it reads, which is
+    # e^{rate T (chunks-2-j)} e^{rate tail} before the last chunk, 1 in it,
+    # is row chunks-2-j of (far_hi, far_lo_tail).  Each is one product of two
+    # rows (_far_offset), so the loop holds no (chunks, H, N) table.
+    far_hi = far_lo = far_lo_tail = None
     impulse, inject, decay = fwd, fwd[..., ::-1], powers[..., block]
     if far.any():
         far_hi = np.where(far, np.moveaxis(hi, -1, 0), 1.0)[:, :, None, :]
         far_lo = np.where(far, np.moveaxis(lo, -1, 0), 1.0)[:, :, None, :]
         far_lo_tail = far_lo * np.where(far, powers[..., tail], 1.0)[:, None, :]
-
-        def ahead(j):
-            return far_hi[j // m] * far_lo[j % m]
-
-        def behind(j):
-            k = chunks - 2 - j
-            return far_hi[k // m] * far_lo_tail[k % m]
-
         # Far kernel values e^{rate (L-1-m)} = e^{rate (L-T)} e^{rate (T-1-m)},
-        # and e^{rate (L-T)} is behind(0), or 1 when one chunk covers L.
-        lead = behind(0) if chunks > 1 else np.ones_like(far_hi[0])
+        # and e^{rate (L-T)} is chunk 0's read offset, or 1 when one chunk covers L.
+        lead = (_far_offset(far_hi, far_lo_tail, chunks - 2) if chunks > 1
+                else np.ones_like(far_hi[0]))
         impulse = np.where(far[:, None], lead.transpose(0, 2, 1) * inject, fwd)
         inject = np.where(far[:, None], fwd, inject)
         decay = np.where(far, 1.0, decay)
@@ -205,8 +230,23 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
         return np.stack([r.real, -r.imag], axis=2).reshape(h, 2 * n, tc)
 
     read = read_map(block)
-    inject = np.ascontiguousarray(inject.transpose(0, 2, 1)).view(np.float64)  # (H, T, 2N)
-    decay = decay[:, None, :]
+    return _ScanPlan(
+        h, l, toeplitz, read, read if tail == block else read_map(tail),
+        np.ascontiguousarray(inject.transpose(0, 2, 1)).view(np.float64),  # (H, T, 2N)
+        decay[:, None, :].copy(), far_hi, far_lo, far_lo_tail)  # decay may view all powers
+
+
+def _scan_run(plan, u):
+    """The scan of a (B, H, L) float array u through a :func:`_scan_plan` for H and L."""
+    if u.shape[1:] != (plan.h, plan.l):
+        raise ValueError(f"input must have shape (batch, {plan.h}, {plan.l}) for this plan")
+    # After the parameter checks, so both layer views name the same fault first.
+    if not np.isfinite(u).all():
+        raise ValueError("input u must be finite (no NaN or inf)")
+    _, _, toeplitz, read, read_tail, inject, decay, far_hi, far_lo, far_lo_tail = plan
+    b, h, l = u.shape
+    block, n = toeplitz.shape[-1], decay.shape[-1]
+    chunks = -(-l // block)
 
     y = np.empty_like(u)
     state = np.zeros((h, b, n), dtype=np.complex128)
@@ -215,12 +255,14 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
         uc = u[:, :, c0:c0 + tc].transpose(1, 0, 2)
         yc = uc @ toeplitz[:, :tc, :tc]
         if c0:
-            carried = state if far_hi is None or j == chunks - 1 else state * behind(j)
-            yc += carried.view(np.float64) @ (read if tc == block else read_map(tc))
+            carried = state
+            if far_hi is not None and j < chunks - 1:
+                carried = state * _far_offset(far_hi, far_lo_tail, chunks - 2 - j)
+            yc += carried.view(np.float64) @ (read if tc == block else read_tail)
         y[:, :, c0:c0 + tc] = yc.transpose(1, 0, 2)
         if c0 + tc < l:
             fresh = (uc @ inject).view(np.complex128)
             if far_hi is not None:
-                fresh *= ahead(j)
+                fresh *= _far_offset(far_hi, far_lo, j)
             state = decay * state + fresh
     return y

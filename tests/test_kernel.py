@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from diagssm import (
     kernel_grad_exp,
     run_exp,
     run_softmax_stable,
+    ssm_outputs,
     truncate_kernel,
     write_kernel_csv,
 )
@@ -275,6 +277,31 @@ def test_scan_exps_do_not_scale_with_chunks(monkeypatch):
                 "softmax", lam, delta, layer.w, rng.standard_normal((1, 16, l))))
             for l in (1024, 4096)}
     assert exps[4096] < 2 * exps[1024]
+
+
+def kept_plan_bytes(variant, b, l):
+    """Bytes a fresh benchmark layer still holds after one recurrent call."""
+    layer, u = benchmark_layer(variant), np.random.default_rng(6).standard_normal((b, 16, l))
+    tracemalloc.start()
+    try:
+        ssm_outputs(layer, u, "recurrent")      # the output is dropped; the plan stays
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("variant", ["exp", "softmax", "exp_no_scale"])
+def test_kept_scan_plan_evaluates_no_exp_and_is_bounded(variant, monkeypatch):
+    layer = benchmark_layer(variant)
+    rng = np.random.default_rng(5)
+    ssm_outputs(layer, rng.standard_normal((4, 16, 1024)), "recurrent")
+    u = rng.standard_normal((4, 16, 1024))
+    assert count_exps(monkeypatch, lambda: ssm_outputs(layer, u, "recurrent")) == 0
+    kept_plan_bytes(variant, 1, 1024)           # first-call allocations are not the plan's
+    kept = {(b, l): kept_plan_bytes(variant, b, l) for b, l in ((1, 1024), (4, 1024), (1, 16384))}
+    assert kept[4, 1024] == kept[1, 1024]
+    # Only the softmax far-mode tables grow with L, as sqrt(L/32) rows.
+    assert kept[1, 16384] < 2 * kept[1, 1024]
 
 
 @pytest.mark.parametrize("l", [1, 65, 1024])

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +9,10 @@ import numpy as np
 import pytest
 
 from diagssm import (
+    DEFAULT_EPS,
     SplitMix64,
+    chunked_scan,
+    effective_lambda,
     gelu,
     init_layer,
     kernel_stats,
@@ -307,6 +312,66 @@ def test_recurrent_mode_refuses_non_finite(field):
         ssm_outputs(params, np.ones((1, 4, 16)), mode="recurrent")
 
 
+# Seeded property test: recurrent ssm_outputs keeps each layer's scan plan,
+# and reuses it only while the parameters, L and eps are unchanged.
+
+def fresh_scan(params, u, eps):
+    delta = np.exp(params.delta_log)
+    return chunked_scan(params.variant, effective_lambda(params), delta, params.w, u, eps)
+
+
+def refusal(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return str(info.value)
+
+
+_SCAN_ARRAYS = ("lambda_re", "lambda_im", "delta_log", "w")
+
+
+@pytest.mark.parametrize("variant", ["exp", "softmax", "exp_no_scale"])
+def test_property_kept_scan_plan_is_a_fresh_scan(variant):
+    rng = np.random.default_rng([2026, VARIANTS.index(variant)])
+    layers = [init_layer(int(rng.integers(1, 5)), int(rng.integers(1, 9)), variant,
+                         int(rng.integers(2 ** 31))) for _ in range(2)]
+    if variant == "softmax":
+        for params in layers:       # far modes, Re(lam) > 0
+            params.lambda_re[rng.random(params.n) < 0.5] = 0.25
+    setting = [(33, DEFAULT_EPS)] * 2
+    for call in range(48):
+        which = int(rng.integers(2))
+        params, (l, eps) = layers[which], setting[which]
+        change = rng.integers(4)    # 0: none, 1: an array in place, 2: L, 3: eps
+        if change == 1:
+            name = _SCAN_ARRAYS[call % 4]
+            value = getattr(params, name)
+            value.flat[rng.integers(value.size)] += 0.01j if name == "w" else 0.01
+        elif change == 2:
+            l = int(rng.choice([n for n in (1, 31, 33, 1000) if n != l]))
+        elif change == 3:
+            eps = 1e-3 if eps == DEFAULT_EPS else DEFAULT_EPS
+        setting[which] = l, eps
+        kept = params._scan_cache
+        u = rng.standard_normal((int(rng.integers(1, 4)), params.h, l))
+        got = ssm_outputs(params, u, "recurrent", eps=eps)
+        assert got.tobytes() == fresh_scan(params, u, eps).tobytes()
+        # A call with nothing changed keeps the plan; any change builds a new one.
+        assert (params._scan_cache is kept) == (kept is not None and change == 0)
+
+    params = layers[0]
+    u = rng.standard_normal((1, params.h, 40))     # one row: BLAS takes the layout-bound path
+    ssm_outputs(params, u, "recurrent")
+    clone = pickle.loads(pickle.dumps(params))
+    assert ssm_outputs(clone, u, "recurrent").tobytes() == fresh_scan(params, u, DEFAULT_EPS).tobytes()
+    params.delta_log[-1], old = 800.0, params.delta_log[-1]
+    want = refusal(lambda: ssm_outputs(dataclasses.replace(params), u, "recurrent"))
+    assert refusal(lambda: ssm_outputs(params, u, "recurrent")) == want
+    params.delta_log[-1] = old      # the plan kept from before the edit applies again
+    u[-1, -1, -1] = np.nan
+    with pytest.raises(ValueError, match="input u must be finite"):
+        ssm_outputs(params, u, "recurrent")
+
+
 @pytest.mark.parametrize("variant", ["exp", "softmax", "exp_no_scale"])
 @pytest.mark.parametrize("mode", ["conv", "recurrent"])
 def test_ssm_outputs_rejects_empty_input(variant, mode):
@@ -561,6 +626,9 @@ _FILE_MUTATIONS = {
     "null size": lambda raw, key, rng: raw.update({"hn"[rng.integers(2)]: None}),
     "bool size": lambda raw, key, rng: with_one_coordinate(raw, True),
     "float size": lambda raw, key, rng: with_one_coordinate(raw, 1.0),
+    "bool entry": lambda raw, key, rng: spoil_one_number(raw[key], rng, True),
+    "bool version": lambda raw, key, rng: raw.update(version=True),
+    "float version": lambda raw, key, rng: raw.update(version=1.0),
 }
 
 
@@ -580,11 +648,15 @@ def test_property_malformed_files_are_refused(tmp_path, capsys, mutation):
         assert code == 2 and "cannot load" in err, err
 
 
-_LAYER_MUTATIONS = {
-    "short lambda_re": lambda p: setattr(p, "lambda_re", p.lambda_re[:1].copy()),
-    "stale h": lambda p: setattr(p, "h", p.h + 1),
-    "stale n": lambda p: setattr(p, "n", p.n + 1),
-    "row b_out": lambda p: setattr(p, "b_out", p.b_out[None, :]),
+_LAYER_MUTATIONS = {      # (mutation, the refusal's message)
+    "short lambda_re": (lambda p: setattr(p, "lambda_re", p.lambda_re[:1].copy()), "must have shape"),
+    "stale h": (lambda p: setattr(p, "h", p.h + 1), "must have shape"),
+    "stale n": (lambda p: setattr(p, "n", p.n + 1), "must have shape"),
+    "row b_out": (lambda p: setattr(p, "b_out", p.b_out[None, :]), "must have shape"),
+    "complex lambda_re": (lambda p: setattr(p, "lambda_re", p.lambda_re + 0.5j),
+                          "lambda_re must have a real floating dtype"),
+    "integer b_out": (lambda p: setattr(p, "b_out", np.arange(p.h)),
+                      "b_out must have a real floating dtype"),
 }
 
 
@@ -597,13 +669,14 @@ def test_property_malformed_layers_are_refused_everywhere(tmp_path, mutation):
         if mutation == "short lambda_re" and params.n == 1:
             params = init_layer(params.h, 3, params.variant, 0)    # one entry would be valid
         u = rng.standard_normal((2, params.h, 16))
-        _LAYER_MUTATIONS[mutation](params)
+        mutate, message = _LAYER_MUTATIONS[mutation]
+        mutate(params)
         path.write_text("kept")
-        with pytest.raises(ValueError, match="must have shape"):
+        with pytest.raises(ValueError, match=message):
             save_layer_params(path, params)
         assert path.read_text() == "kept"
         for mode in ("conv", "recurrent"):
-            with pytest.raises(ValueError, match="must have shape"):
+            with pytest.raises(ValueError, match=message):
                 layer_forward(params, u, mode)
 
 
