@@ -70,10 +70,10 @@ def causal_conv_fft(kernel, u):
     kernel that would widen it raises ValueError, as does a NaN or inf in
     either (the transform would spread it to every output, where the
     direct sum keeps it to later ones).  The kernel's spectrum is taken
-    once; the input is transformed in runs of rows whose spectrum fits
-    ``_BLOCK_BYTES``, so beyond the result and the kernel's spectrum the
-    call holds about two blocks.  numpy's FFT transforms each row on its
-    own, so the result does not depend on the block size.
+    once; the input is transformed in runs of rows within one (..., H, L)
+    slice, each run's spectrum within ``_BLOCK_BYTES``, so beyond the result
+    and the kernel's spectrum the call holds about two blocks.  numpy's FFT
+    transforms each row alone, so the result does not depend on the runs.
     """
     kernel = np.asarray(kernel, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -94,21 +94,17 @@ def causal_conv_fft(kernel, u):
             raise ValueError(f"{name} must be finite (no NaN or inf)")
     n = _next_pow2(2 * l)
     out = np.empty(u.shape)
-    u = u.reshape((1,) * (3 - u.ndim) + u.shape)        # at least (B, H, L)
+    u = u.reshape((1,) * (2 - u.ndim) + u.shape)        # at least (H, L)
     spec_k = np.broadcast_to(np.fft.rfft(kernel, n), u.shape[:-1] + (n // 2 + 1,))
     blocks = out.reshape(u.shape)
-    b, h = u.shape[-3:-1]
+    h = u.shape[-2]
     rows = max(1, _BLOCK_BYTES // (16 * (n // 2 + 1)))
-    # A block is whole (H, L) slices while they fit, else a run within one.
-    h_step = min(h, rows) or 1
-    b_step = rows // h_step if h <= rows else 1
-    for lead in np.ndindex(u.shape[:-3]):
-        for i in range(0, b, b_step):
-            for j in range(0, h, h_step):
-                blk = lead + np.s_[i:i + b_step, j:j + h_step]
-                spec = np.fft.rfft(u[blk], n)
-                spec *= spec_k[blk]
-                blocks[blk] = np.fft.irfft(spec, n)[..., :l]
+    for lead in np.ndindex(u.shape[:-2]):
+        for j in range(0, h, rows):
+            blk = (*lead, slice(j, j + rows))
+            spec = np.fft.rfft(u[blk], n)
+            spec *= spec_k[blk]
+            blocks[blk] = np.fft.irfft(spec, n)[..., :l]
     return out
 
 

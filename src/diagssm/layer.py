@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cnum import DEFAULT_EPS
 from .fftconv import causal_conv_fft
 from .hippo import skew_hippo_lambda
 from .kernel import KernelParams, VARIANTS, _diagonal_form, diagonal_kernels, exp_basis, truncate_kernel
@@ -47,10 +46,13 @@ class SplitMix64:
     normal() draws u1 then u2 with uniform() (u1 is replaced by 2^-53 if it
     is exactly zero), forms z0 = sqrt(-2 ln u1) cos(2 pi u2) and
     z1 = sqrt(-2 ln u1) sin(2 pi u2), returns z0 and caches z1 for the
-    next call.  Ports must reproduce this exact consumption order.
+    next call.  Ports must reproduce this exact consumption order.  The
+    seed is an int or numpy integer (not a bool), taken mod 2^64.
     """
 
     def __init__(self, seed):
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         self._state = int(seed) & _MASK64
         self._cached_normal = None
 
@@ -91,8 +93,8 @@ class LayerParams:
     _scan_cache: object = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self):
-        # Copies and pickles drop the plan: its arrays' memory layouts, which
-        # steer BLAS rounding, would not survive them.
+        # Copies and pickles drop the plan: it is 1-2 MB of tables derived
+        # from the fields they do carry.
         return {**self.__dict__, "_scan_cache": None}
 
     def coordinate_kernel_params(self, h_idx):
@@ -244,47 +246,47 @@ def gelu(x):
     return out if out.ndim else out[()]
 
 
-def layer_kernels(params, l, eps=DEFAULT_EPS, kernel_limit=None):
+def layer_kernels(params, l, kernel_limit=None):
     """The H per-coordinate kernels of length L, as one H x L array."""
-    kernels = diagonal_kernels(params.variant, *_diagonal_form(params), l, eps)
+    kernels = diagonal_kernels(params.variant, *_diagonal_form(params), l)
     if kernel_limit is not None:
         kernels = truncate_kernel(kernels, kernel_limit)
     return kernels
 
 
-def _recurrent_plan(params, l, eps):
-    """The scan plan of params at length l and eps, built once and kept on params.
+def _recurrent_plan(params, l):
+    """The scan plan of params at length l, built once and kept on params.
 
     The kept plan is reused while the key matches: the variant, sizes, l,
-    eps, and the dtype and bytes of the four arrays the scan reads, so an
+    and the dtype and bytes of the four arrays the scan reads, so an
     in-place edit of any of them builds a new plan.  :func:`_check_layout`
     has fixed their shapes and kinds, so equal keys mean equal parameters.
     """
     arrays = (params.lambda_re, params.lambda_im, params.delta_log, params.w)
-    key = (params.variant, params.h, params.n, l, eps,
+    key = (params.variant, params.h, params.n, l,
            *((a.dtype, a.tobytes()) for a in map(np.asarray, arrays)))
     cached = params._scan_cache
     if cached is None or cached[0] != key:
         cached = params._scan_cache = (
-            key, _scan_plan(params.variant, *_diagonal_form(params), params.h, l, eps))
+            key, _scan_plan(params.variant, *_diagonal_form(params), params.h, l))
     return cached[1]
 
 
-def ssm_outputs(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
+def ssm_outputs(params, u, mode="conv", kernel_limit=None):
     """Per-coordinate state-space outputs y, before residual and projection.
 
     ``mode="conv"`` convolves each coordinate with its kernel (FFT path);
     ``mode="recurrent"`` runs the recurrences instead, all coordinates and
     batch rows in one :func:`~diagssm.recurrence.chunked_scan` over a
     (B,H,N) state, for every variant.  The scan's parameter-only tables
-    (its plan) are built once per layer and reused until the parameters,
-    L or eps change (:func:`_recurrent_plan`).  Its step factors come from
+    (its plan) are built once per layer and reused until the parameters
+    or L change (:func:`_recurrent_plan`).  Its step factors come from
     lam*dt alone, with every exponent's real part non-positive (softmax
     modes with Re(lam) > 0 accumulate first and are scaled at read-out),
-    so it shares no closed form with the kernels.  The two modes agree to
-    rounding.  Kernel truncation only exists on the convolution path: a
-    truncated kernel is no longer the impulse response of the underlying
-    recurrence.
+    so it shares no closed form with the kernels.  Both modes run at
+    ``DEFAULT_EPS`` and agree to rounding.  Kernel truncation only exists
+    on the convolution path: a truncated kernel is no longer the impulse
+    response of the underlying recurrence.
 
     Both views share one layout check (:func:`_check_layout`) and one
     parameter check, and refuse the same parameters.  Raises ValueError
@@ -304,13 +306,13 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
     if mode not in ("conv", "recurrent"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "conv":
-        return causal_conv_fft(layer_kernels(params, l, eps, kernel_limit), u)
+        return causal_conv_fft(layer_kernels(params, l, kernel_limit), u)
     if kernel_limit is not None:
         raise ValueError("kernel_limit requires conv mode")
-    return _scan_run(_recurrent_plan(params, l, eps), u)
+    return _scan_run(_recurrent_plan(params, l), u)
 
 
-def layer_forward(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
+def layer_forward(params, u, mode="conv", kernel_limit=None):
     """Full layer: out_t = W_out . gelu(y_t + u_t) + b_out, position-wise.
 
     Raises ValueError naming the field of a layer that
@@ -318,7 +320,7 @@ def layer_forward(params, u, mode="conv", kernel_limit=None, eps=DEFAULT_EPS):
     non-finite value (see :func:`ssm_outputs`).
     """
     u = np.asarray(u, dtype=float)
-    y = ssm_outputs(params, u, mode, kernel_limit, eps)    # a fresh array
+    y = ssm_outputs(params, u, mode, kernel_limit)    # a fresh array
     y += u
     out = params.w_out @ gelu(y)       # (H, H) @ (B, H, L), through BLAS
     out += params.b_out[:, None]
@@ -340,14 +342,14 @@ class KernelStats:
     argmax_p95: int
 
 
-def kernel_stats(params, l, eps=DEFAULT_EPS):
+def kernel_stats(params, l):
     """Peak positions and max-normalized magnitude profiles of the kernels.
 
     argmax ties resolve to the lowest index; an all-zero kernel reports
     argmax 0 and an all-zero profile.  The summary statistic is the
     nearest-rank 95th percentile of the argmax positions.
     """
-    kernels = layer_kernels(params, l, eps)
+    kernels = layer_kernels(params, l)
     mags = np.abs(kernels)
     argmax = mags.argmax(axis=1)
     peaks = mags.max(axis=1)

@@ -217,10 +217,11 @@ def _scan_plan(variant, lam, delta, w, h, l, eps=DEFAULT_EPS):
         inject = np.where(far[:, None], fwd, inject)
         decay = np.where(far, 1.0, decay)
 
-    # The first T kernel values as a Toeplitz block.
+    # The first T kernel values as a C-contiguous Toeplitz block, which
+    # numpy's matmul can hand to BLAS; head[:, idx] would put H fastest.
     head = np.einsum("hn,hnm->hm", coef, impulse).real
     lag = np.arange(block)[None, :] - np.arange(block)[:, None]
-    toeplitz = np.where(lag >= 0, head[:, np.maximum(lag, 0)], 0.0)    # (H, s, t)
+    toeplitz = np.where(lag >= 0, np.take(head, np.maximum(lag, 0), axis=1), 0.0)  # (H, s, t)
 
     def read_map(tc):
         # Re(state . R) for the chunk's tc outputs, as a real (H, 2N, tc)

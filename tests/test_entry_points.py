@@ -15,6 +15,7 @@ import pytest
 
 from diagssm import (
     VARIANTS,
+    SplitMix64,
     build_kernel,
     chunked_scan,
     diagonal_kernels,
@@ -27,6 +28,7 @@ from diagssm import (
     run_softmax_stable,
     skew_hippo_lambda,
     ssm_outputs,
+    train_toy_delay,
 )
 
 H, N = 2, 4
@@ -118,9 +120,14 @@ def test_entry_points_give_finite_output_or_value_error(variant):
 
 @pytest.mark.parametrize("mode", ["conv", "recurrent"])
 def test_softmax_layer_refuses_nan_eps(mode):
+    # The layer always runs at DEFAULT_EPS; each view's own builder takes eps.
     params = init_layer(2, 4, "softmax", 0)
+    lam, delta = effective_lambda(params), np.exp(params.delta_log)
     with pytest.raises(ValueError, match="eps must be finite and positive"):
-        layer_forward(params, np.ones((1, 2, 8)), mode, eps=math.nan)
+        if mode == "conv":
+            diagonal_kernels("softmax", lam, delta, params.w, 8, eps=math.nan)
+        else:
+            chunked_scan("softmax", lam, delta, params.w, np.ones((1, 2, 8)), eps=math.nan)
 
 
 @pytest.mark.parametrize("mode", ["conv", "recurrent"])
@@ -138,6 +145,10 @@ def test_subnormal_softmax_lambda_is_refused(mode):
     (init_layer, (2, 2.5, "exp", 0)),
     (init_layer, (2, 4.0, "softmax", 0)),
     (skew_hippo_lambda, (2.5,)),
+    *((fn, args) for seed in (2.7, True, math.nan, "3") for fn, args in (
+        (init_layer, (2, 4, "exp", seed)),
+        (train_toy_delay, (4, 16, 3, 2, 1e-3, seed)),
+        (SplitMix64, (seed,)))),
 ])
 def test_non_integer_sizes_are_refused(fn, args):
     with pytest.raises(ValueError, match="integer"):

@@ -156,8 +156,9 @@ def one_shot_conv(kernel, u):
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @pytest.mark.parametrize("l", [1, 2, 33])
 def test_conv_blocks_are_bitwise_the_one_shot_formula(monkeypatch, rows, l):
-    # A budget of exactly `rows` row spectra; blocks then split H unevenly
-    # (H = 5), hold whole (H, L) slices (H = 1, 2) or run over extra axes.
+    # A budget of exactly `rows` row spectra; each block is a run of at most
+    # `rows` rows inside one (..., H, L) slice, so blocks split H unevenly
+    # (H = 5), cover a whole slice (H = 1, 2) or walk the extra leading axes.
     n = fftconv._next_pow2(2 * l)
     monkeypatch.setattr(fftconv, "_BLOCK_BYTES", rows * 16 * (n // 2 + 1))
     rng = np.random.default_rng(100 * rows + l)

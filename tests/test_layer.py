@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from diagssm import (
-    DEFAULT_EPS,
     SplitMix64,
     chunked_scan,
     effective_lambda,
@@ -313,11 +312,11 @@ def test_recurrent_mode_refuses_non_finite(field):
 
 
 # Seeded property test: recurrent ssm_outputs keeps each layer's scan plan,
-# and reuses it only while the parameters, L and eps are unchanged.
+# and reuses it only while the parameters and L are unchanged.
 
-def fresh_scan(params, u, eps):
+def fresh_scan(params, u):
     delta = np.exp(params.delta_log)
-    return chunked_scan(params.variant, effective_lambda(params), delta, params.w, u, eps)
+    return chunked_scan(params.variant, effective_lambda(params), delta, params.w, u)
 
 
 def refusal(fn):
@@ -337,32 +336,31 @@ def test_property_kept_scan_plan_is_a_fresh_scan(variant):
     if variant == "softmax":
         for params in layers:       # far modes, Re(lam) > 0
             params.lambda_re[rng.random(params.n) < 0.5] = 0.25
-    setting = [(33, DEFAULT_EPS)] * 2
+    lengths = [33] * 2
     for call in range(48):
         which = int(rng.integers(2))
-        params, (l, eps) = layers[which], setting[which]
-        change = rng.integers(4)    # 0: none, 1: an array in place, 2: L, 3: eps
+        params, l = layers[which], lengths[which]
+        change = rng.integers(3)    # 0: none, 1: an array in place, 2: L
         if change == 1:
             name = _SCAN_ARRAYS[call % 4]
             value = getattr(params, name)
             value.flat[rng.integers(value.size)] += 0.01j if name == "w" else 0.01
         elif change == 2:
             l = int(rng.choice([n for n in (1, 31, 33, 1000) if n != l]))
-        elif change == 3:
-            eps = 1e-3 if eps == DEFAULT_EPS else DEFAULT_EPS
-        setting[which] = l, eps
+        lengths[which] = l
         kept = params._scan_cache
         u = rng.standard_normal((int(rng.integers(1, 4)), params.h, l))
-        got = ssm_outputs(params, u, "recurrent", eps=eps)
-        assert got.tobytes() == fresh_scan(params, u, eps).tobytes()
+        got = ssm_outputs(params, u, "recurrent")
+        assert got.tobytes() == fresh_scan(params, u).tobytes()
         # A call with nothing changed keeps the plan; any change builds a new one.
         assert (params._scan_cache is kept) == (kept is not None and change == 0)
 
     params = layers[0]
-    u = rng.standard_normal((1, params.h, 40))     # one row: BLAS takes the layout-bound path
+    u = rng.standard_normal((1, params.h, 40))     # one row: BLAS takes its matrix-vector path
     ssm_outputs(params, u, "recurrent")
     clone = pickle.loads(pickle.dumps(params))
-    assert ssm_outputs(clone, u, "recurrent").tobytes() == fresh_scan(params, u, DEFAULT_EPS).tobytes()
+    assert clone._scan_cache is None
+    assert ssm_outputs(clone, u, "recurrent").tobytes() == fresh_scan(params, u).tobytes()
     params.delta_log[-1], old = 800.0, params.delta_log[-1]
     want = refusal(lambda: ssm_outputs(dataclasses.replace(params), u, "recurrent"))
     assert refusal(lambda: ssm_outputs(params, u, "recurrent")) == want

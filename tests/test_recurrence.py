@@ -7,8 +7,10 @@ from diagssm import (
     KernelParams,
     LayerParams,
     build_kernel,
+    DEFAULT_EPS,
     causal_conv_fft,
     chunked_scan,
+    diagonal_kernels,
     dss_exp_kernel,
     effective_lambda,
     run_exp,
@@ -16,7 +18,7 @@ from diagssm import (
     ssm_outputs,
 )
 from diagssm.checks import sample_exp_params, sample_softmax_params
-from diagssm.recurrence import _CHUNK
+from diagssm.recurrence import _CHUNK, _scan_plan
 
 LN2 = math.log(2.0)
 
@@ -209,7 +211,8 @@ def test_chunked_scan_matches_step_oracle_and_conv(variant, eps, l):
     rng = np.random.RandomState(l + 7 * len(variant) + int(eps < 1e-10))
     params = _scan_instance(rng, variant)
     u = rng.standard_normal((2, params.h, l))
-    y = ssm_outputs(params, u, mode="recurrent", eps=eps)
+    lam, delta = effective_lambda(params), np.exp(params.delta_log)
+    y = chunked_scan(variant, lam, delta, params.w, u, eps)
     assert np.isfinite(y).all()
     scale = max(1.0, float(np.abs(y).max()))
     if variant == "softmax" and l >= 1000:
@@ -222,8 +225,26 @@ def test_chunked_scan_matches_step_oracle_and_conv(variant, eps, l):
             want = _step_oracle(params.coordinate_kernel_params(hi), u[bi, hi], eps)
             worst = max(worst, float(np.abs(y[bi, hi] - want).max()))
     assert worst <= 1e-10 * scale
-    conv = ssm_outputs(params, u, mode="conv", eps=eps)
+    conv = causal_conv_fft(diagonal_kernels(variant, lam, delta, params.w, l, eps), u)
     assert float(np.abs(y - conv).max()) <= 1e-8 * scale
+    # The layer runs the same two views at DEFAULT_EPS, bit for bit.
+    views = {"recurrent": chunked_scan(variant, lam, delta, params.w, u, DEFAULT_EPS),
+             "conv": causal_conv_fft(
+                 diagonal_kernels(variant, lam, delta, params.w, l, DEFAULT_EPS), u)}
+    for mode, want in views.items():
+        assert ssm_outputs(params, u, mode).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("l", [_CHUNK + 1, 1000])
+@pytest.mark.parametrize("variant", ["exp", "exp_no_scale", "softmax"])
+def test_scan_plan_matrices_are_c_contiguous(variant, l):
+    # numpy's matmul hands a product to BLAS only when each operand has a
+    # unit-stride axis; the scan's products must not fall back to its own loop.
+    params = _scan_instance(np.random.RandomState(l), variant)
+    plan = _scan_plan(variant, effective_lambda(params), np.exp(params.delta_log),
+                      params.w, params.h, l)
+    for name in ("toeplitz", "read", "read_tail", "inject"):
+        assert getattr(plan, name).flags.c_contiguous, name
 
 
 @pytest.mark.parametrize("change, message", [
