@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 
 from .checks import SUITES, TOLERANCES
+from .cnum import _count, _positive
 from .kernel import KernelParams, VARIANTS, build_kernel, write_kernel_csv
 from .layer import (
     _to_json,
@@ -54,8 +55,7 @@ def _parse_complex_list(text):
 
 
 def _cmd_kernel(args):
-    if args.delta is not None and args.delta <= 0:
-        raise ValueError("--delta must be positive")
+    delta_log = None if args.delta is None else math.log(_positive("--delta", args.delta))
     overrides = (args.lambda_re, args.lambda_im, args.w)
     if any(o is not None for o in overrides):
         if any(o is None for o in overrides):
@@ -63,20 +63,18 @@ def _cmd_kernel(args):
         lambda_re = _parse_float_list(args.lambda_re)
         lambda_im = _parse_float_list(args.lambda_im)
         w = _parse_complex_list(args.w)
-        delta_log = math.log(args.delta) if args.delta is not None else 0.0
-        params = KernelParams(args.variant, lambda_re, lambda_im, w, delta_log)
+        params = KernelParams(args.variant, lambda_re, lambda_im, w, delta_log or 0.0)
     else:
         layer = init_layer(1, args.n, args.variant, args.seed)
         params = layer.coordinate_kernel_params(0)
-        if args.delta is not None:
-            params.delta_log = math.log(args.delta)
+        if delta_log is not None:
+            params.delta_log = delta_log
     write_kernel_csv(args.out or sys.stdout, build_kernel(params, args.l))
     return EXIT_OK
 
 
 def _cmd_check(args):
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
+    _count("--trials", args.trials)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     count = failed = 0
     for name in names:
@@ -123,14 +121,13 @@ def _cmd_bench(args):
         l_list = [int(v) for v in args.l.split(",")]
     except ValueError:
         raise ValueError("--l expects comma-separated integers") from None
-    if any(l < 1 for l in l_list):
-        raise ValueError("sequence lengths must be >= 1")
+    _count("--b", args.b)
     params = init_layer(args.h, args.n, args.variant, args.seed)
     rng = np.random.RandomState(args.seed)
     print("L,kernel_ms,conv_ms,recur_ms,conv_peak_mb")
     for l in l_list:
+        kernel_ms = _time_ms(lambda: layer_kernels(params, l))      # refuses l < 1 before u is drawn
         u = rng.standard_normal((args.b, args.h, l))
-        kernel_ms = _time_ms(lambda: layer_kernels(params, l))
         conv_ms = recur_ms = conv_peak_mb = ""
         if args.mode in ("conv", "both"):
             conv_ms = "%.3f" % _time_ms(lambda: ssm_outputs(params, u, mode="conv"))

@@ -7,7 +7,16 @@ routines here remove both failure modes.  Exponents are shifted by the
 entry with the largest real part, so every exponential has magnitude at
 most one, and the final division goes through an eps-regularized
 reciprocal that is total on the complex plane.
+
+The package's argument rules live here too, each written once: a count is
+an int or numpy integer, not a bool, at least its bound (1 for sizes and
+lengths); a positive scalar is a real number, not a bool, finite and > 0;
+an array holds bool, integer or real entries (complex where the argument
+is complex); a choice is one of a set of strings.  Every public entry
+point applies them, and each refusal is a ValueError naming the argument.
 """
+
+import math
 
 import numpy as np
 
@@ -15,16 +24,52 @@ import numpy as np
 DEFAULT_EPS = 1e-7
 
 
+def _count(name, value, low=1):
+    """value as an int: an int or numpy integer, not a bool, and >= low unless low is None."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (
+            low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def _positive(name, value):
+    """value; it must be an int, float or numpy real, not a bool, finite and > 0."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and 0 < value < math.inf):     # false for NaN too
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
+def _numbers(name, x, dtype=float, finite=False):
+    """x as an array of dtype, not copied if it is one; its entries must be bool,
+    integer, real or (for a complex dtype) complex, and with ``finite`` not NaN or inf."""
+    real = np.dtype(dtype).kind != "c"
+    x = np.asarray(x)
+    if x.dtype.kind not in ("biuf" if real else "biufc"):
+        raise ValueError(f"{name} must hold {'real ' if real else ''}numbers, got dtype {x.dtype}")
+    x = x.astype(dtype, copy=False)
+    if finite and not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite (no NaN or inf)")
+    return x
+
+
+def _choice(name, value, choices):
+    """value, if it is one of the strings in choices."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"unknown {name} {value!r}")
+    return value
+
+
 def reciprocal_eps(x, eps=DEFAULT_EPS):
     """Bounded substitute for 1/x: conj(x) / (x*conj(x) + eps).
 
     The denominator is real and at least eps, so the result is finite for
     every finite input and its magnitude never exceeds 1/(2*sqrt(eps)).
-    Accepts scalars or arrays of any shape; eps must be finite and > 0.
+    Accepts scalars or arrays of any shape; eps is a positive scalar.
     """
-    if not 0.0 < eps < np.inf:      # false for NaN too
-        raise ValueError("eps must be finite and positive")
-    x = np.asarray(x, dtype=np.complex128)
+    _positive("eps", eps)
+    x = _numbers("x", x, np.complex128)
     return x.conj() / (x.real * x.real + x.imag * x.imag + eps)
 
 
@@ -33,7 +78,7 @@ def cmax_by_real(x):
 
     Ties resolve to the lowest index.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.complex128)).ravel()
+    x = np.atleast_1d(_numbers("x", x, np.complex128)).ravel()
     if x.size == 0:
         raise ValueError("empty vector")
     idx = int(np.argmax(x.real))
@@ -50,7 +95,7 @@ def softmax_eps(x, eps=DEFAULT_EPS):
     the plain softmax would divide by zero this returns (near-)zeros
     instead of NaN.
     """
-    x = np.asarray(x, dtype=np.complex128)
+    x = _numbers("x", x, np.complex128)
     if x.size == 0:
         raise ValueError("empty vector")
     _, m = cmax_by_real(x)

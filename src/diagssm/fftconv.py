@@ -14,7 +14,7 @@ import cmath
 
 import numpy as np
 
-from .cnum import DEFAULT_EPS, softmax_eps
+from .cnum import DEFAULT_EPS, _count, _numbers, softmax_eps
 
 # Spectrum bytes of one block of input rows in causal_conv_fft.  At
 # (B,H,L) = (4,16,16384), 1 MB blocks ran no faster and left the process
@@ -29,7 +29,7 @@ def fft(x, inverse=False):
     ``inverse=True`` applies conjugation and 1/L scaling, so
     fft(fft(x), inverse=True) recovers x.
     """
-    a = np.asarray(x, dtype=np.complex128)
+    a = _numbers("x", x, np.complex128)
     if a.ndim != 1:
         raise ValueError("input must be one-dimensional")
     n = a.size
@@ -42,17 +42,11 @@ def _next_pow2(m):
     return 1 << (m - 1).bit_length()
 
 
-def _as_signal(x, name):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    return x
-
-
 def causal_conv_naive(kernel, u):
     """Direct O(L^2) causal convolution; the reference path."""
-    kernel = _as_signal(kernel, "kernel")
-    u = _as_signal(u, "input")
+    kernel, u = _numbers("kernel", kernel), _numbers("input u", u)
+    if kernel.ndim != 1 or u.ndim != 1:
+        raise ValueError("kernel and input u must be one-dimensional")
     if kernel.size != u.size:
         raise ValueError("kernel and input lengths must match")
     l = u.size
@@ -75,8 +69,8 @@ def causal_conv_fft(kernel, u):
     and the kernel's spectrum the call holds about two blocks.  numpy's FFT
     transforms each row alone, so the result does not depend on the runs.
     """
-    kernel = np.asarray(kernel, dtype=float)
-    u = np.asarray(u, dtype=float)
+    u = _numbers("input u", u, finite=True)
+    kernel = _numbers("kernel", kernel, finite=True)
     if kernel.ndim < 1 or u.ndim < 1:
         raise ValueError("kernel and input must have at least one dimension")
     l = u.shape[-1]
@@ -89,9 +83,6 @@ def causal_conv_fft(kernel, u):
     if widened:
         raise ValueError(f"kernel of shape {kernel.shape} does not broadcast "
                          f"to the input's shape {u.shape}")
-    for name, x in (("input u", u), ("kernel", kernel)):
-        if not np.isfinite(x).all():
-            raise ValueError(f"{name} must be finite (no NaN or inf)")
     n = _next_pow2(2 * l)
     out = np.empty(u.shape)
     u = u.reshape((1,) * (2 - u.ndim) + u.shape)        # at least (H, L)
@@ -118,10 +109,8 @@ def softmax_via_fft(c, l, eps=DEFAULT_EPS):
     singular points {-2*pi*i*k/L}; non-power-of-two lengths fall back to
     the direct eps-stabilized softmax.
     """
-    c = complex(c)
-    if int(l) != l or l < 1:
-        raise ValueError("length must be a positive integer")
-    l = int(l)
+    c = complex(_numbers("c", c, np.complex128, finite=True))
+    l = _count("l", l)
     if l & (l - 1):
         return softmax_eps(c * np.arange(l), eps)
     ks = np.arange(l)

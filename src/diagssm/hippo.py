@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cnum import _count
+
 
 @dataclass
 class DiagSpectrum:
@@ -25,11 +27,9 @@ def skew_hippo_matrix(n):
     """The 2N x 2N long-memory matrix: -1/2 on the diagonal, and
     sqrt(2i+1)*sqrt(2j+1)/2 above it (negated below).  Indices are 0-based.
 
-    Adding I/2 leaves an exactly skew-symmetric matrix.
+    Adding I/2 leaves an exactly skew-symmetric matrix.  n is a count >= 1.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("state size must be an integer >= 1")
-    dim = 2 * n
+    dim = 2 * _count("n", n)
     root = np.sqrt(2.0 * np.arange(dim) + 1.0)
     outer = np.outer(root, root) / 2.0
     m = np.triu(outer, 1) - np.tril(outer, -1)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnum import DEFAULT_EPS, reciprocal_eps
+from .cnum import DEFAULT_EPS, _choice, _count, _numbers, _positive, reciprocal_eps
 
 VARIANTS = ("exp", "softmax", "exp_no_scale")
 
@@ -52,7 +52,7 @@ class KernelParams:
     ``w`` holds the exp-form weights w~ for the ``exp``/``exp_no_scale``
     variants and the softmax-form weights w for the ``softmax`` variant.
     The sample time is stored as its logarithm, so delta = exp(delta_log)
-    is positive by construction.
+    is positive by construction.  Every field must be finite.
     """
 
     variant: str
@@ -62,19 +62,15 @@ class KernelParams:
     delta_log: float
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        self.lambda_re = np.atleast_1d(np.asarray(self.lambda_re, dtype=float))
-        self.lambda_im = np.atleast_1d(np.asarray(self.lambda_im, dtype=float))
-        self.w = np.atleast_1d(np.asarray(self.w, dtype=np.complex128))
-        self.delta_log = float(self.delta_log)
+        _choice("variant", self.variant, VARIANTS)
+        self.lambda_re = np.atleast_1d(_numbers("lambda_re", self.lambda_re, finite=True))
+        self.lambda_im = np.atleast_1d(_numbers("lambda_im", self.lambda_im, finite=True))
+        self.w = np.atleast_1d(_numbers("w", self.w, np.complex128, finite=True))
+        self.delta_log = float(_numbers("delta_log", self.delta_log, finite=True))
         if not (self.lambda_re.shape == self.lambda_im.shape == self.w.shape):
             raise ValueError("lambda_re, lambda_im and w must have equal length")
         if self.lambda_re.size < 1:
             raise ValueError("state size must be >= 1")
-        for name in ("lambda_re", "lambda_im", "w", "delta_log"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite")
 
     @property
     def n(self):
@@ -88,19 +84,19 @@ class KernelParams:
 
 @dataclass
 class GeneralSSM:
-    """Dense (A, B, C) triple for the reference kernel path only."""
+    """Dense (A, B, C) triple for the reference kernel path only; all finite."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.complex128)
-        self.b = np.asarray(self.b, dtype=np.complex128).reshape(-1)
-        self.c = np.asarray(self.c, dtype=np.complex128).reshape(-1)
-        n = self.a.shape[0]
-        if self.a.ndim != 2 or self.a.shape != (n, n):
+        self.a = _numbers("A", self.a, np.complex128, finite=True)
+        self.b = _numbers("B", self.b, np.complex128, finite=True).reshape(-1)
+        self.c = _numbers("C", self.c, np.complex128, finite=True).reshape(-1)
+        if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
             raise ValueError("A must be square")
+        n = self.a.shape[0]
         if self.b.size != n or self.c.size != n:
             raise ValueError("B and C must match the state size")
         if n > 16:
@@ -110,12 +106,6 @@ class GeneralSSM:
 def _require_variant(params, *variants):
     if params.variant not in variants:
         raise ValueError(f"expected variant in {variants}, got {params.variant!r}")
-
-
-def _check_length(l):
-    if int(l) != l or l < 1:
-        raise ValueError("kernel length must be a positive integer")
-    return int(l)
 
 
 def effective_lambda(params):
@@ -147,11 +137,10 @@ def _diagonal_rates(variant, lam, delta, w, h, l):
     ``softmax`` (before its row sums), 1 for ``exp_no_scale``.  Each
     ValueError names the field.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    lam = np.asarray(lam, dtype=np.complex128).reshape(-1)
-    delta = np.asarray(delta, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=np.complex128)
+    _choice("variant", variant, VARIANTS)
+    lam = _numbers("lam", lam, np.complex128).reshape(-1)
+    delta = _numbers("delta", delta).reshape(-1)
+    w = _numbers("w", w, np.complex128)
     if delta.shape != (h,) or w.shape != (h, lam.size):
         raise ValueError("delta must have shape (H,) and w (H, N) for H coordinates, N modes")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -234,7 +223,7 @@ def diagonal_kernels(variant, lam, delta, w, l, eps=DEFAULT_EPS):
     relative to their largest entry, e^{lam_i dt k} if Re(lam_i) <= 0 and
     e^{-lam_i dt (L-1-k)} from the far end if not: no exponent is positive.
     """
-    l = _check_length(l)
+    l = _count("l", l)
     _, w, rate, far = _diagonal_rates(variant, lam, delta, w, np.size(delta), l)
     out = np.zeros((len(w), l))
     for flip in np.unique(far):             # near modes, then far ones, where present
@@ -267,7 +256,7 @@ def exp_basis(params, l):
     and delta fixed while the weights change.
     """
     _require_variant(params, "exp")
-    l = _check_length(l)
+    l = _count("l", l)
     lam, delta, _ = _diagonal_form(params)
     _, scale, z, _ = _diagonal_rates("exp", lam, delta, np.ones((1, lam.size)), 1, l)
     outer, inner = _exp_blocks(z[0], l)
@@ -296,11 +285,13 @@ def _matexp_taylor(m, max_terms=200):
 
     The matrix is halved until its 1-norm is <= 0.5, the series is summed
     until the next term's 1-norm falls below 1e-18, and the result is
-    squared back up.
+    squared back up.  A norm that halving never brings down is refused.
     """
     m = np.asarray(m, dtype=np.complex128)
     dim = m.shape[0]
     norm1 = float(np.abs(m).sum(axis=0).max()) if dim else 0.0
+    if not norm1 < math.inf:
+        raise ValueError("A*delta must be finite")
     squarings = 0
     while norm1 > 0.5:
         norm1 /= 2.0
@@ -347,12 +338,13 @@ def general_ssm_kernel(ssm, delta, l):
     Discretizes with a zero-order hold (Abar = exp(A*delta),
     Bbar = (Abar - I) A^{-1} B) and reads the kernel off repeated
     matrix-vector products.  Deliberately shares no code with the
-    closed-form diagonal paths.
+    closed-form diagonal paths.  delta is a positive scalar.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    l = _check_length(l)
-    abar = _matexp_taylor(ssm.a * delta)
+    _positive("delta", delta)
+    l = _count("l", l)
+    with np.errstate(over="ignore"):    # an overflowing product is refused by its norm
+        a_delta = ssm.a * delta
+    abar = _matexp_taylor(a_delta)
     ainv_b = _solve_gauss(ssm.a, ssm.b)
     bbar = (abar - np.eye(ssm.a.shape[0])) @ ainv_b
     out = np.empty(l)
@@ -372,14 +364,15 @@ def dense_to_diagonal_weights(cv, vinvb, lam, delta, l):
         w~_i = (C V)_i * (V^{-1} B)_i
         w_i  = w~_i * (exp(L*lam_i*delta) - 1)
 
-    ``w~`` feeds the exp-form kernel, ``w`` the softmax form.  Errors out
-    rather than overflowing when L*Re(lam_i)*delta is large positive, and
-    rejects near-singular growth factors |exp(L*lam_i*delta) - 1| <= 1e-12.
+    ``w~`` feeds the exp-form kernel, ``w`` the softmax form.  delta is a
+    positive scalar and l a count.  Errors out rather than overflowing when
+    L*Re(lam_i)*delta is large positive, and rejects near-singular growth
+    factors |exp(L*lam_i*delta) - 1| <= 1e-12.
     """
-    cv = np.asarray(cv, dtype=np.complex128).reshape(-1)
-    vinvb = np.asarray(vinvb, dtype=np.complex128).reshape(-1)
-    lam = np.asarray(lam, dtype=np.complex128).reshape(-1)
-    l = _check_length(l)
+    cv, vinvb, lam = (_numbers(name, x, np.complex128).reshape(-1)
+                      for name, x in (("cv", cv), ("vinvb", vinvb), ("lam", lam)))
+    _positive("delta", delta)
+    l = _count("l", l)
     w_tilde = cv * vinvb
     z = l * delta * lam
     if np.any(z.real > 700.0):
@@ -391,11 +384,10 @@ def dense_to_diagonal_weights(cv, vinvb, lam, delta, l):
 
 
 def truncate_kernel(kernel, c):
-    """Zero every kernel position at index >= c; length unchanged."""
-    if int(c) != c or c < 1:
-        raise ValueError("context size must be a positive integer")
-    out = np.array(kernel, dtype=float)
-    out[..., int(c):] = 0.0
+    """Zero every kernel position at index >= c, a count >= 1; length unchanged."""
+    c = _count("c", c)
+    out = np.array(_numbers("kernel", kernel))
+    out[..., c:] = 0.0
     return out
 
 
@@ -450,10 +442,10 @@ def kernel_grad_exp(params, l, upstream):
     the same ValueError.
     """
     _require_variant(params, "exp")
-    l = _check_length(l)
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (l,) or not np.isfinite(upstream).all():
-        raise ValueError("upstream must be a finite real vector of the kernel length")
+    l = _count("l", l)
+    upstream = _numbers("upstream", upstream, finite=True)
+    if upstream.shape != (l,):
+        raise ValueError(f"upstream must have shape ({l},), got {upstream.shape}")
     lam, delta, w = _diagonal_form(params)
     lam, scale, z, _ = _diagonal_rates("exp", lam, delta, np.ones_like(w), 1, l)
     dt, scale, z, w = delta[0], scale[0], z[0], w[0]
@@ -476,10 +468,9 @@ def kernel_grad_exp(params, l, upstream):
 
 
 def finite_diff_grad(f, theta, h=1e-6):
-    """Central-difference gradient of a scalar function of a real vector."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    theta = np.asarray(theta, dtype=float)
+    """Central-difference gradient of a scalar function of a real vector; h is a positive scalar."""
+    _positive("h", h)
+    theta = _numbers("theta", theta)
     grad = np.empty(theta.size)
     for j in range(theta.size):
         step = np.zeros_like(theta)
@@ -490,6 +481,6 @@ def finite_diff_grad(f, theta, h=1e-6):
 
 def write_kernel_csv(path, kernels, header=False):
     """Write kernels as CSV to a path or text stream, one kernel per row at %.17g."""
-    rows = np.atleast_2d(np.asarray(kernels, dtype=float))
+    rows = np.atleast_2d(_numbers("kernels", kernels))
     names = ",".join(f"k{i}" for i in range(rows.shape[1])) if header else ""
     np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=names, comments="")

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cnum import _choice, _count, _numbers, _positive
 from .fftconv import causal_conv_fft
 from .hippo import skew_hippo_lambda
 from .kernel import KernelParams, VARIANTS, _diagonal_form, diagonal_kernels, exp_basis, truncate_kernel
@@ -47,13 +48,11 @@ class SplitMix64:
     is exactly zero), forms z0 = sqrt(-2 ln u1) cos(2 pi u2) and
     z1 = sqrt(-2 ln u1) sin(2 pi u2), returns z0 and caches z1 for the
     next call.  Ports must reproduce this exact consumption order.  The
-    seed is an int or numpy integer (not a bool), taken mod 2^64.
+    seed is a count with no lower bound, taken mod 2^64.
     """
 
     def __init__(self, seed):
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        self._state = int(seed) & _MASK64
+        self._state = _count("seed", seed, low=None) & _MASK64
         self._cached_normal = None
 
     def next_u64(self):
@@ -109,12 +108,10 @@ class LayerParams:
 
 
 def _check_sizes(h, n, variant):
-    """h and n must be integers >= 1 (bools are not), variant one of ``VARIANTS``."""
-    for name, size in (("h", h), ("n", n)):
-        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    """h and n must be counts >= 1 (ints, not bools or floats), variant one of ``VARIANTS``."""
+    _count("h", h)
+    _count("n", n)
+    _choice("variant", variant, VARIANTS)
 
 
 # The layer's arrays and their shapes, one letter per axis: "h" for H, "n" for N.
@@ -210,9 +207,9 @@ def gelu(x):
     input is processed in blocks of ``_GELU_BLOCK`` elements, each through
     block-sized scratch buffers, so the temporaries stay in cache; every
     element sees the same operations in the same order whatever the block
-    size.
+    size.  x holds real numbers.
     """
-    x = np.asarray(x, dtype=float)
+    x = _numbers("x", x)
     out = np.empty(x.shape)
     src, dst = x.reshape(-1), out.reshape(-1)
     size = min(src.size, _GELU_BLOCK)
@@ -247,11 +244,10 @@ def gelu(x):
 
 
 def layer_kernels(params, l, kernel_limit=None):
-    """The H per-coordinate kernels of length L, as one H x L array."""
+    """The H kernels of length L as one H x L array, zeroed from ``kernel_limit`` on."""
+    limit = None if kernel_limit is None else _count("kernel_limit", kernel_limit)
     kernels = diagonal_kernels(params.variant, *_diagonal_form(params), l)
-    if kernel_limit is not None:
-        kernels = truncate_kernel(kernels, kernel_limit)
-    return kernels
+    return kernels if limit is None else truncate_kernel(kernels, limit)
 
 
 def _recurrent_plan(params, l):
@@ -295,7 +291,7 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None):
     would otherwise spread to earlier positions.
     """
     _check_layout(params)
-    u = np.asarray(u, dtype=float)
+    u = _numbers("input u", u)
     if u.ndim != 3:
         raise ValueError("input must have shape (batch, coordinates, length)")
     _, h, l = u.shape
@@ -303,9 +299,7 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None):
         raise ValueError("coordinate count does not match the layer")
     if l < 1:
         raise ValueError("input length must be >= 1")
-    if mode not in ("conv", "recurrent"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "conv":
+    if _choice("mode", mode, ("conv", "recurrent")) == "conv":
         return causal_conv_fft(layer_kernels(params, l, kernel_limit), u)
     if kernel_limit is not None:
         raise ValueError("kernel_limit requires conv mode")
@@ -319,7 +313,7 @@ def layer_forward(params, u, mode="conv", kernel_limit=None):
     :func:`_check_layout` refuses, and naming ``u`` when the input holds a
     non-finite value (see :func:`ssm_outputs`).
     """
-    u = np.asarray(u, dtype=float)
+    u = _numbers("input u", u)
     y = ssm_outputs(params, u, mode, kernel_limit)    # a fresh array
     y += u
     out = params.w_out @ gelu(y)       # (H, H) @ (B, H, L), through BLAS
@@ -398,15 +392,14 @@ def train_toy_delay(n, l, lag, steps, lr=1e-3, seed=0):
       the placement of the peak at the lag, is what training has to do.
 
     A lag far beyond typical kernel-peak positions makes this a small
-    long-range capability check.  Returns a report dict with the loss
+    long-range capability check.  n, l and steps are counts >= 1, lag one
+    below l, and lr a positive scalar.  Returns a report dict with the loss
     history every 100 steps.
     """
-    if not all(isinstance(v, (int, np.integer)) for v in (n, l, lag, steps)):
-        raise ValueError("n, l, lag and steps must be integers")
-    if not 0 <= lag < l:
+    n, l, steps = _count("n", n), _count("l", l), _count("steps", steps)
+    if _count("lag", lag, low=0) >= l:
         raise ValueError("lag must satisfy 0 <= lag < l")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    _positive("lr", lr)
     spectrum = skew_hippo_lambda(n)
     delta = TOY_SLOW_MODE_RATE / float(spectrum.lambda_im[-1])
     lambda_re = np.full(n, math.log(TOY_DECAY_OVER_WINDOW / (delta * l)))
@@ -435,25 +428,26 @@ def train_toy_delay(n, l, lag, steps, lr=1e-3, seed=0):
 
     history = []
     initial_mse = None
-    for step in range(steps):
-        resid = theta @ lift - target
-        mse = float(np.mean(resid * resid))
-        if not np.isfinite(mse):
-            raise RuntimeError(f"training diverged at step {step}")
-        if step == 0:
-            initial_mse = mse
-        if step % 100 == 0:
-            history.append({"step": step, "mse": mse})
-        grad = lift @ (2.0 * resid / l)
-        m = beta1 * m + (1.0 - beta1) * grad
-        v = beta2 * v + (1.0 - beta2) * grad * grad
-        m_hat = m / (1.0 - beta1 ** (step + 1))
-        v_hat = v / (1.0 - beta2 ** (step + 1))
-        theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps_opt)
-
-    final_kernel = theta @ lift
-    final_resid = final_kernel - target
-    final_mse = float(np.mean(final_resid * final_resid))
+    # Divergence is the finiteness checks' to report; one context, not one per step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            resid = theta @ lift - target
+            mse = float(np.mean(resid * resid))
+            if not np.isfinite(mse):
+                raise RuntimeError(f"training diverged at step {step}")
+            if step == 0:
+                initial_mse = mse
+            if step % 100 == 0:
+                history.append({"step": step, "mse": mse})
+            grad = lift @ (2.0 * resid / l)
+            m = beta1 * m + (1.0 - beta1) * grad
+            v = beta2 * v + (1.0 - beta2) * grad * grad
+            m_hat = m / (1.0 - beta1 ** (step + 1))
+            v_hat = v / (1.0 - beta2 ** (step + 1))
+            theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps_opt)
+        final_kernel = theta @ lift
+        final_resid = final_kernel - target
+        final_mse = float(np.mean(final_resid * final_resid))
     if not np.isfinite(final_mse):
         raise RuntimeError(f"training diverged at step {steps}")
     history.append({"step": steps, "mse": final_mse})

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cnum import DEFAULT_EPS, reciprocal_eps
+from .cnum import DEFAULT_EPS, _numbers, reciprocal_eps
 from .kernel import _diagonal_form, _diagonal_rates, _exp_factors, _exp_range, _factor_sum, _require_variant
 
 
@@ -60,18 +60,16 @@ def run_exp(params, u, x_init=None):
     :func:`chunked_scan`.
     """
     _require_variant(params, "exp")
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or not np.isfinite(u).all():
-        raise ValueError("input must be one-dimensional and finite (no NaN or inf)")
+    u = _numbers("input u", u, finite=True)
+    if u.ndim != 1:
+        raise ValueError("input u must be one-dimensional")
     lam, delta, _ = _diagonal_form(params)
     _, b_bar, z, _ = _diagonal_rates("exp", lam, delta, np.ones((1, params.n)), 1, 1)
     a_bar, b_bar = np.exp(z[0]), b_bar[0]
-    if x_init is None:
-        x = np.zeros(params.n, dtype=np.complex128)
-    else:
-        x = np.asarray(x_init, dtype=np.complex128).reshape(-1).copy()
-        if x.size != params.n or not np.isfinite(x).all():
-            raise ValueError("x_init must be a finite state of the state size")
+    x = np.zeros(params.n) if x_init is None else x_init
+    x = _numbers("x_init", x, np.complex128, finite=True).reshape(-1).copy()
+    if x.size != params.n:
+        raise ValueError(f"x_init must hold {params.n} entries, one per mode")
     y = np.empty(u.size)
     for k, uk in enumerate(u):
         x = a_bar * x + b_bar * uk
@@ -100,12 +98,10 @@ def run_softmax_stable(params, u, eps=DEFAULT_EPS):
     row sum is undefined.
     """
     _require_variant(params, "softmax")
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or not np.isfinite(u).all():
-        raise ValueError("input must be one-dimensional and finite (no NaN or inf)")
+    u = _numbers("input u", u, finite=True)
+    if u.ndim != 1 or u.size < 1:
+        raise ValueError("input u must be one-dimensional and nonempty")
     l = u.size
-    if l < 1:
-        raise ValueError("input must be nonempty")
     lam, delta, _ = _diagonal_form(params)
     _, inv_lam, z, far = _diagonal_rates("softmax", lam, delta, np.ones((1, params.n)), 1, l)
     z = z[0]                            # lam*dt, negated where Re(lam) > 0: Re(z) <= 0
@@ -146,7 +142,7 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
     This is :func:`_scan_plan` then :func:`_scan_run`; a caller that runs
     the same parameters again at the same L and eps may keep the plan.
     """
-    u = np.asarray(u, dtype=float)
+    u = _numbers("input u", u)
     if u.ndim != 3 or u.shape[2] < 1:
         raise ValueError("input must have shape (batch, coordinates, length >= 1)")
     _, h, l = u.shape
@@ -155,8 +151,6 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
 
 class _ScanPlan(NamedTuple):
     """The scan's tables for H coordinates at length L; no array depends on B."""
-    h: int
-    l: int
     toeplitz: np.ndarray    # (H, T, T): the first T kernel values
     read: np.ndarray        # (H, 2N, T): a full chunk's read-out
     read_tail: np.ndarray   # (H, 2N, tail): the last chunk's read-out
@@ -232,19 +226,16 @@ def _scan_plan(variant, lam, delta, w, h, l, eps=DEFAULT_EPS):
 
     read = read_map(block)
     return _ScanPlan(
-        h, l, toeplitz, read, read if tail == block else read_map(tail),
+        toeplitz, read, read if tail == block else read_map(tail),
         np.ascontiguousarray(inject.transpose(0, 2, 1)).view(np.float64),  # (H, T, 2N)
         decay[:, None, :].copy(), far_hi, far_lo, far_lo_tail)  # decay may view all powers
 
 
 def _scan_run(plan, u):
     """The scan of a (B, H, L) float array u through a :func:`_scan_plan` for H and L."""
-    if u.shape[1:] != (plan.h, plan.l):
-        raise ValueError(f"input must have shape (batch, {plan.h}, {plan.l}) for this plan")
     # After the parameter checks, so both layer views name the same fault first.
-    if not np.isfinite(u).all():
-        raise ValueError("input u must be finite (no NaN or inf)")
-    _, _, toeplitz, read, read_tail, inject, decay, far_hi, far_lo, far_lo_tail = plan
+    _numbers("input u", u, finite=True)
+    toeplitz, read, read_tail, inject, decay, far_hi, far_lo, far_lo_tail = plan
     b, h, l = u.shape
     block, n = toeplitz.shape[-1], decay.shape[-1]
     chunks = -(-l // block)

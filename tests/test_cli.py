@@ -143,6 +143,13 @@ def test_bench_rejects_zero_length(capsys):
     ["train-toy", "--lag", "0", "--l", "4", "--n", "0"],
     ["bench", "--l", "4", "--h", "0"],
     ["check", "--suite", "prop1", "--seed", "-1"],
+    ["bench", "--l", "4,x"],
+    ["kernel", "--variant", "exp", "--l", "4", "--lambda-re", "0", "--lambda-im", "0", "--w=1"],
+    ["kernel", "--variant", "exp", "--l", "4", "--lambda-re", "0"],
+    ["kernel", "--variant", "exp", "--l", "4", "--delta", "nan"],
+    ["train-toy", "--lag", "0", "--l", "4", "--lr", "-1"],
+    ["train-toy", "--lag", "0", "--l", "4", "--lr", "nan"],    # an argument error, not a divergence
+    ["bench", "--l", "4", "--n", "2", "--h", "2", "--b", "0"],
 ])
 def test_library_value_error_is_usage_error(argv, capsys):
     code, _, err = run(argv, capsys)
@@ -221,6 +228,15 @@ def test_train_toy_lag_out_of_range(capsys):
     code, _, err = run(["train-toy", "--lag", "2048", "--l", "1024"], capsys)
     assert code == 1
     assert "lag" in err
+
+
+def test_train_toy_divergence_exits_4(capsys):
+    # The loss overflows at the first step; under the suite's error::RuntimeWarning
+    # filter a numpy warning would escape before the divergence is reported.
+    code, _, err = run(["train-toy", "--lag", "1", "--l", "8", "--n", "4", "--steps", "5",
+                        "--lr", "1e300"], capsys)
+    assert code == 4
+    assert err == "train-toy: training diverged at step 1\n"
 
 
 def test_train_toy_seed_determinism(tmp_path, capsys):

@@ -5,30 +5,48 @@ numpy RuntimeWarning (the suite turns those into errors), and the
 convolution and recurrent views must refuse exactly the same draws, with
 the same message.  The one-coordinate paths (the per-step oracles, the exp
 gradient and basis) must give finite output or a ValueError on the same
-draws; they may refuse more than the layer does.
+draws; they may refuse more than the layer does.  Malformed arguments (a
+float or bool count, a non-positive or non-numeric scalar, complex input
+to a real argument) are refused with a ValueError naming the argument.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from diagssm import (
     VARIANTS,
+    KernelParams,
     SplitMix64,
     build_kernel,
+    causal_conv_fft,
     chunked_scan,
+    dense_to_diagonal_weights,
     diagonal_kernels,
+    dss_exp_kernel,
     effective_lambda,
     exp_basis,
+    finite_diff_grad,
+    gelu,
     init_layer,
     kernel_grad_exp,
+    kernel_stats,
     layer_forward,
+    layer_kernels,
+    nearest_rank_percentile,
+    params_from_json,
+    reciprocal_eps,
     run_exp,
     run_softmax_stable,
     skew_hippo_lambda,
+    skew_hippo_matrix,
+    softmax_eps,
+    softmax_via_fft,
     ssm_outputs,
     train_toy_delay,
+    truncate_kernel,
 )
 
 H, N = 2, 4
@@ -153,3 +171,73 @@ def test_subnormal_softmax_lambda_is_refused(mode):
 def test_non_integer_sizes_are_refused(fn, args):
     with pytest.raises(ValueError, match="integer"):
         fn(*args)
+
+
+P_EXP = KernelParams("exp", [0.1], [0.4], [1.0], -0.5)
+P_SOFTMAX = KernelParams("softmax", [-0.5], [0.4], [1.0], -0.5)
+LAYER = init_layer(2, 4, "exp", 0)
+U = np.ones((1, 2, 8))
+
+# Each call is malformed in one argument; the refusal's message starts as given.
+MALFORMED = {
+    "kernel length None": (lambda: dss_exp_kernel(P_EXP, None), "l must be an integer >= 1"),
+    "kernel length inf": (lambda: dss_exp_kernel(P_EXP, math.inf), "l must be an integer >= 1"),
+    "kernel length nan": (lambda: dss_exp_kernel(P_EXP, math.nan), "l must be an integer >= 1"),
+    "kernel length 4.0": (lambda: dss_exp_kernel(P_EXP, 4.0), "l must be an integer >= 1"),
+    "truncation None": (lambda: truncate_kernel(np.ones(4), None), "c must be an integer >= 1"),
+    "fft softmax length None": (lambda: softmax_via_fft(-1 + 1j, None), "l must be an integer >= 1"),
+    "fft softmax scalar None": (lambda: softmax_via_fft(None, 4), "c must hold numbers"),
+    "fft softmax scalar nan": (lambda: softmax_via_fft(complex(math.nan, 1.0), 4), "c must be finite"),
+    "dense weights length 2.0": (lambda: dense_to_diagonal_weights([1.0], [1.0], [-1 + 0j], 1.0, 2.0),
+                                 "l must be an integer >= 1"),
+    "kernel_limit 2.0": (lambda: ssm_outputs(LAYER, U, kernel_limit=2.0),
+                         "kernel_limit must be an integer >= 1"),
+    "kernel_limit True": (lambda: ssm_outputs(LAYER, U, kernel_limit=True),
+                          "kernel_limit must be an integer >= 1"),
+    "layer kernel length True": (lambda: layer_kernels(LAYER, True), "l must be an integer >= 1"),
+    "stats length 4.5": (lambda: kernel_stats(LAYER, 4.5), "l must be an integer >= 1"),
+    "hippo size True": (lambda: skew_hippo_matrix(True), "n must be an integer >= 1"),
+    "toy n True": (lambda: train_toy_delay(True, 4, 1, 2), "n must be an integer >= 1"),
+    "toy steps True": (lambda: train_toy_delay(4, 4, 1, True), "steps must be an integer >= 1"),
+    "toy lr negative": (lambda: train_toy_delay(4, 8, 1, 2, lr=-1.0), "lr must be finite and positive"),
+    "toy lr nan": (lambda: train_toy_delay(4, 8, 1, 2, lr=math.nan), "lr must be finite and positive"),
+    "eps None": (lambda: reciprocal_eps(1 + 0j, None), "eps must be finite and positive"),
+    "eps True": (lambda: reciprocal_eps(1 + 0j, True), "eps must be finite and positive"),
+    "eps string": (lambda: softmax_eps(np.zeros(2), "1e-7"), "eps must be finite and positive"),
+    "step nan": (lambda: finite_diff_grad(lambda t: float(t[0]), [1.0], h=math.nan),
+                 "h must be finite and positive"),
+    "complex layer input": (lambda: layer_forward(LAYER, U + 1j), "input u must hold real numbers"),
+    "complex ssm input": (lambda: ssm_outputs(LAYER, U + 1j, "recurrent"), "input u must hold real numbers"),
+    "complex conv input": (lambda: causal_conv_fft(np.ones(8), np.ones(8) + 1j),
+                           "input u must hold real numbers"),
+    "complex oracle input": (lambda: run_exp(P_EXP, np.ones(8) + 1j), "input u must hold real numbers"),
+    "complex upstream": (lambda: kernel_grad_exp(P_EXP, 8, np.ones(8) + 1j),
+                         "upstream must hold real numbers"),
+    "complex gelu input": (lambda: gelu(np.ones(8) + 1j), "x must hold real numbers"),
+    "object input": (lambda: layer_forward(LAYER, np.full((1, 2, 8), None)), "input u must hold real numbers"),
+    "complex lambda_re": (lambda: KernelParams("exp", [1j], [0.0], [1.0], 0.0),
+                          "lambda_re must hold real numbers"),
+    "delta_log None": (lambda: KernelParams("exp", [0.0], [0.0], [1.0], None),
+                       "delta_log must hold real numbers"),
+    # Refusals no other test reaches.
+    "unknown mode": (lambda: ssm_outputs(LAYER, U, "bogus"), "unknown mode 'bogus'"),
+    "unknown layer variant": (lambda: init_layer(2, 4, "bogus", 0), "unknown variant 'bogus'"),
+    "unknown kernel variant": (lambda: KernelParams("bogus", [0.0], [0.0], [1.0], 0.0),
+                               "unknown variant 'bogus'"),
+    "unequal lengths": (lambda: KernelParams("exp", [0.0, 1.0], [0.0], [1.0], 0.0),
+                        "lambda_re, lambda_im and w must have equal length"),
+    "no modes": (lambda: KernelParams("exp", np.zeros(0), np.zeros(0), np.zeros(0), 0.0),
+                 "state size must be >= 1"),
+    "kernel of another variant": (lambda: dss_exp_kernel(P_SOFTMAX, 4), "expected variant in ('exp',)"),
+    "parameter file not an object": (lambda: params_from_json("[1]"), "parameter file is not a JSON object"),
+    "empty percentile sample": (lambda: nearest_rank_percentile([], 0.5), "empty sample"),
+    "empty softmax oracle input": (lambda: run_softmax_stable(P_SOFTMAX, []),
+                                   "input u must be one-dimensional and nonempty"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_arguments_are_refused_by_name(case):
+    call, message = MALFORMED[case]
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()

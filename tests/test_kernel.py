@@ -336,6 +336,25 @@ def test_general_ssm_kernel_rejects_singular():
         general_ssm_kernel(GeneralSSM(np.zeros((2, 2)), np.ones(2), np.ones(2)), 0.5, 4)
 
 
+@pytest.mark.parametrize("a, b, c, delta, message", [
+    # An infinite norm never halves below 1/2: without their checks the
+    # first three loop forever, and a NaN delta ends the series in a RuntimeError.
+    ([[-1.0]], [1.0], [1.0], math.inf, "delta must be finite and positive"),
+    ([[math.inf]], [1.0], [1.0], 0.1, "A must be finite"),
+    ([[-1e200]], [1.0], [1.0], 1e200, r"A\*delta must be finite"),
+    ([[-1.0]], [1.0], [1.0], math.nan, "delta must be finite and positive"),
+    ([[-1.0]], [math.nan], [1.0], 0.1, "B must be finite"),
+    ([[-1.0]], [1.0], [math.inf], 0.1, "C must be finite"),
+    (np.ones((2, 3)), np.ones(2), np.ones(2), 0.1, "A must be square"),
+    (-np.eye(2), np.ones(3), np.ones(2), 0.1, "B and C must match"),
+    (-np.eye(2), np.ones(2), np.ones(3), 0.1, "B and C must match"),
+    (-np.eye(17), np.ones(17), np.ones(17), 0.1, "N <= 16"),
+])
+def test_general_ssm_kernel_refuses_malformed_systems(a, b, c, delta, message):
+    with pytest.raises(ValueError, match=message):
+        general_ssm_kernel(GeneralSSM(a, b, c), delta, 3)
+
+
 def test_dense_to_diagonal_weights_single_mode():
     w_tilde, w = dense_to_diagonal_weights([1.0], [1.0], [-1.0 + 0j], 1.0, 2)
     assert w_tilde[0] == 1.0

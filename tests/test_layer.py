@@ -439,7 +439,7 @@ def test_kernel_stats_zero_kernel_row():
                                   (4, 16, 1, 2.0)])
 def test_train_toy_refuses_non_integer_sizes(args):
     # A fractional lag used to reach the target array as an index (IndexError).
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match="must be an integer"):
         train_toy_delay(*args)
 
 

@@ -55,7 +55,7 @@ def test_run_exp_refuses_nan_lambda():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_run_exp_refuses_non_finite_state(bad):
     p = KernelParams("exp", [0.1], [0.4], [1.0], -0.5)
-    with pytest.raises(ValueError, match="x_init must be a finite state"):
+    with pytest.raises(ValueError, match="x_init must be finite"):
         run_exp(p, np.ones(8), x_init=[bad])
 
 
