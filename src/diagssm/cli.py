@@ -124,6 +124,10 @@ def _cmd_bench(args):
     _count("--b", args.b)
     params = init_layer(args.h, args.n, args.variant, args.seed)
     rng = np.random.RandomState(args.seed)
+    # kernel_ms is the kernel build on its own.  conv_ms and recur_ms follow
+    # _time_ms's warm-up call, which builds the layer's plan for the mode
+    # (the kernels' spectrum, the scan's tables), so neither includes it,
+    # and conv_peak_mb is the peak of a conv call with the plan kept.
     print("L,kernel_ms,conv_ms,recur_ms,conv_peak_mb")
     for l in l_list:
         kernel_ms = _time_ms(lambda: layer_kernels(params, l))      # refuses l < 1 before u is drawn

@@ -6,8 +6,11 @@ the next power of two >= 2L (avoiding circular wrap-around), multiplying
 spectra, and inverse transforming.  The input is transformed one block of
 rows at a time, each block's spectrum within a fixed 2 MB, so the working
 memory beyond the result and the kernel's spectrum does not grow with the
-batch.  A direct O(L^2) evaluation is kept as the reference the fast path
-is checked against.
+batch.  The kernel's spectrum and the convolution of an input with it are
+two steps, so a caller whose kernels do not change (a layer between
+parameter updates) can keep the spectrum and skip the first.  A direct
+O(L^2) evaluation is kept as the reference the fast path is checked
+against.
 """
 
 import cmath
@@ -64,9 +67,10 @@ def causal_conv_fft(kernel, u):
     kernel that would widen it raises ValueError, as does a NaN or inf in
     either (the transform would spread it to every output, where the
     direct sum keeps it to later ones).  The kernel's spectrum is taken
-    once; the input is transformed in runs of rows within one (..., H, L)
-    slice, each run's spectrum within ``_BLOCK_BYTES``, so beyond the result
-    and the kernel's spectrum the call holds about two blocks.  numpy's FFT
+    once (:func:`_kernel_spectrum`); the input is transformed in runs of
+    rows within one (..., H, L) slice, each run's spectrum within
+    ``_BLOCK_BYTES``, so beyond the result and the kernel's spectrum the
+    call holds about two blocks (:func:`_conv_by_spectrum`).  numpy's FFT
     transforms each row alone, so the result does not depend on the runs.
     """
     u = _numbers("input u", u, finite=True)
@@ -83,10 +87,25 @@ def causal_conv_fft(kernel, u):
     if widened:
         raise ValueError(f"kernel of shape {kernel.shape} does not broadcast "
                          f"to the input's shape {u.shape}")
+    return _conv_by_spectrum(_kernel_spectrum(kernel), u)
+
+
+def _kernel_spectrum(kernel):
+    """The real FFT of each length-L kernel row, zero-padded to the next power of two >= 2L."""
+    return np.fft.rfft(kernel, _next_pow2(2 * kernel.shape[-1]))
+
+
+def _conv_by_spectrum(spec_k, u):
+    """Causal convolution of a finite float array u with the kernels of spectrum spec_k.
+
+    spec_k is :func:`_kernel_spectrum` of kernels of u's length that
+    broadcast to u's shape; the caller has checked both.
+    """
+    l = u.shape[-1]
     n = _next_pow2(2 * l)
     out = np.empty(u.shape)
     u = u.reshape((1,) * (2 - u.ndim) + u.shape)        # at least (H, L)
-    spec_k = np.broadcast_to(np.fft.rfft(kernel, n), u.shape[:-1] + (n // 2 + 1,))
+    spec_k = np.broadcast_to(spec_k, u.shape[:-1] + (n // 2 + 1,))
     blocks = out.reshape(u.shape)
     h = u.shape[-2]
     rows = max(1, _BLOCK_BYTES // (16 * (n // 2 + 1)))

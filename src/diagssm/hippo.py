@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnum import _count
+from .cnum import _count, _numbers
 
 
 @dataclass
@@ -41,10 +41,11 @@ def symmetric_eigenvalues(m):
     """Eigenvalues of a dense real-symmetric or complex-Hermitian matrix,
     sorted descending (``numpy.linalg.eigvalsh``).
 
-    Raises if the input is not square and symmetric (Hermitian) to 1e-12
-    of its Frobenius norm.
+    Raises ValueError naming ``matrix`` if the input does not hold finite
+    real (complex) numbers, or is not square and symmetric (Hermitian) to
+    1e-12 of its Frobenius norm.  Real input stays on eigvalsh's real path.
     """
-    a = np.asarray(m)
+    a = _numbers("matrix", m, complex if np.iscomplexobj(m) else float, finite=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix not symmetric")
     fro = np.sqrt((np.abs(a) ** 2).sum())

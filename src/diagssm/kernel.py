@@ -338,20 +338,26 @@ def general_ssm_kernel(ssm, delta, l):
     Discretizes with a zero-order hold (Abar = exp(A*delta),
     Bbar = (Abar - I) A^{-1} B) and reads the kernel off repeated
     matrix-vector products.  Deliberately shares no code with the
-    closed-form diagonal paths.  delta is a positive scalar.
+    closed-form diagonal paths.  delta is a positive scalar.  A system
+    whose Abar or kernel leaves float range (an unstable A over a long
+    delta or l) is refused with a ValueError naming ``ssm``.
     """
     _positive("delta", delta)
     l = _count("l", l)
-    with np.errstate(over="ignore"):    # an overflowing product is refused by its norm
-        a_delta = ssm.a * delta
-    abar = _matexp_taylor(a_delta)
-    ainv_b = _solve_gauss(ssm.a, ssm.b)
-    bbar = (abar - np.eye(ssm.a.shape[0])) @ ainv_b
-    out = np.empty(l)
-    v = bbar
-    for k in range(l):
-        out[k] = (ssm.c @ v).real
-        v = abar @ v
+    # An overflowing product is refused: A*delta by its norm, the rest below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        abar = _matexp_taylor(ssm.a * delta)
+        if not np.isfinite(abar).all():
+            raise ValueError("ssm leaves float range: exp(A*delta) overflows")
+        ainv_b = _solve_gauss(ssm.a, ssm.b)
+        bbar = (abar - np.eye(ssm.a.shape[0])) @ ainv_b
+        out = np.empty(l)
+        v = bbar
+        for k in range(l):
+            out[k] = (ssm.c @ v).real
+            v = abar @ v
+    if not np.isfinite(out).all():
+        raise ValueError(f"ssm leaves float range within l = {l} steps")
     return out
 
 
@@ -369,7 +375,7 @@ def dense_to_diagonal_weights(cv, vinvb, lam, delta, l):
     L*Re(lam_i)*delta is large positive, and rejects near-singular growth
     factors |exp(L*lam_i*delta) - 1| <= 1e-12.
     """
-    cv, vinvb, lam = (_numbers(name, x, np.complex128).reshape(-1)
+    cv, vinvb, lam = (_numbers(name, x, np.complex128, finite=True).reshape(-1)
                       for name, x in (("cv", cv), ("vinvb", vinvb), ("lam", lam)))
     _positive("delta", delta)
     l = _count("l", l)

@@ -22,11 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cnum import _choice, _count, _numbers, _positive
-from .fftconv import causal_conv_fft
+from .fftconv import _conv_by_spectrum, _kernel_spectrum
 from .hippo import skew_hippo_lambda
 from .kernel import KernelParams, VARIANTS, _diagonal_form, diagonal_kernels, exp_basis, truncate_kernel
 from .recurrence import _scan_plan, _scan_run
 # Bound only because ssmbench/tracer.py wraps these names here; the layer calls none.
+from .fftconv import causal_conv_fft  # noqa: F401
 from .kernel import build_kernel, kernel_grad_exp  # noqa: F401
 from .recurrence import run_exp, run_softmax_stable  # noqa: F401
 
@@ -88,13 +89,13 @@ class LayerParams:
     w: np.ndarray           # H x N complex
     w_out: np.ndarray       # H x H
     b_out: np.ndarray       # length H
-    # (key, plan) of the latest recurrent call; see _recurrent_plan.
-    _scan_cache: object = field(default=None, init=False, repr=False, compare=False)
+    # Mode -> (key, plan) of the latest call in that mode; see _layer_plan.
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __getstate__(self):
-        # Copies and pickles drop the plan: it is 1-2 MB of tables derived
-        # from the fields they do carry.
-        return {**self.__dict__, "_scan_cache": None}
+        # Copies and pickles drop the plans: each is megabytes of tables
+        # derived from the fields they do carry.
+        return {**self.__dict__, "_plans": {}}
 
     def coordinate_kernel_params(self, h_idx):
         """Kernel parameters of a single coordinate."""
@@ -210,15 +211,26 @@ def gelu(x):
     size.  x holds real numbers.
     """
     x = _numbers("x", x)
-    out = np.empty(x.shape)
+    out = _gelu_into(x, np.empty(x.shape))
+    return out if out.ndim else out[()]
+
+
+def _gelu_into(x, out):
+    """:func:`gelu` of the float array x written to out, a C-contiguous float
+    array of x's shape, which may be x itself; returns out.
+
+    Each block of x is read only at the block's start, into x/sqrt(2) and
+    x*0.5, so writing over x gives the same bits as a fresh out.
+    """
     src, dst = x.reshape(-1), out.reshape(-1)
     size = min(src.size, _GELU_BLOCK)
-    z_buf, t_buf, p_buf = np.empty(size), np.empty(size), np.empty(size)
+    z_buf, t_buf, p_buf, half_buf = (np.empty(size) for _ in range(4))
     nonneg_buf = np.empty(size, dtype=bool)
     for lo in range(0, src.size, _GELU_BLOCK):
         xb, o = src[lo:lo + _GELU_BLOCK], dst[lo:lo + _GELU_BLOCK]
-        z, t, p, nonneg = (buf[:xb.size] for buf in (z_buf, t_buf, p_buf, nonneg_buf))
+        z, t, p, half, nonneg = (buf[:xb.size] for buf in (z_buf, t_buf, p_buf, half_buf, nonneg_buf))
         np.divide(xb, _SQRT2, out=z)                  # s = x/sqrt(2)
+        np.multiply(xb, 0.5, out=half)                # xb is not read again
         np.greater_equal(z, 0.0, out=nonneg)
         np.abs(z, out=z)
         np.multiply(z, 0.5, out=t)
@@ -238,9 +250,8 @@ def gelu(x):
         np.subtract(o, 1.0, out=p)
         np.negative(p, out=p, where=nonneg)
         p += 1.0
-        np.multiply(xb, 0.5, out=o)
-        o *= p
-    return out if out.ndim else out[()]
+        np.multiply(half, p, out=o)
+    return out
 
 
 def layer_kernels(params, l, kernel_limit=None):
@@ -250,22 +261,30 @@ def layer_kernels(params, l, kernel_limit=None):
     return kernels if limit is None else truncate_kernel(kernels, limit)
 
 
-def _recurrent_plan(params, l):
-    """The scan plan of params at length l, built once and kept on params.
+def _layer_plan(params, mode, l, kernel_limit):
+    """The parameter-only work of a mode at length l, built once and kept on params.
 
-    The kept plan is reused while the key matches: the variant, sizes, l,
-    and the dtype and bytes of the four arrays the scan reads, so an
-    in-place edit of any of them builds a new plan.  :func:`_check_layout`
-    has fixed their shapes and kinds, so equal keys mean equal parameters.
+    In ``conv`` mode the plan is the spectrum of :func:`layer_kernels`
+    (its finiteness checked once, when built); in ``recurrent`` mode it is
+    the scan's tables.  Each mode keeps its latest plan, reused while the
+    key matches: the variant, sizes, l, kernel_limit (None in recurrent
+    mode), and the dtype and bytes of the four arrays the kernels read, so
+    an in-place edit of any of them builds a new plan.
+    :func:`_check_layout` has fixed their shapes and kinds, so equal keys
+    mean equal parameters.
     """
     arrays = (params.lambda_re, params.lambda_im, params.delta_log, params.w)
-    key = (params.variant, params.h, params.n, l,
+    key = (params.variant, params.h, params.n, l, kernel_limit,
            *((a.dtype, a.tobytes()) for a in map(np.asarray, arrays)))
-    cached = params._scan_cache
-    if cached is None or cached[0] != key:
-        cached = params._scan_cache = (
-            key, _scan_plan(params.variant, *_diagonal_form(params), params.h, l))
-    return cached[1]
+    kept = params._plans.get(mode)
+    if kept is None or kept[0] != key:
+        if mode == "conv":
+            kernels = _numbers("kernel", layer_kernels(params, l, kernel_limit), finite=True)
+            plan = _kernel_spectrum(kernels)
+        else:
+            plan = _scan_plan(params.variant, *_diagonal_form(params), params.h, l)
+        kept = params._plans[mode] = (key, plan)
+    return kept[1]
 
 
 def ssm_outputs(params, u, mode="conv", kernel_limit=None):
@@ -274,21 +293,24 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None):
     ``mode="conv"`` convolves each coordinate with its kernel (FFT path);
     ``mode="recurrent"`` runs the recurrences instead, all coordinates and
     batch rows in one :func:`~diagssm.recurrence.chunked_scan` over a
-    (B,H,N) state, for every variant.  The scan's parameter-only tables
-    (its plan) are built once per layer and reused until the parameters
-    or L change (:func:`_recurrent_plan`).  Its step factors come from
+    (B,H,N) state, for every variant.  Each mode's parameter-only work (its
+    plan: the kernels' spectrum, or the scan's tables) is done once per
+    layer and kept until the parameters, L or ``kernel_limit`` change
+    (:func:`_layer_plan`); a layer keeps one plan per mode, so calls that
+    alternate modes rebuild neither.  The scan's step factors come from
     lam*dt alone, with every exponent's real part non-positive (softmax
     modes with Re(lam) > 0 accumulate first and are scaled at read-out),
     so it shares no closed form with the kernels.  Both modes run at
     ``DEFAULT_EPS`` and agree to rounding.  Kernel truncation only exists
     on the convolution path: a truncated kernel is no longer the impulse
-    response of the underlying recurrence.
+    response of the underlying recurrence.  Returns a new C-contiguous
+    array of u's shape.
 
     Both views share one layout check (:func:`_check_layout`) and one
     parameter check, and refuse the same parameters.  Raises ValueError
-    naming ``u`` when the input holds NaN or +-inf (the convolution and
-    the scan each check the input they consume): in either mode one NaN
-    would otherwise spread to earlier positions.
+    naming ``u`` when the input holds NaN or +-inf (checked on every call,
+    after the parameters): in either mode one NaN would otherwise spread
+    to earlier positions.
     """
     _check_layout(params)
     u = _numbers("input u", u)
@@ -300,10 +322,12 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None):
     if l < 1:
         raise ValueError("input length must be >= 1")
     if _choice("mode", mode, ("conv", "recurrent")) == "conv":
-        return causal_conv_fft(layer_kernels(params, l, kernel_limit), u)
+        limit = None if kernel_limit is None else _count("kernel_limit", kernel_limit)
+        spectrum = _layer_plan(params, "conv", l, limit)
+        return _conv_by_spectrum(spectrum, _numbers("input u", u, finite=True))
     if kernel_limit is not None:
         raise ValueError("kernel_limit requires conv mode")
-    return _scan_run(_recurrent_plan(params, l), u)
+    return _scan_run(_layer_plan(params, "recurrent", l, None), u)
 
 
 def layer_forward(params, u, mode="conv", kernel_limit=None):
@@ -314,9 +338,9 @@ def layer_forward(params, u, mode="conv", kernel_limit=None):
     non-finite value (see :func:`ssm_outputs`).
     """
     u = _numbers("input u", u)
-    y = ssm_outputs(params, u, mode, kernel_limit)    # a fresh array
+    y = ssm_outputs(params, u, mode, kernel_limit)    # a fresh C-contiguous array
     y += u
-    out = params.w_out @ gelu(y)       # (H, H) @ (B, H, L), through BLAS
+    out = params.w_out @ _gelu_into(y, y)       # (H, H) @ (B, H, L), through BLAS
     out += params.b_out[:, None]
     return out
 

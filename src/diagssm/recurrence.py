@@ -232,7 +232,8 @@ def _scan_plan(variant, lam, delta, w, h, l, eps=DEFAULT_EPS):
 
 
 def _scan_run(plan, u):
-    """The scan of a (B, H, L) float array u through a :func:`_scan_plan` for H and L."""
+    """The scan of a (B, H, L) float array u through a :func:`_scan_plan` for H and L,
+    as a new C-contiguous array."""
     # After the parameter checks, so both layer views name the same fault first.
     _numbers("input u", u, finite=True)
     toeplitz, read, read_tail, inject, decay, far_hi, far_lo, far_lo_tail = plan
@@ -240,7 +241,7 @@ def _scan_run(plan, u):
     block, n = toeplitz.shape[-1], decay.shape[-1]
     chunks = -(-l // block)
 
-    y = np.empty_like(u)
+    y = np.empty(u.shape)
     state = np.zeros((h, b, n), dtype=np.complex128)
     for j, c0 in enumerate(range(0, l, block)):
         tc = min(block, l - c0)

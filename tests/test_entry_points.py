@@ -18,6 +18,7 @@ import pytest
 
 from diagssm import (
     VARIANTS,
+    GeneralSSM,
     KernelParams,
     SplitMix64,
     build_kernel,
@@ -30,6 +31,7 @@ from diagssm import (
     exp_basis,
     finite_diff_grad,
     gelu,
+    general_ssm_kernel,
     init_layer,
     kernel_grad_exp,
     kernel_stats,
@@ -190,6 +192,15 @@ MALFORMED = {
     "fft softmax scalar nan": (lambda: softmax_via_fft(complex(math.nan, 1.0), 4), "c must be finite"),
     "dense weights length 2.0": (lambda: dense_to_diagonal_weights([1.0], [1.0], [-1 + 0j], 1.0, 2.0),
                                  "l must be an integer >= 1"),
+    "dense weights lam nan": (lambda: dense_to_diagonal_weights([1.0], [1.0], [math.nan], 1.0, 4),
+                              "lam must be finite"),
+    "dense weights vinvb nan": (lambda: dense_to_diagonal_weights([1.0], [math.nan], [-1 + 0j], 1.0, 4),
+                                "vinvb must be finite"),
+    "dense weights cv inf": (lambda: dense_to_diagonal_weights([math.inf], [1.0], [-1 + 0j], 1.0, 4),
+                             "cv must be finite"),
+    "unstable dense system, long l": (
+        lambda: general_ssm_kernel(GeneralSSM([[1.0]], [1.0], [1.0]), 1.0, 2000),
+        "ssm leaves float range within l = 2000 steps"),
     "kernel_limit 2.0": (lambda: ssm_outputs(LAYER, U, kernel_limit=2.0),
                          "kernel_limit must be an integer >= 1"),
     "kernel_limit True": (lambda: ssm_outputs(LAYER, U, kernel_limit=True),

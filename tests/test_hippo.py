@@ -103,6 +103,18 @@ def test_eigenvalues_reject_asymmetric():
         symmetric_eigenvalues(np.array([[1.0, 2.0], [0.5, 1.0]]))
     with pytest.raises(ValueError, match="not symmetric"):
         symmetric_eigenvalues(np.array([[1.0, 1j], [1j, 1.0]]))  # not Hermitian
+    # Entries that are not finite numbers are refused by name, before numpy sees them.
+    for bad, message in ((np.eye(2, dtype=object), "matrix must hold real numbers"),
+                         (np.array([["1", "0"], ["0", "1"]]), "matrix must hold real numbers"),
+                         (np.array([[math.nan, 0.0], [0.0, 1.0]]), "matrix must be finite")):
+        with pytest.raises(ValueError, match=message):
+            symmetric_eigenvalues(bad)
+    # The conversion keeps real input on eigvalsh's real path and the spectrum's bits.
+    base = np.random.RandomState(8).standard_normal((6, 6))
+    m = base + base.T
+    assert symmetric_eigenvalues(m).tobytes() == np.linalg.eigvalsh(m)[::-1].tobytes()
+    s = skew_hippo_matrix(5) + 0.5 * np.eye(10)
+    assert skew_hippo_lambda(5).lambda_im.tobytes() == np.linalg.eigvalsh(1j * s)[::-1][:5].tobytes()
 
 
 def test_lambda_n1_closed_form():

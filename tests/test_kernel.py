@@ -349,6 +349,10 @@ def test_general_ssm_kernel_rejects_singular():
     (-np.eye(2), np.ones(3), np.ones(2), 0.1, "B and C must match"),
     (-np.eye(2), np.ones(2), np.ones(3), 0.1, "B and C must match"),
     (-np.eye(17), np.ones(17), np.ones(17), 0.1, "N <= 16"),
+    # Unstable systems: exp(A*delta) overflows in the squarings, or e^700
+    # is finite and the read-out's e^1400 is not.
+    ([[1.0]], [1.0], [1.0], 1e3, "ssm leaves float range"),
+    ([[700.0]], [1.0], [1.0], 1.0, "ssm leaves float range"),
 ])
 def test_general_ssm_kernel_refuses_malformed_systems(a, b, c, delta, message):
     with pytest.raises(ValueError, match=message):

@@ -10,6 +10,7 @@ import pytest
 
 from diagssm import (
     SplitMix64,
+    causal_conv_fft,
     chunked_scan,
     effective_lambda,
     gelu,
@@ -34,6 +35,7 @@ from diagssm.layer import (
     DELTA_INIT_LOW,
     LayerParams,
     _cache_aligned_empty,
+    _gelu_into,
 )
 
 
@@ -163,10 +165,17 @@ def test_gelu_bitwise_on_any_layout_and_non_finite_entries():
         np.array([-0.0, 0.0, 5e-324, -5e-324, 40.0, -40.0, 1e300, -1e300]),
         np.arange(-20, 21),         # int array
     ]
+    edges = 3.0 * rng.standard_normal(3 * _GELU_BLOCK + 5)
+    edges[rng.choice(edges.size, 60, replace=False)] = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf] * 10
+    cases.append(edges)
     for x in cases:
         kept = x.copy()
         with np.errstate(invalid="ignore", over="ignore"):
             assert_bitwise(gelu(x), oracle_gelu(x))
+            # In place, as layer_forward runs it: the same bits as a fresh output.
+            inplace = np.array(x, dtype=float, order="C")
+            assert _gelu_into(inplace, inplace) is inplace
+            assert_bitwise(inplace, gelu(x))
         assert_bitwise(x, kept)
     for scalar in (0.0, -1.5, 2, np.float64(0.3)):
         got = gelu(scalar)
@@ -311,8 +320,9 @@ def test_recurrent_mode_refuses_non_finite(field):
         ssm_outputs(params, np.ones((1, 4, 16)), mode="recurrent")
 
 
-# Seeded property test: recurrent ssm_outputs keeps each layer's scan plan,
-# and reuses it only while the parameters and L are unchanged.
+# Seeded property test: ssm_outputs keeps each layer's plan for each mode
+# (the scan's tables, the kernels' spectrum), and reuses it only while the
+# parameters, L and kernel_limit are unchanged.
 
 def fresh_scan(params, u):
     delta = np.exp(params.delta_log)
@@ -348,26 +358,71 @@ def test_property_kept_scan_plan_is_a_fresh_scan(variant):
         elif change == 2:
             l = int(rng.choice([n for n in (1, 31, 33, 1000) if n != l]))
         lengths[which] = l
-        kept = params._scan_cache
+        kept = params._plans.get("recurrent")
         u = rng.standard_normal((int(rng.integers(1, 4)), params.h, l))
         got = ssm_outputs(params, u, "recurrent")
         assert got.tobytes() == fresh_scan(params, u).tobytes()
         # A call with nothing changed keeps the plan; any change builds a new one.
-        assert (params._scan_cache is kept) == (kept is not None and change == 0)
+        assert (params._plans.get("recurrent") is kept) == (kept is not None and change == 0)
+
+    # Both modes on the same layers, alternating as the benchmark's recurrent
+    # workload does when it checks each op in conv mode.  seen[which][mode]
+    # is (L, kernel_limit) at that mode's last call, dropped by an array edit;
+    # the recurrent plans of the calls above are kept.
+    seen = [{"recurrent": (l, None)} if params._plans else {} for params, l in zip(layers, lengths)]
+    limits = [None, None]
+    for call in range(96):
+        which = int(rng.integers(2))
+        params, l, limit = layers[which], lengths[which], limits[which]
+        mode = ("conv", "recurrent")[int(rng.integers(2))]
+        other = "recurrent" if mode == "conv" else "conv"
+        change = rng.integers(4)    # 0: none, 1: an array in place, 2: L, 3: kernel_limit
+        if change == 1:
+            name = _SCAN_ARRAYS[call % 4]
+            value = getattr(params, name)
+            value.flat[rng.integers(value.size)] += 0.01j if name == "w" else 0.01
+            seen[which] = {}
+        elif change == 2:
+            l = int(rng.choice([n for n in (1, 31, 33, 1000) if n != l]))
+        elif change == 3:
+            limit = rng.choice([v for v in (None, 1, 7, 40) if v != limit])
+        lengths[which], limits[which] = l, limit
+        arg = limit if mode == "conv" else None
+        kept, kept_other = params._plans.get(mode), params._plans.get(other)
+        u = rng.standard_normal((int(rng.integers(1, 4)), params.h, l))
+        got = ssm_outputs(params, u, mode, arg)
+        if mode == "conv":
+            want = causal_conv_fft(layer_kernels(params, l, arg), u)
+        else:
+            want = fresh_scan(params, u)
+        assert got.tobytes() == want.tobytes()
+        assert (params._plans.get(mode) is kept) == (seen[which].get(mode) == (l, arg))
+        assert params._plans.get(other) is kept_other
+        seen[which][mode] = (l, arg)
 
     params = layers[0]
     u = rng.standard_normal((1, params.h, 40))     # one row: BLAS takes its matrix-vector path
     ssm_outputs(params, u, "recurrent")
+    ssm_outputs(params, u, "conv", 7)
     clone = pickle.loads(pickle.dumps(params))
-    assert clone._scan_cache is None
+    assert clone._plans.get("recurrent") is None
+    assert clone._plans.get("conv") is None
     assert ssm_outputs(clone, u, "recurrent").tobytes() == fresh_scan(params, u).tobytes()
+    want = causal_conv_fft(layer_kernels(params, 40, 7), u)
+    assert ssm_outputs(clone, u, "conv", 7).tobytes() == want.tobytes()
+    kept = params._plans["conv"]
     params.delta_log[-1], old = 800.0, params.delta_log[-1]
     want = refusal(lambda: ssm_outputs(dataclasses.replace(params), u, "recurrent"))
     assert refusal(lambda: ssm_outputs(params, u, "recurrent")) == want
+    want = refusal(lambda: ssm_outputs(dataclasses.replace(params), u, "conv", 7))
+    assert refusal(lambda: ssm_outputs(params, u, "conv", 7)) == want
     params.delta_log[-1] = old      # the plan kept from before the edit applies again
     u[-1, -1, -1] = np.nan
     with pytest.raises(ValueError, match="input u must be finite"):
         ssm_outputs(params, u, "recurrent")
+    with pytest.raises(ValueError, match="input u must be finite"):
+        ssm_outputs(params, u, "conv", 7)
+    assert params._plans["conv"] is kept
 
 
 @pytest.mark.parametrize("variant", ["exp", "softmax", "exp_no_scale"])
