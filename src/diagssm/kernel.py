@@ -371,9 +371,9 @@ def dense_to_diagonal_weights(cv, vinvb, lam, delta, l):
         w_i  = w~_i * (exp(L*lam_i*delta) - 1)
 
     ``w~`` feeds the exp-form kernel, ``w`` the softmax form.  delta is a
-    positive scalar and l a count.  Errors out rather than overflowing when
-    L*Re(lam_i)*delta is large positive, and rejects near-singular growth
-    factors |exp(L*lam_i*delta) - 1| <= 1e-12.
+    positive scalar and l a count.  Raises ValueError rather than
+    overflowing when L*Re(lam_i)*delta > 700, and rejects near-singular
+    growth factors |exp(L*lam_i*delta) - 1| <= 1e-12.
     """
     cv, vinvb, lam = (_numbers(name, x, np.complex128, finite=True).reshape(-1)
                       for name, x in (("cv", cv), ("vinvb", vinvb), ("lam", lam)))
@@ -382,7 +382,8 @@ def dense_to_diagonal_weights(cv, vinvb, lam, delta, l):
     w_tilde = cv * vinvb
     z = l * delta * lam
     if np.any(z.real > 700.0):
-        raise OverflowError("weight overflow")
+        raise ValueError("weight overflow: L*Re(lam)*delta must be at most 700, "
+                         f"got {z.real.max():.6g}")
     grow = np.expm1(z)
     if np.any(np.abs(grow) <= 1e-12):
         raise ValueError("softmax weight undefined")

@@ -192,9 +192,13 @@ _ERF_COEFFS = (
 
 _SQRT2 = math.sqrt(2.0)
 
-# Elements per gelu block: the block's input, output and four scratch
-# buffers stay in a core's L2 cache across the ~35 passes of the formula.
+# Elements per gelu block: the block's input and output and the four float
+# scratch buffers (1 MiB together) stay in a core's L2 cache across the 32
+# elementwise passes of the formula.
 _GELU_BLOCK = 1 << 15
+
+# The float64 sign bit, for applying erf's odd symmetry as a bit operation.
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 def gelu(x):
@@ -221,17 +225,21 @@ def _gelu_into(x, out):
 
     Each block of x is read only at the block's start, into x/sqrt(2) and
     x*0.5, so writing over x gives the same bits as a fresh out.
+
+    The loop is branch-free: erf's sign is applied by a sign-bit AND and
+    XOR on uint64 views, not by a masked (``where=``) ufunc.  numpy's masked
+    loop is not vectorized and mispredicts on mixed-sign data: it took
+    10-14 ns per element on a random-sign 2^15 block, about half the GELU,
+    where a plain pass takes 0.3-0.8 ns and the AND plus XOR 0.6-0.8 ns.
     """
     src, dst = x.reshape(-1), out.reshape(-1)
     size = min(src.size, _GELU_BLOCK)
     z_buf, t_buf, p_buf, half_buf = (np.empty(size) for _ in range(4))
-    nonneg_buf = np.empty(size, dtype=bool)
     for lo in range(0, src.size, _GELU_BLOCK):
         xb, o = src[lo:lo + _GELU_BLOCK], dst[lo:lo + _GELU_BLOCK]
-        z, t, p, half, nonneg = (buf[:xb.size] for buf in (z_buf, t_buf, p_buf, half_buf, nonneg_buf))
+        z, t, p, half = (buf[:xb.size] for buf in (z_buf, t_buf, p_buf, half_buf))
         np.divide(xb, _SQRT2, out=z)                  # s = x/sqrt(2)
         np.multiply(xb, 0.5, out=half)                # xb is not read again
-        np.greater_equal(z, 0.0, out=nonneg)
         np.abs(z, out=z)
         np.multiply(z, 0.5, out=t)
         t += 1.0
@@ -241,14 +249,18 @@ def _gelu_into(x, out):
             p += coeff
             p *= t
         np.multiply(z, z, out=o)
-        np.negative(o, out=o)
-        o += _ERF_COEFFS[0]
+        np.subtract(_ERF_COEFFS[0], o, out=o)        # == -(z*z) + c0 exactly
         o += p
         np.exp(o, out=o)
         o *= t                                        # erfc(|s|)
-        # erf(s) = 1 - erfc for s >= 0, else erfc - 1; 1 - erfc == -(erfc - 1) exactly
-        np.subtract(o, 1.0, out=p)
-        np.negative(p, out=p, where=nonneg)
+        # erf(s) = 1 - erfc for s >= 0, else erfc - 1 == -(1 - erfc) exactly, so
+        # s's sign bit (half's; z is spent) is XORed onto 1 - erfc.  The bit and
+        # s >= 0 disagree only at x = -0 and on NaN, where half*p is half's -0
+        # or NaN either way.
+        np.subtract(1.0, o, out=p)
+        sign = z.view(np.uint64)
+        np.bitwise_and(half.view(np.uint64), _SIGN_BIT, out=sign)
+        np.bitwise_xor(p.view(np.uint64), sign, out=p.view(np.uint64))
         p += 1.0
         np.multiply(half, p, out=o)
     return out

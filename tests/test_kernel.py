@@ -373,7 +373,7 @@ def test_dense_to_diagonal_weights_zero_readout():
 
 
 def test_dense_to_diagonal_weights_guards():
-    with pytest.raises(OverflowError, match="weight overflow"):
+    with pytest.raises(ValueError, match="weight overflow"):
         dense_to_diagonal_weights([1.0], [1.0], [2.0 + 0j], 1.0, 400)
     with pytest.raises(ValueError, match="softmax weight undefined"):
         dense_to_diagonal_weights([1.0], [1.0], [1e-13 + 0j], 1.0, 2)

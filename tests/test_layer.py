@@ -163,7 +163,11 @@ def test_gelu_bitwise_on_any_layout_and_non_finite_entries():
         block[::2, 1::3],           # strided view
         specials,
         np.array([-0.0, 0.0, 5e-324, -5e-324, 40.0, -40.0, 1e300, -1e300]),
+        np.array([np.copysign(np.nan, -1.0), np.nan, -1.0, 1.0]),  # NaN of each sign
         np.arange(-20, 21),         # int array
+        np.abs(block),              # blocks of one sign only
+        -np.abs(block),
+        np.abs(block.ravel()) * np.resize([1.0, -1.0], block.size),  # alternating signs
     ]
     edges = 3.0 * rng.standard_normal(3 * _GELU_BLOCK + 5)
     edges[rng.choice(edges.size, 60, replace=False)] = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf] * 10
@@ -194,6 +198,19 @@ def test_gelu_scratch_memory_is_cache_sized():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * out.nbytes
+
+
+def test_gelu_in_place_holds_four_block_buffers():
+    # The in-place GELU of layer_forward allocates its four float scratch
+    # blocks and nothing else: no mask or sign buffer, no input-sized array.
+    y = np.random.default_rng(1).standard_normal((4, 16, 16384))
+    tracemalloc.start()
+    try:
+        _gelu_into(y, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * _GELU_BLOCK + 4096
 
 
 def test_gelu_erf_within_1e7_of_math_erf():
