@@ -7,6 +7,7 @@ malformed input file, 3 a check suite (or the trained lag) failed,
 """
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -219,7 +220,8 @@ def _build_parser():
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--steps", type=int, default=5000)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=float,
+                   default=inspect.signature(train_toy_delay).parameters["lr"].default)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=_cmd_train_toy)

@@ -566,7 +566,8 @@ def _toy_least_squares_mse(n, l, lag):
 
 def _toy_reference_history(n, l, lag, steps, lr, seed):
     """train_toy_delay's logged losses from a plain loop that forms the
-    kernel, its residual and the gradient from the lift at every step."""
+    kernel, its residual and the gradient from the lift at every step, and
+    the first step whose loss is not finite (None if every loss is)."""
     lift, target = _toy_setup(n, l, lag)
     rng = SplitMix64(seed)
     w = np.array([complex(rng.normal(), rng.normal()) for _ in range(n)])
@@ -575,17 +576,21 @@ def _toy_reference_history(n, l, lag, steps, lr, seed):
     theta = theta * math.sqrt(TOY_INIT_ENERGY / float(np.mean(k0 * k0)))
     m = v = np.zeros(2 * n)
     history = []
-    for step in range(steps + 1):
-        resid = theta @ lift - target
-        if step % 100 == 0 or step == steps:
-            history.append(float(np.mean(resid * resid)))
-        grad = lift @ (2.0 * resid / l)
-        m = 0.9 * m + (1.0 - 0.9) * grad
-        v = 0.999 * v + (1.0 - 0.999) * grad * grad
-        m_hat = m / (1.0 - 0.9 ** (step + 1))
-        v_hat = v / (1.0 - 0.999 ** (step + 1))
-        theta = theta - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-    return history
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps + 1):
+            resid = theta @ lift - target
+            mse = float(np.mean(resid * resid))
+            if not math.isfinite(mse):
+                return history, step
+            if step % 100 == 0 or step == steps:
+                history.append(mse)
+            grad = lift @ (2.0 * resid / l)
+            m = 0.9 * m + (1.0 - 0.9) * grad
+            v = 0.999 * v + (1.0 - 0.999) * grad * grad
+            m_hat = m / (1.0 - 0.9 ** (step + 1))
+            v_hat = v / (1.0 - 0.999 ** (step + 1))
+            theta = theta - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return history, None
 
 
 @pytest.mark.parametrize("n, l, lag, steps, lr", [
@@ -596,9 +601,30 @@ def test_train_toy_follows_the_direct_loop(n, l, lag, steps, lr):
     # gradient differs, so the logged losses agree to rounding.
     report = train_toy_delay(n, l, lag, steps, lr=lr, seed=steps + lag)
     got = [entry["mse"] for entry in report["history"]]
-    want = _toy_reference_history(n, l, lag, steps, lr, steps + lag)
+    want, diverged_at = _toy_reference_history(n, l, lag, steps, lr, steps + lag)
+    assert diverged_at is None
     assert len(got) == len(want)
     assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("lr", [1e300, 1e200, 1e160])
+@pytest.mark.parametrize("n, l, lag", [(1, 1, 0), (3, 40, 0), (4, 64, 63), (8, 128, 100)])
+def test_train_toy_diverges_at_the_direct_loops_step(n, l, lag, lr):
+    # Adam's bias corrections, step size and gradient scale are folded into
+    # per-step scalars; a huge lr must still overflow the loss at the step
+    # where the plain loop's does, not in those scalars or a step later.
+    _, diverged_at = _toy_reference_history(n, l, lag, 20, lr, n + lag)
+    assert diverged_at is not None
+    with pytest.raises(RuntimeError, match=f"^training diverged at step {diverged_at}$"):
+        train_toy_delay(n, l, lag, 20, lr=lr, seed=n + lag)
+
+
+@pytest.mark.parametrize("seed", [960769185, 161173238])
+def test_train_toy_recovers_the_lag_on_seeds_that_failed_at_lr_1e_3(seed):
+    # At lr = 1e-3 Adam stopped about 3% above the least-squares optimum on
+    # these two seeds, with the kernel's peak at 14 instead of the lag.
+    report = train_toy_delay(32, 1024, 1000, 5000, seed=seed)
+    assert report["final_argmax"] == 1000
 
 
 # Seeded property test (ROADMAP item 5): with the spectrum frozen the toy is
