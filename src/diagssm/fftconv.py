@@ -17,7 +17,7 @@ import cmath
 
 import numpy as np
 
-from .cnum import DEFAULT_EPS, _count, _numbers, softmax_eps
+from .cnum import _count, _numbers, softmax_eps
 
 # Spectrum bytes of one block of input rows in causal_conv_fft.  At
 # (B,H,L) = (4,16,16384), 1 MB blocks ran no faster and left the process
@@ -118,7 +118,7 @@ def _conv_by_spectrum(spec_k, u):
     return out
 
 
-def softmax_via_fft(c, l, eps=DEFAULT_EPS):
+def softmax_via_fft(c, l):
     """softmax(c*0, c*1, ..., c*(L-1)) evaluated in the transform domain.
 
     Exploits the geometric structure of the input: the softmax values are
@@ -126,12 +126,12 @@ def softmax_via_fft(c, l, eps=DEFAULT_EPS):
     roots of unity and inverse transformed.  Only scalars with negative
     real part are exponentiated.  Valid for Re(c) != 0 away from the
     singular points {-2*pi*i*k/L}; non-power-of-two lengths fall back to
-    the direct eps-stabilized softmax.
+    the direct eps-stabilized softmax at ``DEFAULT_EPS``.
     """
     c = complex(_numbers("c", c, np.complex128, finite=True))
     l = _count("l", l)
     if l & (l - 1):
-        return softmax_eps(c * np.arange(l), eps)
+        return softmax_eps(c * np.arange(l))
     ks = np.arange(l)
     if c.real == 0.0 or np.min(np.abs(c + 2j * np.pi * ks / l)) < 1e-9:
         raise ValueError("FFT softmax singular")

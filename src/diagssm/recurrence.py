@@ -33,10 +33,11 @@ are formed from the same tables as sums of e^{rho k}, never as
 (e^{rho L}-1)/(e^{rho}-1), so a spectrum with e^{rho L} = 1 gives the
 eps-regularized output of the convolution view instead of an error.
 
-:func:`run_exp` and :func:`run_softmax_stable` step one coordinate's
-recurrence position by position.  They are the reference oracles the
-scan and the convolution view are checked against.  Every view here
-discretizes, and checks its parameters, in ``kernel._diagonal_rates``.
+:func:`run_exp` (``exp`` and ``exp_no_scale``) and
+:func:`run_softmax_stable` step one coordinate's recurrence position by
+position.  They are the reference oracles the scan and the convolution
+view are checked against.  Every view here discretizes, and checks its
+parameters, in ``kernel._diagonal_rates``.
 
 With zero initial state every recurrence reproduces the convolution of the
 input with the corresponding kernel.
@@ -51,20 +52,20 @@ from .kernel import _diagonal_form, _diagonal_rates, _exp_factors, _exp_range, _
 
 
 def run_exp(params, u, x_init=None):
-    """Step the exp-variant recurrence over u; returns (y, final_state).
+    """Step the exp or exp_no_scale recurrence over u; returns (y, final_state).
 
     ``x_init`` defaults to zero, in which case y equals the causal
-    convolution of u with the exp-variant kernel.  Passing the returned
-    state back in continues a split sequence exactly.  This is the
-    per-step reference oracle for one coordinate; layers run
-    :func:`chunked_scan`.
+    convolution of u with the variant's kernel (input map 1 for
+    ``exp_no_scale``).  Passing the returned state back in continues a
+    split sequence exactly.  This is the per-step reference oracle for
+    one coordinate; layers run :func:`chunked_scan`.
     """
-    _require_variant(params, "exp")
+    _require_variant(params, "exp", "exp_no_scale")
     u = _numbers("input u", u, finite=True)
     if u.ndim != 1:
         raise ValueError("input u must be one-dimensional")
     lam, delta, _ = _diagonal_form(params)
-    _, b_bar, z, _ = _diagonal_rates("exp", lam, delta, np.ones((1, params.n)), 1, 1)
+    _, b_bar, z, _ = _diagonal_rates(params.variant, lam, delta, np.ones((1, params.n)), 1, 1)
     a_bar, b_bar = np.exp(z[0]), b_bar[0]
     x = np.zeros(params.n) if x_init is None else x_init
     x = _numbers("x_init", x, np.complex128, finite=True).reshape(-1).copy()
@@ -132,10 +133,9 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
     ``lam`` (N,) is the effective spectrum the H coordinates share,
     ``delta`` (H,) their sample times and ``w`` (H, N) their weights, in
     the form the variant's kernel takes them.  Returns y of u's shape:
-    y[b, h] is what :func:`run_exp` (``exp``) or :func:`run_softmax_stable`
-    (``softmax``, horizon L) gives for coordinate h on u[b, h], and for
-    ``exp_no_scale`` the recurrence with input map 1, whose impulse
-    response is that variant's kernel.  The (B, H, N) state is held as
+    y[b, h] is what :func:`run_exp` (``exp``, ``exp_no_scale``) or
+    :func:`run_softmax_stable` (``softmax``, horizon L) gives for
+    coordinate h on u[b, h].  The (B, H, N) state is held as
     (H, B, N), so each product batches over H, and the loop runs once per
     chunk of 32 steps; see the module docstring.  NaN or inf in u is refused.
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from diagssm import cli, init_layer, save_layer_params
+from diagssm import build_kernel, cli, init_layer, save_layer_params
 from diagssm.cli import main
 
 
@@ -50,6 +50,16 @@ def test_kernel_prints_to_stdout_without_out_flag(capsys):
     assert len(values) == 3
 
 
+def test_kernel_delta_overrides_the_seeded_sample_time(capsys):
+    code, out, _ = run(["kernel", "--variant", "exp", "--n", "8", "--l", "16",
+                        "--seed", "3", "--delta", "0.05"], capsys)
+    assert code == 0
+    params = init_layer(1, 8, "exp", 3).coordinate_kernel_params(0)
+    params.delta_log = math.log(0.05)
+    got = np.array([float(v) for v in out.strip().split(",")])
+    assert got.tobytes() == build_kernel(params, 16).tobytes()
+
+
 def test_kernel_rejects_nonpositive_delta(capsys):
     code, _, err = run(["kernel", "--variant", "exp", "--l", "4",
                         "--delta", "0"], capsys)
@@ -86,6 +96,14 @@ def test_check_deterministic_output(capsys):
                           "--seed", "5"], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_check_failure_exits_3_and_names_the_instance(monkeypatch, capsys):
+    monkeypatch.setitem(cli.TOLERANCES, "grad", 0.0)
+    code, out, err = run(["check", "--suite", "grad", "--trials", "2", "--seed", "5"], capsys)
+    assert code == 3
+    assert out.count("FAIL grad trial") == 2 and out.rstrip().endswith("FAIL: 2 checks")
+    assert err.count("failing instance: n=") == 2
 
 
 def test_check_rejects_bad_trials(capsys):

@@ -23,6 +23,7 @@ from diagssm import (
     SplitMix64,
     build_kernel,
     causal_conv_fft,
+    causal_conv_naive,
     chunked_scan,
     dense_to_diagonal_weights,
     diagonal_kernels,
@@ -47,6 +48,7 @@ from diagssm import (
     softmax_eps,
     softmax_via_fft,
     ssm_outputs,
+    symmetric_eigenvalues,
     train_toy_delay,
     truncate_kernel,
 )
@@ -101,7 +103,7 @@ def coordinate_paths(variant, params, u):
     paths = {"exp": [lambda kp: np.concatenate(run_exp(kp, u0)), gradient,
                      lambda kp: exp_basis(kp, l)],
              "softmax": [lambda kp: np.concatenate(run_softmax_stable(kp, u0))],
-             "exp_no_scale": []}[variant]
+             "exp_no_scale": [lambda kp: np.concatenate(run_exp(kp, u0))]}[variant]
     return [lambda fn=fn: fn(params.coordinate_kernel_params(0)) for fn in paths]
 
 
@@ -224,6 +226,14 @@ MALFORMED = {
     "complex oracle input": (lambda: run_exp(P_EXP, np.ones(8) + 1j), "input u must hold real numbers"),
     "complex upstream": (lambda: kernel_grad_exp(P_EXP, 8, np.ones(8) + 1j),
                          "upstream must hold real numbers"),
+    "upstream of another length": (lambda: kernel_grad_exp(P_EXP, 8, np.ones(7)),
+                                   "upstream must have shape (8,), got (7,)"),
+    "2-D oracle input": (lambda: run_exp(P_EXP, np.ones((2, 4))), "input u must be one-dimensional"),
+    "oracle state of another size": (lambda: run_exp(P_EXP, np.ones(4), x_init=np.ones(2)),
+                                     "x_init must hold 1 entries, one per mode"),
+    "2-D direct convolution input": (lambda: causal_conv_naive(np.ones((2, 4)), np.ones((2, 4))),
+                                     "kernel and input u must be one-dimensional"),
+    "non-square eigenproblem": (lambda: symmetric_eigenvalues(np.ones((2, 3))), "matrix not symmetric"),
     "complex gelu input": (lambda: gelu(np.ones(8) + 1j), "x must hold real numbers"),
     "object input": (lambda: layer_forward(LAYER, np.full((1, 2, 8), None)), "input u must hold real numbers"),
     "complex lambda_re": (lambda: KernelParams("exp", [1j], [0.0], [1.0], 0.0),

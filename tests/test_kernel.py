@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -434,6 +435,63 @@ def test_kernel_grad_weight_entry_hand_value():
     p = exp_params([0.0], [0.0], [1.0], math.log(LN2))
     g = kernel_grad_exp(p, 1, np.array([1.0]))
     assert g.d_w_re[0] == pytest.approx(0.5, abs=1e-12)
+
+
+def grad_and_differences(params, l, u):
+    """kernel_grad_exp of (params, l, u) and its central differences, as
+    vectors over [lambda_re, lambda_im, Re w, Im w, delta_log]."""
+    n = params.n
+
+    def loss(theta):
+        p = exp_params(theta[:n], theta[n:2 * n], theta[2 * n:3 * n] + 1j * theta[3 * n:4 * n],
+                       theta[4 * n])
+        return float(dss_exp_kernel(p, l) @ u)
+
+    theta = np.concatenate([params.lambda_re, params.lambda_im, params.w.real, params.w.imag,
+                            [params.delta_log]])
+    return grad_as_vector(kernel_grad_exp(params, l, u)), finite_diff_grad(loss, theta)
+
+
+def assert_real_system_grad(params, l, u):
+    """A real system's gradient: finite, d_lambda_im exactly 0 (f is even in
+    lambda_im), every other component within 1e-6 of central differences,
+    relative to the largest of them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = grad_and_differences(params, l, u)
+    n = params.n
+    assert np.isfinite(got).all()
+    assert np.all(got[n:2 * n] == 0.0)
+    others = np.r_[0:n, 2 * n:4 * n + 1]
+    err = np.abs(got[others] - want[others]).max() / np.abs(want[others]).max()
+    assert err <= 1e-6, err
+
+
+def test_kernel_grad_is_finite_where_delta_squared_overflows():
+    # dt = e^400 and lam = -e^-400: z = -1, and dt^2 = e^800 is past float range.
+    assert_real_system_grad(exp_params([-400.0], [0.0], [1.0], 400.0), 8,
+                            np.random.default_rng(3).standard_normal(8))
+
+
+def test_property_kernel_grad_of_real_systems_with_huge_delta():
+    rng = np.random.default_rng(25)
+    for _ in range(40):
+        n, l = int(rng.integers(1, 5)), int(rng.integers(2, 33))
+        delta_log = rng.uniform(360.0, 700.0)
+        re_z = -np.exp(rng.uniform(-3.0, 3.0, n))       # |Re z| within e^{+-3}
+        params = exp_params(np.log(-re_z) - delta_log, np.zeros(n), rng.uniform(-1.0, 1.0, n),
+                            delta_log)
+        assert_real_system_grad(params, l, rng.standard_normal(l))
+
+
+def test_kernel_grad_refuses_a_component_past_float_range():
+    # Im z = 0.52 at dt = e^400: d/dlambda_im = -dt Im(df/dz) ~ e^800.
+    params = exp_params([-400.0], [1e-174], [1.0], 400.0)
+    assert np.isfinite(dss_exp_kernel(params, 8)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^gradient leaves float range$"):
+            kernel_grad_exp(params, 8, np.ones(8))
 
 
 def test_kernel_grad_refuses_what_the_kernel_builder_refuses():

@@ -619,6 +619,14 @@ def test_train_toy_diverges_at_the_direct_loops_step(n, l, lag, lr):
         train_toy_delay(n, l, lag, 20, lr=lr, seed=n + lag)
 
 
+def test_train_toy_divergence_in_its_last_step_is_caught_by_the_final_check():
+    # One step: the loop checks only the initial loss, and the final
+    # kernel's loss overflows, at the step where the plain loop's does.
+    assert _toy_reference_history(2, 8, 3, 1, 1e300, 0)[1] == 1
+    with pytest.raises(RuntimeError, match="^training diverged at step 1$"):
+        train_toy_delay(2, 8, 3, 1, lr=1e300, seed=0)
+
+
 @pytest.mark.parametrize("seed", [960769185, 161173238])
 def test_train_toy_recovers_the_lag_on_seeds_that_failed_at_lr_1e_3(seed):
     # At lr = 1e-3 Adam stopped about 3% above the least-squares optimum on
@@ -642,6 +650,13 @@ def test_property_train_toy_never_beats_least_squares(n, l, lag):
     assert report["final_mse"] >= best * (1.0 - 1e-12) - 1e-24
     for entry in report["history"]:
         assert entry["mse"] >= best * (1.0 - 1e-12) - 1e-14 / l
+
+
+def test_report_refuses_a_value_json_cannot_hold(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError, match="^cannot write object as JSON$"):
+        write_report_json(path, object())
+    assert not path.exists()
 
 
 def test_nearest_rank_percentile_definition():

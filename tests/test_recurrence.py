@@ -12,6 +12,7 @@ from diagssm import (
     chunked_scan,
     diagonal_kernels,
     dss_exp_kernel,
+    dss_exp_noscale_kernel,
     effective_lambda,
     run_exp,
     run_softmax_stable,
@@ -96,6 +97,24 @@ def test_run_exp_state_continuation():
     assert np.abs(x_b - x_full).max() < 1e-12
 
 
+def test_run_exp_steps_exp_no_scale():
+    # Input map 1: the impulse response is dss_exp_noscale_kernel, and a
+    # split run resumed from its state is bitwise the whole run.
+    rng = np.random.RandomState(25)
+    for _ in range(5):
+        e = sample_exp_params(rng)
+        p = KernelParams("exp_no_scale", e.lambda_re, e.lambda_im, e.w, e.delta_log)
+        u = rng.standard_normal(512)
+        y, x = run_exp(p, u)
+        want = causal_conv_fft(dss_exp_noscale_kernel(p, 512), u)
+        assert np.abs(y - want).max() <= 1e-10 * np.abs(want).max()
+        cut = int(rng.randint(1, 512))
+        y_a, x_a = run_exp(p, u[:cut])
+        y_b, x_b = run_exp(p, u[cut:], x_init=x_a)
+        assert np.concatenate([y_a, y_b]).tobytes() == y.tobytes()
+        assert x_b.tobytes() == x.tobytes()
+
+
 def test_run_exp_forget_limit():
     # strongly damped mode: the state tracks -u_k / lam within each step
     p = KernelParams("exp", [math.log(30.0)], [0.0], [1.0], 0.0)  # lam = -30, dt = 1
@@ -168,17 +187,9 @@ def test_run_softmax_rejects_zero_lambda():
 
 def _step_oracle(kp, u, eps):
     """One coordinate's output stepped position by position."""
-    if kp.variant == "exp":
-        return run_exp(kp, u)[0]
     if kp.variant == "softmax":
         return run_softmax_stable(kp, u, eps)[0]
-    a_bar = np.exp(kp.delta * effective_lambda(kp))
-    x = np.zeros(kp.n, dtype=np.complex128)
-    y = np.empty(u.size)
-    for k, uk in enumerate(u):
-        x = a_bar * x + uk
-        y[k] = (kp.w @ x).real
-    return y
+    return run_exp(kp, u)[0]
 
 
 def _scan_instance(rng, variant, h=2, n=6):
