@@ -15,6 +15,7 @@ from .cnum import DEFAULT_EPS, cmax_by_real, reciprocal_eps, softmax_eps
 from .fftconv import causal_conv_fft, causal_conv_naive, fft, softmax_via_fft
 from .hippo import DiagSpectrum, skew_hippo_lambda, skew_hippo_matrix, symmetric_eigenvalues
 from .kernel import (
+    DiagonalParams,
     GeneralSSM,
     KernelGradients,
     KernelParams,

@@ -163,7 +163,7 @@ def check_recurrence(trials, seed, l=4096):
         y_seq, _ = run_softmax_stable(soft_params, u)
         y_conv = causal_conv_fft(build_kernel(soft_params, l), u)
         detail = "exp n=%d delta_log=%.4f | softmax n=%d re_sign=%s" % (
-            exp_params.n, exp_params.delta_log, soft_params.n,
+            exp_params.n, exp_params.delta_log[0], soft_params.n,
             "+" if force_positive else "mixed")
         results.append(Trial(
             {"exp": err_exp, "softmax": float(np.abs(y_seq - y_conv).max())},
@@ -185,32 +185,22 @@ def check_fftsoftmax(trials, seed, lengths=(8, 64, 1024)):
 
 
 def check_grad(trials, seed):
-    """Analytic exp-kernel gradients against central finite differences;
-    error ``grad`` is relative (floored at 1e-8 in the denominator)."""
+    """Analytic exp-kernel gradients against central finite differences
+    over the parameters' :meth:`~diagssm.kernel.DiagonalParams.pack`
+    vector; error ``grad`` is relative (floored at 1e-8 in the
+    denominator)."""
     rng = np.random.RandomState(seed)
     results = []
     for _ in range(trials):
         params = sample_exp_params(rng, n_max=4)
-        n = params.n
         l = int(rng.randint(2, 33))
         upstream = rng.standard_normal(l)
-
-        def loss(theta):
-            p = KernelParams("exp", theta[0:n], theta[n:2 * n],
-                             theta[2 * n:3 * n] + 1j * theta[3 * n:4 * n], theta[4 * n])
-            return float(dss_exp_kernel(p, l) @ upstream)
-
-        theta0 = np.concatenate([
-            params.lambda_re, params.lambda_im, params.w.real, params.w.imag,
-            [params.delta_log],
-        ])
         g = kernel_grad_exp(params, l, upstream)
-        analytic = np.concatenate([
-            g.d_lambda_re, g.d_lambda_im, g.d_w_re, g.d_w_im, [g.d_delta_log],
-        ])
-        numeric = finite_diff_grad(loss, theta0, h=1e-6)
+        analytic = np.r_[g.d_lambda_re, g.d_lambda_im, g.d_delta_log, g.d_w_re, g.d_w_im]
+        numeric = finite_diff_grad(lambda t: float(dss_exp_kernel(params.unpack(t), l) @ upstream),
+                                   params.pack(), h=1e-6)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)
-        results.append(Trial({"grad": float(rel.max())}, "n=%d l=%d" % (n, l)))
+        results.append(Trial({"grad": float(rel.max())}, "n=%d l=%d" % (params.n, l)))
     return results
 
 

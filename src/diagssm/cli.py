@@ -61,15 +61,13 @@ def _cmd_kernel(args):
     if any(o is not None for o in overrides):
         if any(o is None for o in overrides):
             raise ValueError("--lambda-re, --lambda-im and --w go together")
-        lambda_re = _parse_float_list(args.lambda_re)
-        lambda_im = _parse_float_list(args.lambda_im)
-        w = _parse_complex_list(args.w)
-        params = KernelParams(args.variant, lambda_re, lambda_im, w, delta_log or 0.0)
+        given = (_parse_float_list(args.lambda_re), _parse_float_list(args.lambda_im),
+                 _parse_complex_list(args.w), 0.0)      # delta_log 0: delta = 1
     else:
         layer = init_layer(1, args.n, args.variant, args.seed)
-        params = layer.coordinate_kernel_params(0)
-        if delta_log is not None:
-            params.delta_log = delta_log
+        given = (layer.lambda_re, layer.lambda_im, layer.w[0], layer.delta_log[0])
+    *arrays, default_log = given
+    params = KernelParams(args.variant, *arrays, default_log if delta_log is None else delta_log)
     write_kernel_csv(args.out or sys.stdout, build_kernel(params, args.l))
     return EXIT_OK
 
@@ -181,7 +179,8 @@ def _build_parser():
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=None,
-                   help="sample time; defaults to the seeded initialization")
+                   help="sample time; defaults to the seeded initialization's, "
+                        "or to 1 with --lambda-re/--lambda-im/--w")
     p.add_argument("--lambda-re", dest="lambda_re", default=None,
                    help="comma list overriding the spectrum's stored real parts")
     p.add_argument("--lambda-im", dest="lambda_im", default=None,

@@ -25,6 +25,16 @@ sqrt(count) entries: about N*(2*sqrt(L/64) + 16) exponentials per kernel,
 * ``exp_no_scale``  -- the ``exp`` form with the (exp(lam*dt)-1)/lam scale
                        term omitted.
 
+The parameters of H coordinates sharing N modes live in one container,
+:class:`DiagonalParams`: the variant, the spectrum (lambda_re, lambda_im,
+(N,)), the log sample times delta_log (H,) and the weights w (H, N).
+:func:`KernelParams` builds its H = 1 case, one coordinate, and
+``layer.LayerParams`` extends it with the output projection.  One table,
+``_LAYOUT``, gives each array's shape in terms of h and n; one check,
+:func:`_check_layout`, refuses any other layout, naming the field, on
+every path that uses the parameters; ``pack``/``unpack`` map the
+trainable arrays to one flat vector and back in that order.
+
 Every diagonal path, oracles and gradient included, is checked and
 discretized by ``_diagonal_rates``: dt = exp(delta_log) from
 ``_diagonal_form``, and the exp scale as expm1(lam*dt)/lam, exact as
@@ -36,7 +46,8 @@ reference the closed forms are checked against.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,40 +57,118 @@ VARIANTS = ("exp", "softmax", "exp_no_scale")
 
 
 @dataclass
-class KernelParams:
-    """Parameters of one diagonal-state kernel.
+class DiagonalParams:
+    """The spectrum, sample times and weights of H coordinates sharing N modes.
 
     ``w`` holds the exp-form weights w~ for the ``exp``/``exp_no_scale``
     variants and the softmax-form weights w for the ``softmax`` variant.
-    The sample time is stored as its logarithm, so delta = exp(delta_log)
-    is positive by construction.  Every field must be finite.
+    Sample times are stored as logarithms, so delta = exp(delta_log) is
+    positive by construction.  The arrays' shapes are ``_LAYOUT``'s, and
+    :func:`_check_layout` refuses any other layout wherever the parameters
+    are used.  :func:`KernelParams` builds the H = 1 case, one coordinate;
+    ``layer.LayerParams`` adds a layer's output projection.
     """
 
     variant: str
-    lambda_re: np.ndarray
-    lambda_im: np.ndarray
-    w: np.ndarray
-    delta_log: float
+    h: int
+    n: int
+    lambda_re: np.ndarray   # (N,), shared by the H coordinates
+    lambda_im: np.ndarray   # (N,)
+    delta_log: np.ndarray   # (H,)
+    w: np.ndarray           # (H, N), complex
 
-    def __post_init__(self):
-        _choice("variant", self.variant, VARIANTS)
-        self.lambda_re = np.atleast_1d(_numbers("lambda_re", self.lambda_re, finite=True))
-        self.lambda_im = np.atleast_1d(_numbers("lambda_im", self.lambda_im, finite=True))
-        self.w = np.atleast_1d(_numbers("w", self.w, np.complex128, finite=True))
-        self.delta_log = float(_numbers("delta_log", self.delta_log, finite=True))
-        if not (self.lambda_re.shape == self.lambda_im.shape == self.w.shape):
-            raise ValueError("lambda_re, lambda_im and w must have equal length")
-        if self.lambda_re.size < 1:
-            raise ValueError("state size must be >= 1")
-
-    @property
-    def n(self):
-        return self.lambda_re.size
+    # The arrays and their shapes, one letter per axis: "h" for H, "n" for N.
+    _LAYOUT: ClassVar[dict] = {"lambda_re": "n", "lambda_im": "n", "delta_log": "h", "w": "hn"}
 
     @property
     def delta(self):
-        """exp(delta_log) as :func:`_diagonal_form` forms it: inf on overflow."""
-        return float(_diagonal_form(self)[1][0])
+        """exp(delta_log), (H,), as :func:`_diagonal_form` forms it: inf on overflow."""
+        return _diagonal_form(self)[1]
+
+    def coordinate_kernel_params(self, h_idx):
+        """Coordinate h_idx's parameters: an H = 1 container whose arrays are
+        views of this one's.  h_idx is a count below h."""
+        if (h_idx := _count("h_idx", h_idx, low=0)) >= self.h:
+            raise ValueError(f"h_idx must be below h = {self.h}, got {h_idx}")
+        rows = slice(h_idx, h_idx + 1)
+        return DiagonalParams(self.variant, 1, self.n, self.lambda_re, self.lambda_im,
+                              self.delta_log[rows], self.w[rows])
+
+    def pack(self):
+        """The trainable arrays as one float64 vector, in ``_LAYOUT`` order,
+        w as its real parts, then its imaginary parts."""
+        _check_layout(self)
+        parts = ((self.w.real, self.w.imag) if name == "w" else (getattr(self, name),)
+                 for name in self._LAYOUT)
+        return np.concatenate([np.ravel(part) for pair in parts for part in pair], dtype=float)
+
+    def unpack(self, vector):
+        """A copy of these parameters with the trainable arrays read from a
+        :meth:`pack` vector; ``p.unpack(p.pack())`` is bitwise p."""
+        _check_layout(self)         # so the arrays' shapes are the layout's
+        arrays = {name: np.asarray(getattr(self, name)) for name in self._LAYOUT}
+        counts = [a.size * (2 if name == "w" else 1) for name, a in arrays.items()]
+        vector = _numbers("vector", vector)
+        if vector.shape != (sum(counts),):
+            raise ValueError(f"vector must have shape ({sum(counts)},), got {vector.shape}")
+        for (name, a), part in zip(arrays.items(), np.split(vector, np.cumsum(counts)[:-1])):
+            arrays[name] = (_complex(*part.reshape(2, *a.shape)) if name == "w"
+                            else part.reshape(a.shape).copy())
+        return replace(self, **arrays)
+
+
+def _complex(re, im):
+    """re + i*im as a new complex array, bitwise: re + 1j*im would turn -0.0 into 0.0."""
+    return np.stack([re, im], axis=-1).view(np.complex128)[..., 0]
+
+
+def KernelParams(variant, lambda_re, lambda_im, w, delta_log):
+    """One coordinate's parameters: the H = 1 :class:`DiagonalParams`.
+
+    ``lambda_re``, ``lambda_im`` and ``w`` hold the N modes (a scalar is
+    one mode) and ``delta_log`` is a real scalar; every value must be
+    finite.  Arrays already of the right dtype are kept, not copied.
+    """
+    _choice("variant", variant, VARIANTS)
+    lambda_re = np.atleast_1d(_numbers("lambda_re", lambda_re, finite=True))
+    lambda_im = np.atleast_1d(_numbers("lambda_im", lambda_im, finite=True))
+    w = np.atleast_1d(_numbers("w", w, np.complex128, finite=True))
+    delta_log = float(_numbers("delta_log", delta_log, finite=True))
+    if not (lambda_re.shape == lambda_im.shape == w.shape):
+        raise ValueError("lambda_re, lambda_im and w must have equal length")
+    if lambda_re.size < 1:
+        raise ValueError("state size must be >= 1")
+    return DiagonalParams(variant, 1, lambda_re.size, lambda_re, lambda_im,
+                          np.array([delta_log]), w.reshape(1, -1))
+
+
+def _check_sizes(h, n, variant):
+    """h and n must be counts >= 1 (ints, not bools or floats), variant one of ``VARIANTS``."""
+    _count("h", h)
+    _count("n", n)
+    _choice("variant", variant, VARIANTS)
+
+
+def _check_layout(params):
+    """Refuse, naming the field, parameters not laid out as their ``_LAYOUT`` says.
+
+    Also refuses what :func:`_check_sizes` does, a dtype other than real
+    floating (floating or complex for w), and a non-finite entry in an
+    array beyond the spectrum, delta_log and w (a layer's projection);
+    those three's values are :func:`_diagonal_rates`' to check.
+    """
+    _check_sizes(params.h, params.n, params.variant)
+    sizes = {"h": params.h, "n": params.n}
+    for name, axes in params._LAYOUT.items():
+        value = np.asarray(getattr(params, name))
+        shape, want = value.shape, tuple(sizes[a] for a in axes)
+        if shape != want:
+            raise ValueError(f"{name} must have shape {want}, got {shape}")
+        if value.dtype.kind not in ("fc" if name == "w" else "f"):
+            kind = "a floating or complex" if name == "w" else "a real floating"
+            raise ValueError(f"{name} must have {kind} dtype, got {value.dtype}")
+        if name not in DiagonalParams._LAYOUT and not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got a non-finite entry")
 
 
 @dataclass
@@ -103,11 +192,6 @@ class GeneralSSM:
             raise ValueError("reference path is restricted to N <= 16")
 
 
-def _require_variant(params, *variants):
-    if params.variant not in variants:
-        raise ValueError(f"expected variant in {variants}, got {params.variant!r}")
-
-
 def effective_lambda(params):
     """Diagonal entries actually used by the kernel.
 
@@ -121,10 +205,22 @@ def effective_lambda(params):
 
 
 def _diagonal_form(params):
-    """(lam, delta (H,), w (H, N)) of a KernelParams or LayerParams; exp overflow gives inf."""
+    """(lam (N,), delta (H,), w (H, N)) of a :class:`DiagonalParams`, a
+    ``LayerParams`` included, that :func:`_check_layout` has passed; exp
+    overflow gives inf."""
     with np.errstate(over="ignore"):
-        lam, delta = effective_lambda(params), np.exp(np.atleast_1d(params.delta_log))
-    return lam, delta, np.atleast_2d(params.w)
+        return effective_lambda(params), np.exp(params.delta_log), params.w
+
+
+def _coordinate_form(params, *variants):
+    """:func:`_diagonal_form` of one coordinate's parameters (H = 1) of one of
+    ``variants``, after :func:`_check_layout`."""
+    _check_layout(params)
+    if params.variant not in variants:
+        raise ValueError(f"expected variant in {variants}, got {params.variant!r}")
+    if params.h != 1:
+        raise ValueError(f"h must be 1 on a one-coordinate path, got {params.h}")
+    return _diagonal_form(params)
 
 
 def _diagonal_rates(variant, lam, delta, w, h, l):
@@ -241,8 +337,7 @@ def diagonal_kernels(variant, lam, delta, w, l, eps=DEFAULT_EPS):
 
 def dss_exp_kernel(params, l):
     """Kernel K_k = Re( sum_i w~_i (e^{lam_i dt}-1)/lam_i e^{lam_i dt k} )."""
-    _require_variant(params, "exp")
-    return build_kernel(params, l)
+    return diagonal_kernels("exp", *_coordinate_form(params, "exp"), l)[0]
 
 
 def exp_basis(params, l):
@@ -255,9 +350,8 @@ def exp_basis(params, l):
     ``d_w_im`` of :func:`kernel_grad_exp`.  For callers that hold lambda
     and delta fixed while the weights change.
     """
-    _require_variant(params, "exp")
     l = _count("l", l)
-    lam, delta, _ = _diagonal_form(params)
+    lam, delta, _ = _coordinate_form(params, "exp")
     _, scale, z, _ = _diagonal_rates("exp", lam, delta, np.ones((1, lam.size)), 1, l)
     outer, inner = _exp_blocks(z[0], l)
     return ((scale[0, :, None] * outer)[:, :, None] * inner[:, None, :]).reshape(params.n, -1)[:, :l]
@@ -265,19 +359,17 @@ def exp_basis(params, l):
 
 def dss_softmax_kernel(params, l, eps=DEFAULT_EPS):
     """Kernel K_k = Re( (w / lam) . row_softmax_eps(P) ), P_{i,k} = lam_i*dt*k."""
-    _require_variant(params, "softmax")
-    return build_kernel(params, l, eps)
+    return diagonal_kernels("softmax", *_coordinate_form(params, "softmax"), l, eps)[0]
 
 
 def dss_exp_noscale_kernel(params, l):
     """Kernel K_k = Re( sum_i w~_i e^{lam_i dt k} ), scale term omitted."""
-    _require_variant(params, "exp_no_scale")
-    return build_kernel(params, l)
+    return diagonal_kernels("exp_no_scale", *_coordinate_form(params, "exp_no_scale"), l)[0]
 
 
 def build_kernel(params, l, eps=DEFAULT_EPS):
     """One coordinate's kernel: the H = 1 case of :func:`diagonal_kernels`."""
-    return diagonal_kernels(params.variant, *_diagonal_form(params), l, eps)[0]
+    return diagonal_kernels(params.variant, *_coordinate_form(params, *VARIANTS), l, eps)[0]
 
 
 def _matexp_taylor(m, max_terms=200):
@@ -440,12 +532,11 @@ def kernel_grad_exp(params, l, upstream):
     component outside float range raises ValueError("gradient leaves
     float range").
     """
-    _require_variant(params, "exp")
     l = _count("l", l)
     upstream = _numbers("upstream", upstream, finite=True)
     if upstream.shape != (l,):
         raise ValueError(f"upstream must have shape ({l},), got {upstream.shape}")
-    lam, delta, w = _diagonal_form(params)
+    lam, delta, w = _coordinate_form(params, "exp")
     _, scale, z, _ = _diagonal_rates("exp", lam, delta, np.ones_like(w), 1, l)
     dt, scale, z, w = delta[0], scale[0], z[0], w[0]
     with np.errstate(over="ignore", invalid="ignore"):

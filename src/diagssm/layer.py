@@ -6,7 +6,9 @@ coordinate h has its own sample time delta_h and complex weight row W[h],
 from which a length-L kernel is built and convolved with that coordinate's
 input.  A residual connection, a GELU, and a position-wise H x H output
 projection follow.  Excluding the projection, the kernel machinery holds
-exactly 2N + H + 2HN real parameters.
+exactly 2N + H + 2HN real parameters.  :class:`LayerParams` is the
+kernel module's parameter container (``kernel.DiagonalParams``) for those,
+plus the projection w_out, b_out and the layer's kept plans.
 
 Randomness is fully pinned: a splitmix64 generator drives Box-Muller
 sampling, and the stream layout is documented on :class:`SplitMix64` so a
@@ -18,13 +20,15 @@ their shortest round-trip decimals, as Python's ``json`` does.
 import json
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .cnum import _choice, _count, _numbers, _positive
 from .fftconv import _conv_by_spectrum, _kernel_spectrum
 from .hippo import skew_hippo_lambda
-from .kernel import KernelParams, VARIANTS, _diagonal_form, diagonal_kernels, exp_basis, truncate_kernel
+from .kernel import (DiagonalParams, KernelParams, _check_layout, _check_sizes, _complex,
+                     _diagonal_form, diagonal_kernels, exp_basis, truncate_kernel)
 from .recurrence import _scan_plan, _scan_run
 # Bound only because ssmbench/tracer.py wraps these names here; the layer calls none.
 from .fftconv import causal_conv_fft  # noqa: F401
@@ -79,67 +83,21 @@ class SplitMix64:
 
 
 @dataclass
-class LayerParams:
-    variant: str
-    h: int
-    n: int
-    lambda_re: np.ndarray   # length N, shared across coordinates
-    lambda_im: np.ndarray   # length N
-    delta_log: np.ndarray   # length H
-    w: np.ndarray           # H x N complex
-    w_out: np.ndarray       # H x H
-    b_out: np.ndarray       # length H
+class LayerParams(DiagonalParams):
+    """A layer's parameters: the spectrum, delta and W of its H coordinates,
+    plus the position-wise H x H output projection."""
+
+    w_out: np.ndarray       # (H, H)
+    b_out: np.ndarray       # (H,)
     # Mode -> (key, plan) of the latest call in that mode; see _layer_plan.
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    _LAYOUT: ClassVar[dict] = {**DiagonalParams._LAYOUT, "w_out": "hh", "b_out": "h"}
 
     def __getstate__(self):
         # Copies and pickles drop the plans: each is megabytes of tables
         # derived from the fields they do carry.
         return {**self.__dict__, "_plans": {}}
-
-    def coordinate_kernel_params(self, h_idx):
-        """Kernel parameters of a single coordinate."""
-        return KernelParams(
-            variant=self.variant,
-            lambda_re=self.lambda_re,
-            lambda_im=self.lambda_im,
-            w=self.w[h_idx],
-            delta_log=float(self.delta_log[h_idx]),
-        )
-
-
-def _check_sizes(h, n, variant):
-    """h and n must be counts >= 1 (ints, not bools or floats), variant one of ``VARIANTS``."""
-    _count("h", h)
-    _count("n", n)
-    _choice("variant", variant, VARIANTS)
-
-
-# The layer's arrays and their shapes, one letter per axis: "h" for H, "n" for N.
-_LAYOUT = {"lambda_re": "n", "lambda_im": "n", "delta_log": "h", "w": "hn",
-           "w_out": "hh", "b_out": "h"}
-
-
-def _check_layout(params):
-    """Refuse, naming the field, a LayerParams not laid out as ``_LAYOUT`` says.
-
-    Also refuses what :func:`_check_sizes` does, a dtype other than real
-    floating (floating or complex for w) and a non-finite projection; the
-    kernel parameters' values are ``kernel._diagonal_rates``' to check.
-    """
-    _check_sizes(params.h, params.n, params.variant)
-    sizes = {"h": params.h, "n": params.n}
-    for name, axes in _LAYOUT.items():
-        value = np.asarray(getattr(params, name))
-        shape, want = value.shape, tuple(sizes[a] for a in axes)
-        if shape != want:
-            raise ValueError(f"{name} must have shape {want}, got {shape}")
-        if value.dtype.kind not in ("fc" if name == "w" else "f"):
-            kind = "a floating or complex" if name == "w" else "a real floating"
-            raise ValueError(f"{name} must have {kind} dtype, got {value.dtype}")
-    for name in ("w_out", "b_out"):
-        if not np.isfinite(getattr(params, name)).all():
-            raise ValueError(f"{name} must be finite, got a non-finite entry")
 
 
 DELTA_INIT_LOW = 0.001
@@ -269,6 +227,7 @@ def _gelu_into(x, out):
 def layer_kernels(params, l, kernel_limit=None):
     """The H kernels of length L as one H x L array, zeroed from ``kernel_limit`` on."""
     limit = None if kernel_limit is None else _count("kernel_limit", kernel_limit)
+    _check_layout(params)
     kernels = diagonal_kernels(params.variant, *_diagonal_form(params), l)
     return kernels if limit is None else truncate_kernel(kernels, limit)
 
@@ -553,7 +512,7 @@ def params_to_json(params):
     _check_layout(params)
     fields = {"version": PARAMS_FORMAT_VERSION, "variant": params.variant,
               "h": params.h, "n": params.n}
-    for name in _LAYOUT:        # w is written as its real and imaginary parts
+    for name in LayerParams._LAYOUT:        # w is written as its real and imaginary parts
         value = getattr(params, name)
         fields.update({"w_re": value.real, "w_im": value.imag} if name == "w" else {name: value})
     return _to_json(fields)
@@ -612,10 +571,9 @@ def params_from_json(text):
     version = _entry(raw, "version")
     if type(version) is not int or version != PARAMS_FORMAT_VERSION:     # true == 1.0 == 1
         raise ValueError("unsupported parameter file version")
-    arrays = {name: _file_array(raw, name) for name in _LAYOUT if name != "w"}
-    w_re, w_im = _file_array(raw, "w_re"), _file_array(raw, "w_im")
-    try:  # re + 1j*im would turn -0.0 into 0.0, and w.imag = im would broadcast
-        w = np.stack([w_re, w_im], axis=-1).view(np.complex128)[..., 0]
+    arrays = {name: _file_array(raw, name) for name in LayerParams._LAYOUT if name != "w"}
+    try:  # w.imag = im would broadcast
+        w = _complex(_file_array(raw, "w_re"), _file_array(raw, "w_im"))
     except ValueError:
         raise ValueError("w_re and w_im shapes differ") from None
     params = LayerParams(variant=_entry(raw, "variant"), h=_entry(raw, "h"), n=_entry(raw, "n"),

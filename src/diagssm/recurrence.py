@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cnum import DEFAULT_EPS, _numbers, reciprocal_eps
-from .kernel import _diagonal_form, _diagonal_rates, _exp_factors, _exp_range, _factor_sum, _require_variant
+from .kernel import _coordinate_form, _diagonal_rates, _exp_factors, _exp_range, _factor_sum
 
 
 def run_exp(params, u, x_init=None):
@@ -60,13 +60,12 @@ def run_exp(params, u, x_init=None):
     split sequence exactly.  This is the per-step reference oracle for
     one coordinate; layers run :func:`chunked_scan`.
     """
-    _require_variant(params, "exp", "exp_no_scale")
     u = _numbers("input u", u, finite=True)
     if u.ndim != 1:
         raise ValueError("input u must be one-dimensional")
-    lam, delta, _ = _diagonal_form(params)
-    _, b_bar, z, _ = _diagonal_rates(params.variant, lam, delta, np.ones((1, params.n)), 1, 1)
-    a_bar, b_bar = np.exp(z[0]), b_bar[0]
+    lam, delta, w = _coordinate_form(params, "exp", "exp_no_scale")
+    _, b_bar, z, _ = _diagonal_rates(params.variant, lam, delta, np.ones_like(w), 1, 1)
+    a_bar, b_bar, w = np.exp(z[0]), b_bar[0], w[0]
     x = np.zeros(params.n) if x_init is None else x_init
     x = _numbers("x_init", x, np.complex128, finite=True).reshape(-1).copy()
     if x.size != params.n:
@@ -74,7 +73,7 @@ def run_exp(params, u, x_init=None):
     y = np.empty(u.size)
     for k, uk in enumerate(u):
         x = a_bar * x + b_bar * uk
-        y[k] = (params.w @ x).real
+        y[k] = (w @ x).real
     return y, x
 
 
@@ -98,14 +97,13 @@ def run_softmax_stable(params, u, eps=DEFAULT_EPS):
     a spectrum with |expm1(z*L)| <= 1e-12, where its quotient form of the
     row sum is undefined.
     """
-    _require_variant(params, "softmax")
     u = _numbers("input u", u, finite=True)
     if u.ndim != 1 or u.size < 1:
         raise ValueError("input u must be one-dimensional and nonempty")
     l = u.size
-    lam, delta, _ = _diagonal_form(params)
-    _, inv_lam, z, far = _diagonal_rates("softmax", lam, delta, np.ones((1, params.n)), 1, l)
-    z = z[0]                            # lam*dt, negated where Re(lam) > 0: Re(z) <= 0
+    lam, delta, w = _coordinate_form(params, "softmax")
+    _, inv_lam, z, far = _diagonal_rates("softmax", lam, delta, np.ones_like(w), 1, l)
+    z, w = z[0], w[0]                            # lam*dt, negated where Re(lam) > 0: Re(z) <= 0
     den = np.expm1(z * l)
     if np.any(np.abs(den) <= 1e-12):
         raise ValueError("softmax weight undefined")
@@ -120,7 +118,7 @@ def run_softmax_stable(params, u, eps=DEFAULT_EPS):
     for k, uk in enumerate(u):
         xt = step * xt + np.exp(inj_rate * k) * uk
         x = xt * np.exp(out_rate * (k - (l - 1))) * recip
-        y[k] = (params.w @ x).real
+        y[k] = (w @ x).real
     return y, x
 
 

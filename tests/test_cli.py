@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from diagssm import build_kernel, cli, init_layer, save_layer_params
+from diagssm import KernelParams, build_kernel, cli, init_layer, save_layer_params
 from diagssm.cli import main
 
 
@@ -50,12 +50,24 @@ def test_kernel_prints_to_stdout_without_out_flag(capsys):
     assert len(values) == 3
 
 
+def test_kernel_explicit_parameters_default_to_unit_delta(capsys):
+    # lam = -1 at delta = 1: K_k = (1 - e^-1) e^-k, so K_0 = 0.632...
+    code, out, _ = run(["kernel", "--variant", "exp", "--l", "3", "--lambda-re", "0",
+                        "--lambda-im", "0", "--w", "1,0"], capsys)
+    assert code == 0
+    got = np.array([float(v) for v in out.strip().split(",")])
+    assert got.tobytes() == build_kernel(KernelParams("exp", [0.0], [0.0], [1.0], 0.0), 3).tobytes()
+    assert np.allclose(got, -math.expm1(-1.0) * np.exp(-np.arange(3.0)), rtol=1e-13, atol=0.0)
+    code, out, _ = run(["kernel", "--help"], capsys)
+    assert code == 0 and "or to 1 with --lambda-re/--lambda-im/--w" in " ".join(out.split())
+
+
 def test_kernel_delta_overrides_the_seeded_sample_time(capsys):
     code, out, _ = run(["kernel", "--variant", "exp", "--n", "8", "--l", "16",
                         "--seed", "3", "--delta", "0.05"], capsys)
     assert code == 0
     params = init_layer(1, 8, "exp", 3).coordinate_kernel_params(0)
-    params.delta_log = math.log(0.05)
+    params.delta_log = np.array([math.log(0.05)])      # one coordinate: shape (1,)
     got = np.array([float(v) for v in out.strip().split(",")])
     assert got.tobytes() == build_kernel(params, 16).tobytes()
 

@@ -10,6 +10,7 @@ float or bool count, a non-positive or non-numeric scalar, complex input
 to a real argument) are refused with a ValueError naming the argument.
 """
 
+import dataclasses
 import math
 import re
 
@@ -254,6 +255,21 @@ MALFORMED = {
     "empty percentile sample": (lambda: nearest_rank_percentile([], 0.5), "empty sample"),
     "empty softmax oracle input": (lambda: run_softmax_stable(P_SOFTMAX, []),
                                    "input u must be one-dimensional and nonempty"),
+    "coordinate index past h": (lambda: init_layer(2, 3, "exp", 0).coordinate_kernel_params(5),
+                                "h_idx must be below h = 2, got 5"),
+    "coordinate index 1.0": (lambda: init_layer(2, 3, "exp", 0).coordinate_kernel_params(1.0),
+                             "h_idx must be an integer >= 0, got 1.0"),
+    "coordinate index True": (lambda: init_layer(2, 3, "exp", 0).coordinate_kernel_params(True),
+                              "h_idx must be an integer >= 0, got True"),
+    "coordinate index -1": (lambda: init_layer(2, 3, "exp", 0).coordinate_kernel_params(-1),
+                            "h_idx must be an integer >= 0, got -1"),
+    "oracle weights of another length": (
+        lambda: run_exp(dataclasses.replace(P_EXP, w=np.array([1.0, 2.0])), np.ones(3)),
+        "w must have shape (1, 1), got (2,)"),
+    "layer on a one-coordinate path": (lambda: build_kernel(LAYER, 8),
+                                       "h must be 1 on a one-coordinate path, got 2"),
+    "pack vector of another length": (lambda: P_EXP.unpack(np.ones(4)),
+                                      "vector must have shape (5,), got (4,)"),
 }
 
 

@@ -420,8 +420,8 @@ def test_singular_lambda_rejected():
 
 
 def grad_as_vector(g):
-    return np.concatenate([g.d_lambda_re, g.d_lambda_im, g.d_w_re, g.d_w_im,
-                           [g.d_delta_log]])
+    """The gradient in the order of the parameters' pack() vector."""
+    return np.concatenate([g.d_lambda_re, g.d_lambda_im, [g.d_delta_log], g.d_w_re, g.d_w_im])
 
 
 def test_kernel_grad_zero_upstream():
@@ -439,17 +439,12 @@ def test_kernel_grad_weight_entry_hand_value():
 
 def grad_and_differences(params, l, u):
     """kernel_grad_exp of (params, l, u) and its central differences, as
-    vectors over [lambda_re, lambda_im, Re w, Im w, delta_log]."""
-    n = params.n
+    vectors over params.pack(): [lambda_re, lambda_im, delta_log, Re w, Im w]."""
 
     def loss(theta):
-        p = exp_params(theta[:n], theta[n:2 * n], theta[2 * n:3 * n] + 1j * theta[3 * n:4 * n],
-                       theta[4 * n])
-        return float(dss_exp_kernel(p, l) @ u)
+        return float(dss_exp_kernel(params.unpack(theta), l) @ u)
 
-    theta = np.concatenate([params.lambda_re, params.lambda_im, params.w.real, params.w.imag,
-                            [params.delta_log]])
-    return grad_as_vector(kernel_grad_exp(params, l, u)), finite_diff_grad(loss, theta)
+    return grad_as_vector(kernel_grad_exp(params, l, u)), finite_diff_grad(loss, params.pack())
 
 
 def assert_real_system_grad(params, l, u):

@@ -10,11 +10,16 @@ import pytest
 
 from diagssm import (
     SplitMix64,
+    build_kernel,
     causal_conv_fft,
     chunked_scan,
+    dss_exp_kernel,
+    dss_exp_noscale_kernel,
+    dss_softmax_kernel,
     effective_lambda,
     gelu,
     init_layer,
+    kernel_grad_exp,
     kernel_stats,
     layer_forward,
     layer_kernels,
@@ -22,6 +27,8 @@ from diagssm import (
     nearest_rank_percentile,
     params_from_json,
     params_to_json,
+    run_exp,
+    run_softmax_stable,
     save_layer_params,
     ssm_outputs,
     train_toy_delay,
@@ -29,7 +36,7 @@ from diagssm import (
 )
 from diagssm.cli import main as cli_main
 from diagssm.hippo import skew_hippo_lambda
-from diagssm.kernel import VARIANTS, KernelParams, exp_basis
+from diagssm.kernel import VARIANTS, DiagonalParams, KernelParams, exp_basis
 from diagssm.layer import (
     _GELU_BLOCK,
     DELTA_INIT_HIGH,
@@ -859,6 +866,9 @@ _LAYER_MUTATIONS = {      # (mutation, the refusal's message)
                           "lambda_re must have a real floating dtype"),
     "integer b_out": (lambda p: setattr(p, "b_out", np.arange(p.h)),
                       "b_out must have a real floating dtype"),
+    "one row of w": (lambda p: setattr(p, "w", p.w[0].copy()), "w must have shape"),
+    "scalar delta_log": (lambda p: setattr(p, "delta_log", float(p.delta_log[0])),
+                         "delta_log must have shape"),
 }
 
 
@@ -880,6 +890,80 @@ def test_property_malformed_layers_are_refused_everywhere(tmp_path, mutation):
         for mode in ("conv", "recurrent"):
             with pytest.raises(ValueError, match=message):
                 layer_forward(params, u, mode)
+        for kernels_or_stats in (layer_kernels, kernel_stats):
+            with pytest.raises(ValueError, match=message):
+                kernels_or_stats(params, 16)
+
+
+def coordinate_entry_points(variant, l=8):
+    """Every one-coordinate entry point of a variant, as calls on H = 1 parameters."""
+    u = np.linspace(-1.0, 1.0, l)
+    common = [lambda p: build_kernel(p, l), lambda p: p.pack(), lambda p: p.unpack(np.zeros(1))]
+    return common + {
+        "exp": [lambda p: dss_exp_kernel(p, l), lambda p: exp_basis(p, l),
+                lambda p: kernel_grad_exp(p, l, u), lambda p: run_exp(p, u)],
+        "softmax": [lambda p: dss_softmax_kernel(p, l), lambda p: run_softmax_stable(p, u)],
+        "exp_no_scale": [lambda p: dss_exp_noscale_kernel(p, l), lambda p: run_exp(p, u)],
+    }[variant]
+
+
+@pytest.mark.parametrize("mutation", [m for m in _LAYER_MUTATIONS if "b_out" not in m])
+def test_property_malformed_coordinates_are_refused_by_every_path(mutation):
+    # A coordinate's row slice and the same coordinate built by KernelParams,
+    # each mutated after it is built, through every one-coordinate path.
+    rng = np.random.default_rng([2026, list(_LAYER_MUTATIONS).index(mutation)])
+    mutate, message = _LAYER_MUTATIONS[mutation]
+    for _ in range(8):
+        layer = random_layer(rng)
+        if mutation == "short lambda_re" and layer.n == 1:
+            layer = init_layer(layer.h, 3, layer.variant, 0)    # one entry would be valid
+        h_idx = int(rng.integers(layer.h))
+        built = KernelParams(layer.variant, layer.lambda_re, layer.lambda_im, layer.w[h_idx],
+                             layer.delta_log[h_idx])
+        for params in (layer.coordinate_kernel_params(h_idx), built):
+            mutate(params)
+            for call in coordinate_entry_points(layer.variant):
+                with pytest.raises(ValueError, match=message) as refused:
+                    call(params)
+                assert str(refused.value).split()[0] in DiagonalParams._LAYOUT
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("l", [1, 63, 64, 65, 1000])
+def test_coordinate_kernels_are_the_layer_kernel_rows_bitwise(variant, l):
+    # The benchmark's naive_prefix check builds each row this way.  The
+    # softmax layer has Re(lam) of both signs: 8 of its 16 modes at +0.25.
+    params = init_layer(5, 16, variant, 3)
+    if variant == "softmax":
+        params.lambda_re[np.random.default_rng(l).choice(16, 8, replace=False)] = 0.25
+    rows = layer_kernels(params, l)
+    for h_idx in range(params.h):
+        got = build_kernel(params.coordinate_kernel_params(h_idx), l)
+        assert got.tobytes() == rows[h_idx].tobytes()
+
+
+def test_property_pack_unpack_round_trip_bitwise():
+    # Layers with -0.0, subnormal and huge entries, and their coordinates.
+    rng = np.random.default_rng(2026)
+    for _ in range(40):
+        params = random_layer(rng)
+        vector = params.pack()
+        want = np.concatenate([params.lambda_re, params.lambda_im, params.delta_log,
+                               params.w.real.ravel(), params.w.imag.ravel(),
+                               params.w_out.ravel(), params.b_out])
+        assert vector.dtype == np.float64 and vector.tobytes() == want.tobytes()
+        back = params.unpack(vector)
+        assert type(back) is LayerParams
+        assert_params_bitwise_equal(back, params)
+        vector[:] = 0.0             # the unpacked arrays do not view the vector
+        assert_params_bitwise_equal(back, params)
+        coordinate = params.coordinate_kernel_params(int(rng.integers(params.h)))
+        again = coordinate.unpack(coordinate.pack())
+        assert type(again) is DiagonalParams and (again.variant, again.h, again.n) == (
+            params.variant, 1, params.n)
+        for name in DiagonalParams._LAYOUT:
+            a, b = getattr(again, name), getattr(coordinate, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_modes_agree_where_lam_delta_underflows():

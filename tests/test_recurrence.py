@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -103,7 +104,7 @@ def test_run_exp_steps_exp_no_scale():
     rng = np.random.RandomState(25)
     for _ in range(5):
         e = sample_exp_params(rng)
-        p = KernelParams("exp_no_scale", e.lambda_re, e.lambda_im, e.w, e.delta_log)
+        p = dataclasses.replace(e, variant="exp_no_scale")
         u = rng.standard_normal(512)
         y, x = run_exp(p, u)
         want = causal_conv_fft(dss_exp_noscale_kernel(p, 512), u)
