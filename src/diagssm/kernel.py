@@ -126,20 +126,23 @@ def KernelParams(variant, lambda_re, lambda_im, w, delta_log):
     """One coordinate's parameters: the H = 1 :class:`DiagonalParams`.
 
     ``lambda_re``, ``lambda_im`` and ``w`` hold the N modes (a scalar is
-    one mode) and ``delta_log`` is a real scalar; every value must be
-    finite.  Arrays already of the right dtype are kept, not copied.
+    one mode) and ``delta_log`` is a real scalar or a (1,) array, the
+    container's own field shape; every value must be finite.  Arrays
+    already of the right dtype are kept, not copied, save delta_log.
     """
     _choice("variant", variant, VARIANTS)
     lambda_re = np.atleast_1d(_numbers("lambda_re", lambda_re, finite=True))
     lambda_im = np.atleast_1d(_numbers("lambda_im", lambda_im, finite=True))
     w = np.atleast_1d(_numbers("w", w, np.complex128, finite=True))
-    delta_log = float(_numbers("delta_log", delta_log, finite=True))
+    delta_log = _numbers("delta_log", delta_log, finite=True)
+    if delta_log.shape not in ((), (1,)):
+        raise ValueError(f"delta_log must be a scalar or have shape (1,), got {delta_log.shape}")
     if not (lambda_re.shape == lambda_im.shape == w.shape):
         raise ValueError("lambda_re, lambda_im and w must have equal length")
     if lambda_re.size < 1:
         raise ValueError("state size must be >= 1")
     return DiagonalParams(variant, 1, lambda_re.size, lambda_re, lambda_im,
-                          np.array([delta_log]), w.reshape(1, -1))
+                          delta_log.reshape(1).copy(), w.reshape(1, -1))
 
 
 def _check_sizes(h, n, variant):

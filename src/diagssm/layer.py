@@ -54,6 +54,16 @@ class SplitMix64:
     z1 = sqrt(-2 ln u1) sin(2 pi u2), returns z0 and caches z1 for the
     next call.  Ports must reproduce this exact consumption order.  The
     seed is a count with no lower bound, taken mod 2^64.
+
+    The generator is counter-based: raw output k (k = 1, 2, ...) of a
+    generator seeded with s is the mix above applied to
+    (s + k * 0x9E3779B97F4A7C15) mod 2^64, so any stretch of the stream
+    can be drawn at once.  uniforms(count) and normals(count) do so, as
+    one uint64 numpy pass; they return bitwise what count calls of
+    uniform() or normal() would, advance the state alike, and take and
+    leave the cached z1 alike.  Their log, cos and sin go through ``math``
+    element by element, since numpy's may round differently; every other
+    step is a correctly rounded numpy operation.
     """
 
     def __init__(self, seed):
@@ -80,6 +90,45 @@ class SplitMix64:
         radius = math.sqrt(-2.0 * math.log(u1))
         self._cached_normal = radius * math.sin(2.0 * math.pi * u2)
         return radius * math.cos(2.0 * math.pi * u2)
+
+    def _next_u64s(self, count):
+        """The next count raw outputs as one uint64 array (uint64 arrays wrap mod 2^64)."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(0x9E3779B97F4A7C15)
+        z += np.uint64(self._state)
+        self._state = (self._state + count * 0x9E3779B97F4A7C15) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
+
+    def uniforms(self, count):
+        """count uniform() draws as one float array; count is an integer >= 0."""
+        return (self._next_u64s(_count("count", count, low=0)) >> np.uint64(11)) * 2.0 ** -53
+
+    def normals(self, count):
+        """count normal() draws as one float array; count is an integer >= 0."""
+        count = _count("count", count, low=0)
+        out = np.empty(count)
+        done = 0
+        if count and self._cached_normal is not None:
+            out[0], self._cached_normal, done = self._cached_normal, None, 1
+        pairs = (count - done + 1) // 2
+        u1, u2 = self.uniforms(2 * pairs).reshape(pairs, 2).T
+        u1[u1 == 0.0] = 2.0 ** -53
+        radius = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), float, pairs))
+        angle = ((2.0 * math.pi) * u2).tolist()
+        z = np.empty((pairs, 2))                    # (z0, z1) of each pair
+        z[:, 0] = list(map(math.cos, angle))
+        z[:, 1] = list(map(math.sin, angle))
+        z *= radius[:, None]
+        z = z.reshape(-1)
+        out[done:] = z[:count - done]
+        if (count - done) % 2:
+            self._cached_normal = float(z[-1])
+        return out
 
 
 @dataclass
@@ -123,11 +172,9 @@ def init_layer(h, n, variant, seed):
         lambda_re = np.full(n, math.log(0.5))
     rng = SplitMix64(seed)
     lo, hi = math.log(DELTA_INIT_LOW), math.log(DELTA_INIT_HIGH)
-    delta_log = np.array([lo + rng.uniform() * (hi - lo) for _ in range(h)])
-    w = np.empty((h, n), dtype=np.complex128)
-    for row in range(h):
-        for col in range(n):
-            w[row, col] = complex(rng.normal(), rng.normal())
+    delta_log = lo + rng.uniforms(h) * (hi - lo)
+    # Each normal pair (z0, z1) is one entry's (re, im): complex128's layout.
+    w = rng.normals(2 * h * n).view(np.complex128).reshape(h, n)
     return LayerParams(
         variant=variant,
         h=h,
@@ -402,8 +449,7 @@ def train_toy_delay(n, l, lag, steps, lr=2e-3, seed=0):
     delta = TOY_SLOW_MODE_RATE / float(spectrum.lambda_im[-1])
     lambda_re = np.full(n, math.log(TOY_DECAY_OVER_WINDOW / (delta * l)))
     delta_log = math.log(delta)
-    rng = SplitMix64(seed)
-    w = np.array([complex(rng.normal(), rng.normal()) for _ in range(n)])
+    w = SplitMix64(seed).normals(2 * n).view(np.complex128)
     basis = exp_basis(KernelParams(variant="exp", lambda_re=lambda_re,
                                    lambda_im=spectrum.lambda_im, w=w,
                                    delta_log=delta_log), l)
@@ -428,7 +474,8 @@ def train_toy_delay(n, l, lag, steps, lr=2e-3, seed=0):
     target[lag] = 1.0
 
     beta1, beta2, eps_opt = 0.9, 0.999, 1e-8
-    betas = np.array([[beta1], [beta2]])
+    betas = np.empty((2, k + 1))        # same shape as ema: a plain, not a broadcast, multiply
+    betas[0], betas[1] = beta1, beta2
     # Row 0 of terms is back_a, row 1 its square.  ema holds Adam's moments as
     # unnormalized EMAs of those rows, a_t = beta1 a + back and
     # b_t = beta2 b + back^2, so m_t = (1 - beta1) (2/L) a_t and
@@ -444,25 +491,29 @@ def train_toy_delay(n, l, lag, steps, lr=2e-3, seed=0):
 
     history = []
     initial_mse = None
+    # A step is per-call overhead on short vectors, so the calls are bound
+    # once and take out positionally.
+    gram_dot, loss_dot, square = bordered.dot, theta_a.dot, terms[1]
+    multiply, sqrt, divide = np.multiply, np.sqrt, np.divide
     # Divergence is the finiteness checks' to report; one context, not one per step.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            bordered.dot(theta_a, out=back)
-            mse = float(theta_a.dot(back)) / l
+            gram_dot(theta_a, back)
+            mse = float(loss_dot(back)) / l
             if not math.isfinite(mse):
                 raise RuntimeError(f"training diverged at step {step}")
             if step == 0:
                 initial_mse = mse
             if step % 100 == 0:
                 history.append({"step": step, "mse": mse})
-            np.multiply(back, back, out=terms[1])
+            multiply(back, back, square)
             ema *= betas
             ema += terms
             r = math.sqrt((1.0 - beta2) / (1.0 - beta2 ** (step + 1)))
             c = lr * (1.0 - beta1) / ((1.0 - beta1 ** (step + 1)) * r)
-            np.sqrt(b, out=upd)
+            sqrt(b, upd)
             upd += eps_opt / (grad_scale * r)
-            np.divide(a, upd, out=upd)
+            divide(a, upd, upd)
             upd *= c
             theta -= upd
         final_kernel = theta @ lift

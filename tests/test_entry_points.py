@@ -241,6 +241,13 @@ MALFORMED = {
                           "lambda_re must hold real numbers"),
     "delta_log None": (lambda: KernelParams("exp", [0.0], [0.0], [1.0], None),
                        "delta_log must hold real numbers"),
+    "delta_log of shape (2,)": (lambda: KernelParams("exp", [0.0], [0.0], [1.0], np.zeros(2)),
+                                "delta_log must be a scalar or have shape (1,), got (2,)"),
+    "delta_log of shape (1, 1)": (lambda: KernelParams("exp", [0.0], [0.0], [1.0], np.zeros((1, 1))),
+                                  "delta_log must be a scalar or have shape (1,), got (1, 1)"),
+    "uniform count -1": (lambda: SplitMix64(0).uniforms(-1), "count must be an integer >= 0, got -1"),
+    "normal count 2.0": (lambda: SplitMix64(0).normals(2.0), "count must be an integer >= 0, got 2.0"),
+    "normal count True": (lambda: SplitMix64(0).normals(True), "count must be an integer >= 0, got True"),
     # Refusals no other test reaches.
     "unknown mode": (lambda: ssm_outputs(LAYER, U, "bogus"), "unknown mode 'bogus'"),
     "unknown layer variant": (lambda: init_layer(2, 4, "bogus", 0), "unknown variant 'bogus'"),

@@ -2,7 +2,9 @@ import dataclasses
 import json
 import math
 import pickle
+import random
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,7 @@ from diagssm.hippo import skew_hippo_lambda
 from diagssm.kernel import VARIANTS, DiagonalParams, KernelParams, exp_basis
 from diagssm.layer import (
     _GELU_BLOCK,
+    _MASK64,
     DELTA_INIT_HIGH,
     DELTA_INIT_LOW,
     TOY_DECAY_OVER_WINDOW,
@@ -76,6 +79,123 @@ def test_splitmix64_normal_moments():
     draws = np.array([rng.normal() for _ in range(20000)])
     assert abs(draws.mean()) < 0.03
     assert abs(draws.std() - 1.0) < 0.03
+
+
+# The vectorized draws against the scalar stream, which is the spec.
+
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _replay(seed, ops):
+    """Run ops on two generators of one seed: ("normal", 3) as one normals(3)
+    call on the first and three normal() calls on the second, ("normal", None)
+    as one scalar call on both.  Every draw, the state and the cached normal
+    must agree bitwise after each op; returns the drawn values."""
+    vec, sca = SplitMix64(seed), SplitMix64(seed)
+    drawn = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, count in ops:
+            if count is None:
+                got, want = np.array([getattr(vec, kind)()]), np.array([getattr(sca, kind)()])
+            else:
+                got = getattr(vec, kind + "s")(count)
+                want = np.array([getattr(sca, kind)() for _ in range(count)], dtype=float)
+                assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (count,)
+            assert got.tobytes() == want.tobytes(), (kind, count)
+            assert vec._state == sca._state
+            assert repr(vec._cached_normal) == repr(sca._cached_normal)     # -0.0 too
+            drawn.extend(got.tolist())
+    return drawn
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2 ** 63, 2 ** 64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 1001])
+def test_vectorized_draws_are_the_scalar_stream(seed, count):
+    for kind in ("uniform", "normal"):
+        _replay(seed, [(kind, count), (kind, count)])
+        _replay(seed, [("normal", None), (kind, count), ("normal", None)])   # z1 pending first
+
+
+def test_mixed_draws_are_the_scalar_stream():
+    # normal(); normals(3); uniform(); normals(4), and so on.
+    _replay(5, [("normal", None), ("normal", 3), ("uniform", None), ("normal", 4)])
+    _replay(5, [("normal", 1), ("uniform", 2), ("normal", 0), ("normal", None),
+                ("normal", 1), ("next_u64", None), ("normal", 2), ("uniform", None)])
+
+
+def test_property_vectorized_draws_are_the_scalar_stream():
+    rs = random.Random(2028)
+    for _ in range(150):
+        ops = []
+        for _ in range(rs.randrange(1, 9)):
+            kind = rs.choice(["uniform", "normal", "next_u64"])
+            ops.append((kind, None if kind == "next_u64" else
+                        rs.choice([None, 0, 1, 2, 3, rs.randrange(200)])))
+        _replay(rs.randrange(-2 ** 63, 2 ** 64), ops)
+
+
+def _unshift(y, shift):
+    """The x with x ^ (x >> shift) == y."""
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix(z):
+    """The counter whose splitmix64 mix is z: the finalizer's xor-shifts and
+    odd multiplies inverted mod 2^64, last step first."""
+    x = _unshift(z, 31)
+    x = _unshift(x * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64, 27)
+    return _unshift(x * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64, 30)
+
+
+def _seed_drawing(z, k):
+    """A seed whose k-th raw output (1-based) is z: raw output k mixes seed + k*gamma."""
+    return (_unmix(z) - k * _GAMMA) & _MASK64
+
+
+@pytest.mark.parametrize("z", [0, 1, (1 << 11) - 1])
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 19])
+def test_zero_uniform_is_the_scalar_stream(z, k):
+    # Raw outputs below 2^11 map to the uniform 0.0; at an odd position of a
+    # normal draw it is u1, which is replaced by 2^-53, at an even one u2.
+    seed = _seed_drawing(z, k)
+    rng = SplitMix64(seed)
+    assert [rng.next_u64() for _ in range(k)][-1] == z
+    assert _replay(seed, [("uniform", 20)])[k - 1] == 0.0
+    normals = _replay(seed, [("normal", 20)])
+    _replay(seed, [("normal", 9), ("normal", 11)])
+    pair = normals[(k - 1) // 2 * 2:][:2]
+    radius = math.sqrt(-2.0 * math.log(2.0 ** -53))
+    if k % 2:
+        assert math.hypot(*pair) == pytest.approx(radius, rel=1e-15)
+    else:
+        assert pair[1] == 0.0 and pair[0] > 0.0
+
+
+def _scalar_init_draws(h, n, seed):
+    """init_layer's delta_log and w drawn one scalar call at a time, in the documented order."""
+    rng = SplitMix64(seed)
+    lo, hi = math.log(DELTA_INIT_LOW), math.log(DELTA_INIT_HIGH)
+    delta_log = np.array([lo + rng.uniform() * (hi - lo) for _ in range(h)])
+    w = np.empty((h, n), dtype=np.complex128)
+    for row in range(h):
+        for col in range(n):
+            w[row, col] = complex(rng.normal(), rng.normal())
+    return delta_log, w
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("seed", [0, 3, -7, 2 ** 63 + 5, 123456789])
+def test_init_layer_draws_are_the_scalar_stream(variant, seed):
+    for h, n in ((16, 64), (1, 1), (3, 5)):
+        params = init_layer(h, n, variant, seed)
+        delta_log, w = _scalar_init_draws(h, n, seed)
+        for got, want in ((params.delta_log, delta_log), (params.w, w)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 def test_init_deterministic_and_shaped():
@@ -964,6 +1084,21 @@ def test_property_pack_unpack_round_trip_bitwise():
         for name in DiagonalParams._LAYOUT:
             a, b = getattr(again, name), getattr(coordinate, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_kernel_params_rebuilds_a_coordinate_bitwise():
+    # KernelParams takes a coordinate's own (1,) delta_log as well as a scalar.
+    rng = np.random.default_rng(2028)
+    for _ in range(20):
+        params = random_layer(rng)
+        p = params.coordinate_kernel_params(int(rng.integers(params.h)))
+        for delta_log in (p.delta_log, p.delta_log[0], float(p.delta_log[0])):
+            again = KernelParams(p.variant, p.lambda_re, p.lambda_im, p.w[0], delta_log)
+            assert (again.variant, again.h, again.n) == (p.variant, 1, p.n)
+            for name in DiagonalParams._LAYOUT:
+                a, b = getattr(again, name), getattr(p, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert not np.shares_memory(again.delta_log, p.delta_log)
 
 
 def test_modes_agree_where_lam_delta_underflows():
