@@ -401,6 +401,7 @@ def kernel_stats(params, l):
 TOY_SLOW_MODE_RATE = 1.5      # radians per step for the slowest spectral mode
 TOY_DECAY_OVER_WINDOW = 0.7   # envelope falls to exp(-0.7) across the window
 TOY_INIT_ENERGY = 0.15        # mean squared value of the initial kernel
+TOY_SEGMENT = 100             # steps between logged losses, and between loss checks
 
 
 def train_toy_delay(n, l, lag, steps, lr=2e-3, seed=0):
@@ -419,7 +420,11 @@ def train_toy_delay(n, l, lag, steps, lr=2e-3, seed=0):
     where back = G @ theta - p = lift @ (K - impulse) is the gradient times
     L/2, and theta_a . (M @ theta_a) = L * mse.  A step never reads the
     lift, and Adam's gradient scale, bias corrections and lr fold into two
-    scalars per step, so it is ten numpy calls on (2N+1)-entry vectors.
+    scalars per step, c_t and e_t.  Steps run in 100-step segments: the loss
+    is logged and checked at a segment's start, and its c_t and e_t formed
+    in one pass, so a step is the bordered product and eight ufunc calls.
+    A segment that may hide an overflowed loss reruns checking every loss,
+    so divergence is reported at the first step whose loss is not finite.
     At N = 32, L = 1024 the default lr, 2e-3, recovered lag 1000 on each of
     4500 seeds surveyed; 1e-3 stopped ~3% above the optimum on a few.  The
     logged losses are exact to a few ulps of (1 + |K|^2) / L, so a fit that
@@ -488,34 +493,56 @@ def train_toy_delay(n, l, lag, steps, lr=2e-3, seed=0):
     back, theta, a, b = terms[0], theta_a[:k], ema[0, :k], ema[1, :k]
     upd = np.empty(k)
     grad_scale = 2.0 / l
-
-    history = []
-    initial_mse = None
     # A step is per-call overhead on short vectors, so the calls are bound
     # once and take out positionally.
     gram_dot, loss_dot, square = bordered.dot, theta_a.dot, terms[1]
-    multiply, sqrt, divide = np.multiply, np.sqrt, np.divide
+    add, subtract, multiply, sqrt, divide = np.add, np.subtract, np.multiply, np.sqrt, np.divide
+
+    def loss(step):
+        """The MSE at theta_a; one that is not finite is divergence at step."""
+        gram_dot(theta_a, back)
+        mse = float(loss_dot(back)) / l
+        if not math.isfinite(mse):
+            raise RuntimeError(f"training diverged at step {step}")
+        return mse
+
+    def advance(start, stop):
+        """Adam steps start .. stop - 1, with no loss taken."""
+        # The powers go through Python's **: np.power rounds differently.
+        t = range(start + 1, stop + 1)
+        r = np.sqrt((1.0 - beta2) / (1.0 - np.fromiter([beta2 ** i for i in t], float)))
+        c = lr * (1.0 - beta1) / ((1.0 - np.fromiter([beta1 ** i for i in t], float)) * r)
+        e = eps_opt / (grad_scale * r)
+        for c_t, e_t in zip(c.tolist(), e.tolist()):
+            gram_dot(theta_a, back)
+            multiply(back, back, square)
+            multiply(ema, betas, ema)
+            add(ema, terms, ema)
+            sqrt(b, upd)
+            add(upd, e_t, upd)
+            divide(a, upd, upd)
+            multiply(upd, c_t, upd)
+            subtract(theta, upd, theta)
+
+    history = []
     # Divergence is the finiteness checks' to report; one context, not one per step.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            gram_dot(theta_a, back)
-            mse = float(loss_dot(back)) / l
-            if not math.isfinite(mse):
-                raise RuntimeError(f"training diverged at step {step}")
-            if step == 0:
-                initial_mse = mse
-            if step % 100 == 0:
-                history.append({"step": step, "mse": mse})
-            multiply(back, back, square)
-            ema *= betas
-            ema += terms
-            r = math.sqrt((1.0 - beta2) / (1.0 - beta2 ** (step + 1)))
-            c = lr * (1.0 - beta1) / ((1.0 - beta1 ** (step + 1)) * r)
-            sqrt(b, upd)
-            upd += eps_opt / (grad_scale * r)
-            divide(a, upd, upd)
-            upd *= c
-            theta -= upd
+        for start in range(0, steps, TOY_SEGMENT):
+            stop = min(start + TOY_SEGMENT, steps)
+            history.append({"step": start, "mse": loss(start)})
+            # A step moves an entry of theta by at most ~7.3 lr, so here
+            # |theta| stays below 1e150.  If theta and ema end finite (b is
+            # inf or NaN once any |back| >= 1.34e154), no loss overflowed;
+            # otherwise the segment reruns from its start, checking each loss.
+            if float(np.abs(theta).max()) + 1e3 * lr < 1e150:
+                start_theta, start_ema = theta.copy(), ema.copy()
+                advance(start, stop)
+                if np.isfinite(theta).all() and np.isfinite(ema).all():
+                    continue
+                theta[:], ema[:] = start_theta, start_ema
+            for step in range(start, stop):
+                loss(step)
+                advance(step, step + 1)
         final_kernel = theta @ lift
         final_resid = final_kernel - target
         final_mse = float(np.mean(final_resid * final_resid))
@@ -529,7 +556,7 @@ def train_toy_delay(n, l, lag, steps, lr=2e-3, seed=0):
         "steps": steps,
         "lr": lr,
         "seed": seed,
-        "initial_mse": initial_mse,
+        "initial_mse": history[0]["mse"],
         "final_mse": final_mse,
         "final_argmax": int(np.argmax(np.abs(final_kernel))),
         "history": history,

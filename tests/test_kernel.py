@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 import warnings
@@ -286,6 +287,10 @@ def kept_plan_bytes(variant, b, l):
     tracemalloc.start()
     try:
         ssm_outputs(layer, u, "recurrent")      # the output is dropped; the plan stays
+        # tracemalloc counts the tuples CPython parks on its free lists as
+        # live, so the raw figure follows what ran before; a full
+        # collection empties those lists.
+        gc.collect()
         return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -754,6 +754,114 @@ def test_train_toy_divergence_in_its_last_step_is_caught_by_the_final_check():
         train_toy_delay(2, 8, 3, 1, lr=1e300, seed=0)
 
 
+def _toy_per_step_report(n, l, lag, steps, lr, seed):
+    """train_toy_delay's report from its per-step loop: the same set-up, then
+    ten numpy calls a step with the loss taken and checked at every step."""
+    lift, target = _toy_setup(n, l, lag)
+    w = SplitMix64(seed).normals(2 * n).view(np.complex128)
+    theta = np.concatenate([w.real, w.imag])
+    k0 = theta @ lift
+    k = 2 * n
+    theta_a = np.ones(k + 1)
+    np.multiply(theta, math.sqrt(TOY_INIT_ENERGY / float(np.mean(k0 * k0))),
+                out=theta_a[:k])
+    bordered = np.empty((k + 1, k + 1))
+    np.matmul(lift, lift.T, out=bordered[:k, :k])
+    bordered[:k, k] = bordered[k, :k] = -lift[:, lag]
+    bordered[k, k] = 1.0
+    beta1, beta2, eps_opt = 0.9, 0.999, 1e-8
+    betas = np.empty((2, k + 1))
+    betas[0], betas[1] = beta1, beta2
+    terms, ema = np.zeros((2, 2, k + 1))
+    back, theta, a, b = terms[0], theta_a[:k], ema[0, :k], ema[1, :k]
+    upd = np.empty(k)
+    history = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            bordered.dot(theta_a, back)
+            mse = float(theta_a.dot(back)) / l
+            if not math.isfinite(mse):
+                raise RuntimeError(f"training diverged at step {step}")
+            if step % 100 == 0:
+                history.append({"step": step, "mse": mse})
+            np.multiply(back, back, terms[1])
+            ema *= betas
+            ema += terms
+            r = math.sqrt((1.0 - beta2) / (1.0 - beta2 ** (step + 1)))
+            c = lr * (1.0 - beta1) / ((1.0 - beta1 ** (step + 1)) * r)
+            np.sqrt(b, upd)
+            upd += eps_opt / ((2.0 / l) * r)
+            np.divide(a, upd, upd)
+            upd *= c
+            theta -= upd
+        final_kernel = theta @ lift
+        final_resid = final_kernel - target
+        final_mse = float(np.mean(final_resid * final_resid))
+    if not np.isfinite(final_mse):
+        raise RuntimeError(f"training diverged at step {steps}")
+    history.append({"step": steps, "mse": final_mse})
+    return {"n": n, "l": l, "lag": lag, "steps": steps, "lr": lr, "seed": seed,
+            "initial_mse": history[0]["mse"], "final_mse": final_mse,
+            "final_argmax": int(np.argmax(np.abs(final_kernel))), "history": history}
+
+
+def _toy_outcome(train, *args):
+    """repr of train(*args)'s report, or of the RuntimeError it raises."""
+    try:
+        return repr(train(*args))
+    except RuntimeError as exc:
+        return repr(exc)
+
+
+def _toy_cases(count, seed):
+    """Seeded (n, l, lag, steps, lr, seed) draws; lr from 1e-3 (converges) to
+    1e300 (overflows in the first steps)."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        n, l = int(rng.integers(1, 17)), int(rng.integers(1, 201))
+        steps = int(rng.choice([1, 2, 99, 100, 101, 250, int(rng.integers(1, 601))]))
+        cases.append((n, l, int(rng.integers(0, l)), steps, float(10.0 ** rng.uniform(-3.0, 300.0)),
+                      int(rng.integers(2 ** 31))))
+    return cases
+
+
+# The trainer takes the loss once per 100-step segment and replays a segment
+# step by step only when its end state leaves room for an overflowed loss;
+# reports and divergence steps must be bitwise the per-step loop's.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", _toy_cases(100, 29))
+def test_property_train_toy_is_the_per_step_loop_bitwise(case):
+    assert _toy_outcome(train_toy_delay, *case) == _toy_outcome(_toy_per_step_report, *case)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("checked", ["theta", "ema"])
+@pytest.mark.parametrize("case", _toy_cases(12, 30) + [(3, 40, 7, 250, 2e-3, 1)])
+def test_train_toy_replayed_segments_are_the_per_step_loop_bitwise(case, checked, monkeypatch):
+    # No real draw leaves a segment's end non-finite while its start was
+    # small enough to skip the per-step checks.  An isfinite that calls
+    # every end-of-segment theta (2N,) or EMA state (2, 2N + 1) non-finite
+    # forces each such segment through the restore-and-replay path.
+    n = case[0]
+    shape = {"theta": (2 * n,), "ema": (2, 2 * n + 1)}[checked]
+    real_isfinite = np.isfinite
+    refused = [0]
+
+    def never_finite(x, *args, **kwargs):
+        got = real_isfinite(x, *args, **kwargs)
+        if np.shape(x) != shape:
+            return got
+        refused[0] += 1
+        return np.zeros_like(got)
+
+    want = _toy_outcome(_toy_per_step_report, *case)
+    monkeypatch.setattr(np, "isfinite", never_finite)
+    assert _toy_outcome(train_toy_delay, *case) == want
+    if case[4] < 1e140:         # here every segment starts inside the bound
+        assert refused[0] == -(-case[3] // 100)
+
+
 @pytest.mark.parametrize("seed", [960769185, 161173238])
 def test_train_toy_recovers_the_lag_on_seeds_that_failed_at_lr_1e_3(seed):
     # At lr = 1e-3 Adam stopped about 3% above the least-squares optimum on
