@@ -11,13 +11,12 @@ a toy trainer, and an independent dense-matrix reference path for
 cross-checking every identity.
 """
 
-from .cnum import DEFAULT_EPS, cmax_by_real, reciprocal_eps, softmax_eps
+from .cnum import DEFAULT_EPS, reciprocal_eps, softmax_eps
 from .fftconv import causal_conv_fft, causal_conv_naive, fft, softmax_via_fft
 from .hippo import DiagSpectrum, skew_hippo_lambda, skew_hippo_matrix, symmetric_eigenvalues
 from .kernel import (
     DiagonalParams,
     GeneralSSM,
-    KernelGradients,
     KernelParams,
     VARIANTS,
     build_kernel,
@@ -27,11 +26,9 @@ from .kernel import (
     dss_exp_noscale_kernel,
     dss_softmax_kernel,
     effective_lambda,
-    exp_basis,
     finite_diff_grad,
     general_ssm_kernel,
     kernel_grad_exp,
-    truncate_kernel,
     write_kernel_csv,
 )
 from .layer import (
@@ -44,7 +41,6 @@ from .layer import (
     layer_forward,
     layer_kernels,
     load_layer_params,
-    nearest_rank_percentile,
     params_from_json,
     params_to_json,
     save_layer_params,

@@ -50,20 +50,20 @@ class Trial:
 # ---------------------------------------------------------------------------
 # instance samplers
 
-def sample_dense_instance(rng, n_max=8, l_max=64, cond_limit=100.0):
+def sample_dense_instance(rng):
     """A diagonalizable dense system with a stable, well-separated spectrum.
 
-    Eigenvalue real parts lie in [-2, -0.05], delta in [0.01, 0.5], and the
-    eigenvector basis is redrawn until its condition number is below
-    ``cond_limit``.
+    N lies in [1, 8], L in [2, 64], eigenvalue real parts in [-2, -0.05],
+    delta in [0.01, 0.5], and the eigenvector basis is redrawn until its
+    condition number is at most 100.
     """
-    n = int(rng.randint(1, n_max + 1))
-    l = int(rng.randint(2, l_max + 1))
+    n = int(rng.randint(1, 9))
+    l = int(rng.randint(2, 65))
     lam = rng.uniform(-2.0, -0.05, n) + 1j * rng.uniform(-3.0, 3.0, n)
     delta = float(rng.uniform(0.01, 0.5))
     while True:
         v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if np.linalg.cond(v) <= cond_limit:
+        if np.linalg.cond(v) <= 100.0:
             break
     a = v @ np.diag(lam) @ np.linalg.inv(v)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -82,10 +82,10 @@ def sample_exp_params(rng, n_max=8):
     )
 
 
-def sample_softmax_params(rng, n_max=8, l=4096, force_positive=False):
-    """Softmax-variant parameters whose growth guard is comfortably away
-    from singular (|exp(L*lam*delta)| bounded away from 1)."""
-    n = int(rng.randint(1, n_max + 1))
+def sample_softmax_params(rng, l=4096, force_positive=False):
+    """Softmax-variant parameters with N in [1, 8] whose growth guard is
+    comfortably away from singular (|exp(L*lam*delta)| bounded away from 1)."""
+    n = int(rng.randint(1, 9))
     delta_log = float(rng.uniform(math.log(1e-3), math.log(0.1)))
     delta = math.exp(delta_log)
     while True:
@@ -195,8 +195,7 @@ def check_grad(trials, seed):
         params = sample_exp_params(rng, n_max=4)
         l = int(rng.randint(2, 33))
         upstream = rng.standard_normal(l)
-        g = kernel_grad_exp(params, l, upstream)
-        analytic = np.r_[g.d_lambda_re, g.d_lambda_im, g.d_delta_log, g.d_w_re, g.d_w_im]
+        analytic = kernel_grad_exp(params, l, upstream)
         numeric = finite_diff_grad(lambda t: float(dss_exp_kernel(params.unpack(t), l) @ upstream),
                                    params.pack(), h=1e-6)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)

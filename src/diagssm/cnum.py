@@ -73,31 +73,18 @@ def reciprocal_eps(x, eps=DEFAULT_EPS):
     return x.conj() / (x.real * x.real + x.imag * x.imag + eps)
 
 
-def cmax_by_real(x):
-    """Return (index, value) of the entry with the largest real part.
-
-    Ties resolve to the lowest index.
-    """
-    x = np.atleast_1d(_numbers("x", x, np.complex128)).ravel()
-    if x.size == 0:
-        raise ValueError("empty vector")
-    idx = int(np.argmax(x.real))
-    return idx, complex(x[idx])
-
-
 def softmax_eps(x, eps=DEFAULT_EPS):
     """Softmax of a complex vector, finite for every finite input.
 
-    Subtracts the entry with the largest real part (making every
-    exponential have magnitude <= 1), then multiplies by the eps-stabilized
-    reciprocal of the sum of exponentials.  Where the plain softmax is well
-    defined the result agrees with it up to an O(eps) perturbation; where
-    the plain softmax would divide by zero this returns (near-)zeros
-    instead of NaN.
+    Subtracts the entry with the largest real part, the first of equals
+    (making every exponential have magnitude <= 1), then multiplies by the
+    eps-stabilized reciprocal of the sum of exponentials.  Where the plain
+    softmax is well defined the result agrees with it up to an O(eps)
+    perturbation; where the plain softmax would divide by zero this
+    returns (near-)zeros instead of NaN.
     """
     x = _numbers("x", x, np.complex128)
     if x.size == 0:
         raise ValueError("empty vector")
-    _, m = cmax_by_real(x)
-    e = np.exp(x - m)
+    e = np.exp(x - x.ravel()[np.argmax(x.real)])
     return e * reciprocal_eps(np.sum(e), eps)

@@ -80,11 +80,6 @@ class DiagonalParams:
     # The arrays and their shapes, one letter per axis: "h" for H, "n" for N.
     _LAYOUT: ClassVar[dict] = {"lambda_re": "n", "lambda_im": "n", "delta_log": "h", "w": "hn"}
 
-    @property
-    def delta(self):
-        """exp(delta_log), (H,), as :func:`_diagonal_form` forms it: inf on overflow."""
-        return _diagonal_form(self)[1]
-
     def coordinate_kernel_params(self, h_idx):
         """Coordinate h_idx's parameters: an H = 1 container whose arrays are
         views of this one's.  h_idx is a count below h."""
@@ -343,23 +338,6 @@ def dss_exp_kernel(params, l):
     return diagonal_kernels("exp", *_coordinate_form(params, "exp"), l)[0]
 
 
-def exp_basis(params, l):
-    """The N x L complex basis g_ik = (e^{lam_i dt}-1)/lam_i e^{lam_i dt k}.
-
-    It is the exp kernel's linear map from its weights: the kernel is
-    Re(w~ @ basis), which :func:`dss_exp_kernel` builds without the basis,
-    and the gradient of sum_k u_k K_k is basis @ u with respect to Re(w~)
-    and -(basis @ u).imag with respect to Im(w~), the ``d_w_re`` and
-    ``d_w_im`` of :func:`kernel_grad_exp`.  For callers that hold lambda
-    and delta fixed while the weights change.
-    """
-    l = _count("l", l)
-    lam, delta, _ = _coordinate_form(params, "exp")
-    _, scale, z, _ = _diagonal_rates("exp", lam, delta, np.ones((1, lam.size)), 1, l)
-    outer, inner = _exp_blocks(z[0], l)
-    return ((scale[0, :, None] * outer)[:, :, None] * inner[:, None, :]).reshape(params.n, -1)[:, :l]
-
-
 def dss_softmax_kernel(params, l, eps=DEFAULT_EPS):
     """Kernel K_k = Re( (w / lam) . row_softmax_eps(P) ), P_{i,k} = lam_i*dt*k."""
     return diagonal_kernels("softmax", *_coordinate_form(params, "softmax"), l, eps)[0]
@@ -370,17 +348,18 @@ def dss_exp_noscale_kernel(params, l):
     return diagonal_kernels("exp_no_scale", *_coordinate_form(params, "exp_no_scale"), l)[0]
 
 
-def build_kernel(params, l, eps=DEFAULT_EPS):
+def build_kernel(params, l):
     """One coordinate's kernel: the H = 1 case of :func:`diagonal_kernels`."""
-    return diagonal_kernels(params.variant, *_coordinate_form(params, *VARIANTS), l, eps)[0]
+    return diagonal_kernels(params.variant, *_coordinate_form(params, *VARIANTS), l)[0]
 
 
-def _matexp_taylor(m, max_terms=200):
+def _matexp_taylor(m):
     """exp(m) by scaling-and-squaring around a plain Taylor series.
 
     The matrix is halved until its 1-norm is <= 0.5, the series is summed
-    until the next term's 1-norm falls below 1e-18, and the result is
-    squared back up.  A norm that halving never brings down is refused.
+    until the next term's 1-norm falls below 1e-18 (at most 200 terms), and
+    the result is squared back up.  A norm that halving never brings down
+    is refused.
     """
     m = np.asarray(m, dtype=np.complex128)
     dim = m.shape[0]
@@ -394,7 +373,7 @@ def _matexp_taylor(m, max_terms=200):
     scaled = m / (2.0 ** squarings)
     total = np.eye(dim, dtype=np.complex128)
     term = np.eye(dim, dtype=np.complex128)
-    for k in range(1, max_terms + 1):
+    for k in range(1, 201):
         term = term @ scaled / k
         total = total + term
         if np.abs(term).sum(axis=0).max() < 1e-18:
@@ -485,25 +464,6 @@ def dense_to_diagonal_weights(cv, vinvb, lam, delta, l):
     return w_tilde, w_tilde * grow
 
 
-def truncate_kernel(kernel, c):
-    """Zero every kernel position at index >= c, a count >= 1; length unchanged."""
-    c = _count("c", c)
-    out = np.array(_numbers("kernel", kernel))
-    out[..., c:] = 0.0
-    return out
-
-
-@dataclass
-class KernelGradients:
-    """Partial derivatives of upstream . K for an exp-variant kernel."""
-
-    d_lambda_re: np.ndarray
-    d_lambda_im: np.ndarray
-    d_w_re: np.ndarray
-    d_w_im: np.ndarray
-    d_delta_log: float
-
-
 def _scale_slope(z, e_z):
     """phi(z) = (z e^z - expm1 z)/z^2 = sum_k (k+1) z^k/(k+2)!, given e_z = e^z.
 
@@ -522,6 +482,11 @@ def _scale_slope(z, e_z):
 
 def kernel_grad_exp(params, l, upstream):
     """Analytic gradient of f = sum_k upstream_k * K_k, exp variant.
+
+    The gradient is one float64 vector laid out as the
+    :meth:`DiagonalParams.pack` vector of the coordinate's parameters:
+    lambda_re, lambda_im, delta_log, Re w~, Im w~; ``params.unpack(grad)``
+    names the parts.
 
     With z = lam dt and the exp scale s = dt*expm1(z)/z, f = Re sum_i
     w~_i s_i G_i, where G_i = sum_k u_k e^{z_i k}; G and its z-derivative
@@ -547,15 +512,10 @@ def kernel_grad_exp(params, l, upstream):
         g_u, gk_u = powers @ upstream, powers @ (np.arange(l) * upstream)
         e_z = np.exp(z)
         sens = w * (dt * _scale_slope(z, e_z) * g_u + scale * gk_u)      # df/dz
-        proj = scale * g_u
-        grad = KernelGradients(
-            d_lambda_re=z.real * sens.real,
-            d_lambda_im=-dt * sens.imag,
-            d_w_re=proj.real,
-            d_w_im=-proj.imag,
-            d_delta_log=float((w * (dt * e_z * g_u + scale * z * gk_u)).sum().real),
-        )
-    if not all(np.isfinite(part).all() for part in vars(grad).values()):
+        d_delta_log = (w * (dt * e_z * g_u + scale * z * gk_u)).sum(keepdims=True).real
+        grad = DiagonalParams("exp", 1, params.n, z.real * sens.real, -dt * sens.imag,
+                              d_delta_log, np.conj(scale * g_u)[None]).pack()
+    if not np.isfinite(grad).all():
         raise ValueError("gradient leaves float range")
     return grad
 

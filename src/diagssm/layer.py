@@ -27,8 +27,8 @@ import numpy as np
 from .cnum import _choice, _count, _numbers, _positive
 from .fftconv import _conv_by_spectrum, _kernel_spectrum
 from .hippo import skew_hippo_lambda
-from .kernel import (DiagonalParams, KernelParams, _check_layout, _check_sizes, _complex,
-                     _diagonal_form, diagonal_kernels, exp_basis, truncate_kernel)
+from .kernel import (DiagonalParams, _check_layout, _check_sizes, _complex, _diagonal_form,
+                     _diagonal_rates, _exp_blocks, diagonal_kernels)
 from .recurrence import _scan_plan, _scan_run
 # Bound only because ssmbench/tracer.py wraps these names here; the layer calls none.
 from .fftconv import causal_conv_fft  # noqa: F401
@@ -276,7 +276,9 @@ def layer_kernels(params, l, kernel_limit=None):
     limit = None if kernel_limit is None else _count("kernel_limit", kernel_limit)
     _check_layout(params)
     kernels = diagonal_kernels(params.variant, *_diagonal_form(params), l)
-    return kernels if limit is None else truncate_kernel(kernels, limit)
+    if limit is not None:
+        kernels[:, limit:] = 0.0
+    return kernels
 
 
 def _layer_plan(params, mode, l, kernel_limit):
@@ -310,19 +312,20 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None):
 
     ``mode="conv"`` convolves each coordinate with its kernel (FFT path);
     ``mode="recurrent"`` runs the recurrences instead, all coordinates and
-    batch rows in one :func:`~diagssm.recurrence.chunked_scan` over a
-    (B,H,N) state, for every variant.  Each mode's parameter-only work (its
-    plan: the kernels' spectrum, or the scan's tables) is done once per
-    layer and kept until the parameters, L or ``kernel_limit`` change
-    (:func:`_layer_plan`); a layer keeps one plan per mode, so calls that
-    alternate modes rebuild neither.  The scan's step factors come from
+    batch rows in one chunked scan over a (B,H,N) state, for every variant
+    (``recurrence._scan_plan`` then ``_scan_run``, the two halves of
+    :func:`~diagssm.recurrence.chunked_scan`).  Each mode's parameter-only
+    work (its plan: the kernels' spectrum, or the scan's tables) is done
+    once per layer and kept until the parameters, L or ``kernel_limit``
+    change (:func:`_layer_plan`); a layer keeps one plan per mode, so calls
+    that alternate modes rebuild neither.  The scan's step factors come from
     lam*dt alone, with every exponent's real part non-positive (softmax
-    modes with Re(lam) > 0 accumulate first and are scaled at read-out),
-    so it shares no closed form with the kernels.  Both modes run at
-    ``DEFAULT_EPS`` and agree to rounding.  Kernel truncation only exists
-    on the convolution path: a truncated kernel is no longer the impulse
-    response of the underlying recurrence.  Returns a new C-contiguous
-    array of u's shape.
+    modes with Re(lam) > 0 accumulate first and are scaled at read-out), so
+    it shares no closed form with the kernels.  Both modes run at
+    ``DEFAULT_EPS`` and agree to rounding.  Kernel truncation only exists on
+    the convolution path: a truncated kernel is no longer the impulse
+    response of the underlying recurrence.  Returns a new C-contiguous array
+    of u's shape.
 
     Both views share one layout check (:func:`_check_layout`) and one
     parameter check, and refuse the same parameters.  Raises ValueError
@@ -363,14 +366,6 @@ def layer_forward(params, u, mode="conv", kernel_limit=None):
     return out
 
 
-def nearest_rank_percentile(values, p):
-    """The ceil(p*N)-th smallest value (1-based nearest-rank percentile)."""
-    values = np.asarray(values)
-    if values.size == 0:
-        raise ValueError("empty sample")
-    return np.quantile(values, p, method="inverted_cdf")
-
-
 @dataclass
 class KernelStats:
     argmax_pos: np.ndarray      # length H, int
@@ -383,7 +378,8 @@ def kernel_stats(params, l):
 
     argmax ties resolve to the lowest index; an all-zero kernel reports
     argmax 0 and an all-zero profile.  The summary statistic is the
-    nearest-rank 95th percentile of the argmax positions.
+    nearest-rank 95th percentile of the argmax positions, the
+    ceil(0.95*H)-th smallest.
     """
     kernels = layer_kernels(params, l)
     mags = np.abs(kernels)
@@ -394,7 +390,7 @@ def kernel_stats(params, l):
     return KernelStats(
         argmax_pos=argmax.astype(int),
         profiles=profiles,
-        argmax_p95=int(nearest_rank_percentile(argmax, 0.95)),
+        argmax_p95=int(np.quantile(argmax, 0.95, method="inverted_cdf")),
     )
 
 
@@ -402,6 +398,29 @@ TOY_SLOW_MODE_RATE = 1.5      # radians per step for the slowest spectral mode
 TOY_DECAY_OVER_WINDOW = 0.7   # envelope falls to exp(-0.7) across the window
 TOY_INIT_ENERGY = 0.15        # mean squared value of the initial kernel
 TOY_SEGMENT = 100             # steps between logged losses, and between loss checks
+
+
+def _toy_lift(n, l):
+    """The toy's frozen real 2N x L lift: K = [Re w, Im w] @ lift is the exp
+    kernel of weights w on the spectrum and sample time of
+    :func:`train_toy_delay`'s setup.
+
+    Row i is Re g_i and row N + i is -Im g_i, for the N x L complex
+    g_ik = (e^{lam_i dt}-1)/lam_i e^{lam_i dt k}, formed from the kernels'
+    discretization and blocked exponentials.
+    """
+    spectrum = skew_hippo_lambda(n)
+    delta = TOY_SLOW_MODE_RATE / float(spectrum.lambda_im[-1])
+    lambda_re = np.full(n, math.log(TOY_DECAY_OVER_WINDOW / (delta * l)))
+    lam = -np.exp(lambda_re) + 1j * spectrum.lambda_im
+    # delta goes through its log and back, as a stored delta_log would.
+    _, scale, z, _ = _diagonal_rates("exp", lam, np.exp([math.log(delta)]), np.ones((1, n)), 1, l)
+    outer, inner = _exp_blocks(z[0], l)
+    g = ((scale[0, :, None] * outer)[:, :, None] * inner[:, None, :]).reshape(n, -1)[:, :l]
+    lift = np.empty((2 * n, l))
+    lift[:n] = g.real
+    np.negative(g.imag, out=lift[n:])
+    return lift
 
 
 def train_toy_delay(n, l, lag, steps, lr=2e-3, seed=0):
@@ -412,7 +431,7 @@ def train_toy_delay(n, l, lag, steps, lr=2e-3, seed=0):
     The spectrum and sample time stay frozen at a setup chosen for the
     task, which keeps the fit convex in the trained parameters.  The kernel
     is then linear in theta = [Re w, Im w]: K = theta @ lift for a real
-    2N x L lift of :func:`~diagssm.kernel.exp_basis`, so the loss is a
+    2N x L lift (:func:`_toy_lift`), so the loss is a
     quadratic in theta and needs only the 2N x 2N Gram matrix
     G = lift @ lift.T and p = lift[:, lag].  Both are built once, bordered
     into M = [[G, -p], [-p^T, 1]]; with theta_a = [theta; 1], one
@@ -443,26 +462,16 @@ def train_toy_delay(n, l, lag, steps, lr=2e-3, seed=0):
 
     A lag far beyond typical kernel-peak positions makes this a small
     long-range capability check.  n, l and steps are counts >= 1, lag one
-    below l, and lr a positive scalar.  Returns a report dict with the loss
-    history every 100 steps.
+    below l, and lr a positive scalar, taken as a Python float.  Returns a
+    report dict with the loss history every 100 steps.
     """
     n, l, steps = _count("n", n), _count("l", l), _count("steps", steps)
     if _count("lag", lag, low=0) >= l:
         raise ValueError("lag must satisfy 0 <= lag < l")
-    _positive("lr", lr)
-    spectrum = skew_hippo_lambda(n)
-    delta = TOY_SLOW_MODE_RATE / float(spectrum.lambda_im[-1])
-    lambda_re = np.full(n, math.log(TOY_DECAY_OVER_WINDOW / (delta * l)))
-    delta_log = math.log(delta)
+    # A numpy lr would make the step scalars and the overflow guard its dtype.
+    lr = float(_positive("lr", lr))
     w = SplitMix64(seed).normals(2 * n).view(np.complex128)
-    basis = exp_basis(KernelParams(variant="exp", lambda_re=lambda_re,
-                                   lambda_im=spectrum.lambda_im, w=w,
-                                   delta_log=delta_log), l)
-    # theta = [Re w, Im w] maps to the kernel through one real 2N x L matrix.
-    lift = np.empty((2 * n, l))
-    lift[:n] = basis.real
-    np.negative(basis.imag, out=lift[n:])
-    del basis                   # freed before the Gram product's BLAS buffers
+    lift = _toy_lift(n, l)
     theta = np.concatenate([w.real, w.imag])
     k0 = theta @ lift
     k = 2 * n

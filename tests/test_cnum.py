@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diagssm import cmax_by_real, reciprocal_eps, softmax_eps
+from diagssm import reciprocal_eps, softmax_eps
 
 
 def real_softmax(x):
@@ -45,25 +45,16 @@ def test_reciprocal_eps_rejects_non_finite_eps(eps):
         reciprocal_eps(np.array([1 + 0j, 0j]), eps)
 
 
-def test_cmax_by_real_tie_breaks_low_index():
-    idx, val = cmax_by_real(np.array([1 + 2j, 3 - 1j, 3 + 5j]))
-    assert idx == 1
-    assert val == 3 - 1j
-
-
-def test_cmax_by_real_singleton():
-    assert cmax_by_real(np.array([-1 + 0j])) == (0, -1 + 0j)
-
-
-def test_cmax_by_real_equal_real_parts():
-    idx, val = cmax_by_real(np.array([0 + 9j, 0 - 9j]))
-    assert idx == 0
-    assert val == 9j
-
-
-def test_cmax_by_real_empty():
-    with pytest.raises(ValueError, match="empty vector"):
-        cmax_by_real(np.array([], dtype=complex))
+def test_softmax_eps_shifts_by_the_first_largest_real_part():
+    # The shift is bitwise visible: the other entry of equal real part gives
+    # other bits.  Ties resolve to the lowest index.
+    for x, first, other in [([1 + 2j, 3 - 1j, 3 + 5j], 1, 2), ([0 + 9j, 0 - 9j], 0, 1)]:
+        x = np.array(x)
+        shifted = [np.exp(x - x[i]) for i in (first, other)]
+        want, not_want = (e * reciprocal_eps(e.sum()) for e in shifted)
+        assert np.array_equal(softmax_eps(x), want)
+        assert not np.array_equal(softmax_eps(x), not_want)
+    assert softmax_eps(np.array([-1 + 0j]))[0] == 1.0 / (1.0 + 1e-7)
 
 
 def test_softmax_eps_symmetric_pair():

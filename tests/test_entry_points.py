@@ -3,11 +3,11 @@
 Every draw must give finite output or a ValueError, never NaN, inf or a
 numpy RuntimeWarning (the suite turns those into errors), and the
 convolution and recurrent views must refuse exactly the same draws, with
-the same message.  The one-coordinate paths (the per-step oracles, the exp
-gradient and basis) must give finite output or a ValueError on the same
-draws; they may refuse more than the layer does.  Malformed arguments (a
-float or bool count, a non-positive or non-numeric scalar, complex input
-to a real argument) are refused with a ValueError naming the argument.
+the same message.  The one-coordinate paths (the per-step oracles and the
+exp gradient) must give finite output or a ValueError on the same draws;
+they may refuse more than the layer does.  Malformed arguments (a float or
+bool count, a non-positive or non-numeric scalar, complex input to a real
+argument) are refused with a ValueError naming the argument.
 """
 
 import dataclasses
@@ -30,7 +30,6 @@ from diagssm import (
     diagonal_kernels,
     dss_exp_kernel,
     effective_lambda,
-    exp_basis,
     finite_diff_grad,
     gelu,
     general_ssm_kernel,
@@ -39,7 +38,6 @@ from diagssm import (
     kernel_stats,
     layer_forward,
     layer_kernels,
-    nearest_rank_percentile,
     params_from_json,
     reciprocal_eps,
     run_exp,
@@ -51,7 +49,6 @@ from diagssm import (
     ssm_outputs,
     symmetric_eigenvalues,
     train_toy_delay,
-    truncate_kernel,
 )
 
 H, N = 2, 4
@@ -96,13 +93,8 @@ def outcome(fn):
 def coordinate_paths(variant, params, u):
     """The one-coordinate entry points on coordinate 0 and u[0, 0], as thunks."""
     u0, l = u[0, 0], u.shape[-1]
-
-    def gradient(kp):
-        g = kernel_grad_exp(kp, l, u0)
-        return np.concatenate([g.d_lambda_re, g.d_lambda_im, g.d_w_re, g.d_w_im, [g.d_delta_log]])
-
-    paths = {"exp": [lambda kp: np.concatenate(run_exp(kp, u0)), gradient,
-                     lambda kp: exp_basis(kp, l)],
+    paths = {"exp": [lambda kp: np.concatenate(run_exp(kp, u0)),
+                     lambda kp: kernel_grad_exp(kp, l, u0)],
              "softmax": [lambda kp: np.concatenate(run_softmax_stable(kp, u0))],
              "exp_no_scale": [lambda kp: np.concatenate(run_exp(kp, u0))]}[variant]
     return [lambda fn=fn: fn(params.coordinate_kernel_params(0)) for fn in paths]
@@ -189,7 +181,6 @@ MALFORMED = {
     "kernel length inf": (lambda: dss_exp_kernel(P_EXP, math.inf), "l must be an integer >= 1"),
     "kernel length nan": (lambda: dss_exp_kernel(P_EXP, math.nan), "l must be an integer >= 1"),
     "kernel length 4.0": (lambda: dss_exp_kernel(P_EXP, 4.0), "l must be an integer >= 1"),
-    "truncation None": (lambda: truncate_kernel(np.ones(4), None), "c must be an integer >= 1"),
     "fft softmax length None": (lambda: softmax_via_fft(-1 + 1j, None), "l must be an integer >= 1"),
     "fft softmax scalar None": (lambda: softmax_via_fft(None, 4), "c must hold numbers"),
     "fft softmax scalar nan": (lambda: softmax_via_fft(complex(math.nan, 1.0), 4), "c must be finite"),
@@ -259,7 +250,6 @@ MALFORMED = {
                  "state size must be >= 1"),
     "kernel of another variant": (lambda: dss_exp_kernel(P_SOFTMAX, 4), "expected variant in ('exp',)"),
     "parameter file not an object": (lambda: params_from_json("[1]"), "parameter file is not a JSON object"),
-    "empty percentile sample": (lambda: nearest_rank_percentile([], 0.5), "empty sample"),
     "empty softmax oracle input": (lambda: run_softmax_stable(P_SOFTMAX, []),
                                    "input u must be one-dimensional and nonempty"),
     "coordinate index past h": (lambda: init_layer(2, 3, "exp", 0).coordinate_kernel_params(5),

@@ -17,20 +17,20 @@ from diagssm import (
     dss_exp_noscale_kernel,
     dss_softmax_kernel,
     effective_lambda,
-    exp_basis,
     finite_diff_grad,
     general_ssm_kernel,
     init_layer,
     kernel_grad_exp,
+    layer_kernels,
     run_exp,
     run_softmax_stable,
     ssm_outputs,
-    truncate_kernel,
     write_kernel_csv,
 )
 from diagssm.checks import check_grad, check_prop1
 from diagssm.cnum import reciprocal_eps
-from diagssm.kernel import _diagonal_rates, _exp_factors, _exp_range, _factor_sum, _scale_slope
+from diagssm.kernel import (_diagonal_form, _diagonal_rates, _exp_factors, _exp_range, _factor_sum,
+                            _scale_slope)
 
 LN2 = math.log(2.0)
 
@@ -143,11 +143,11 @@ def test_noscale_relates_to_exp_for_single_mode():
     # proportional with ratio (e^{lam dt} - 1)/lam
     p_exp = exp_params([0.2], [1.3], [0.7 - 0.4j], -0.8)
     p_ns = KernelParams("exp_no_scale", [0.2], [1.3], [0.7 - 0.4j], -0.8)
-    lam = effective_lambda(p_exp)[0]
-    ratio = (np.exp(lam * p_exp.delta) - 1.0) / lam
+    lam, delta = effective_lambda(p_exp)[0], math.exp(-0.8)
+    ratio = (np.exp(lam * delta) - 1.0) / lam
     k_exp = dss_exp_kernel(p_exp, 16)
     k_ns_scaled = (np.asarray([0.7 - 0.4j]) * ratio @
-                   np.exp(np.outer([lam * p_exp.delta], np.arange(16)))).real
+                   np.exp(np.outer([lam * delta], np.arange(16)))).real
     assert np.abs(k_exp - k_ns_scaled).max() < 1e-12
     # sanity: plain no-scale differs unless the ratio is 1
     assert np.abs(k_exp - dss_exp_noscale_kernel(p_ns, 16)).max() > 1e-3
@@ -156,7 +156,7 @@ def test_noscale_relates_to_exp_for_single_mode():
 def direct_kernel(params, l):
     """Each kernel from one N x L np.exp, the form the blocked builds factor."""
     lam = effective_lambda(params)
-    z = lam * params.delta
+    z = lam * np.exp(params.delta_log)
     pos = np.arange(l, dtype=float)
     if params.variant == "softmax":
         shift = z * ((lam.real > 0) * (l - 1))
@@ -312,19 +312,26 @@ def test_kept_scan_plan_evaluates_no_exp_and_is_bounded(variant, monkeypatch):
 
 @pytest.mark.parametrize("l", [1, 65, 1024])
 def test_exp_basis_is_the_kernel_linear_map(l):
+    # K is linear in w~, with K(e_i) and K(i e_i) as the basis of its real
+    # and imaginary parts: the 2N unit-weight kernels of one layer-sized
+    # build.  So the gradient of u . K in w~ (the w block of its pack()
+    # vector) is u @ K(e_i) for Re w~_i and u @ K(i e_i) for Im w~_i.
     rng = np.random.default_rng(7)
     for _ in range(4):
         params = random_kernel_params(rng, "exp", int(rng.integers(1, 33)))
-        basis = exp_basis(params, l)
+        n = params.n
+        lam, delta, w = _diagonal_form(params)
+        unit = diagonal_kernels("exp", lam, np.repeat(delta, 2 * n),
+                                np.concatenate([np.eye(n), 1j * np.eye(n)]), l)
         kernel = dss_exp_kernel(params, l)
-        assert basis.shape == (params.n, l)
-        assert np.abs((params.w @ basis).real - kernel).max() <= 1e-12 * np.abs(kernel).max()
+        theta = np.concatenate([w[0].real, w[0].imag])
+        assert np.abs(theta @ unit - kernel).max() <= 1e-12 * np.abs(kernel).max()
         u = rng.standard_normal(l)
-        g = kernel_grad_exp(params, l, u)
-        proj = basis @ u
-        scale = max(np.abs(g.d_w_re).max(), np.abs(g.d_w_im).max())
-        assert np.abs(proj.real - g.d_w_re).max() <= 1e-12 * scale
-        assert np.abs(-proj.imag - g.d_w_im).max() <= 1e-12 * scale
+        got = params.unpack(kernel_grad_exp(params, l, u)).w[0]
+        want = unit @ u
+        scale = np.abs(want).max()
+        assert np.abs(got.real - want[:n]).max() <= 1e-12 * scale
+        assert np.abs(got.imag - want[n:]).max() <= 1e-12 * scale
 
 
 def test_general_ssm_kernel_scalar_case():
@@ -409,13 +416,16 @@ def test_prop_equivalences_from_dense_instances():
 
 
 def test_truncate_kernel_basic():
-    got = truncate_kernel(np.array([1.0, 2.0, 3.0, 4.0]), 2)
-    assert np.array_equal(got, np.array([1.0, 2.0, 0.0, 0.0]))
+    # layer_kernels zeroes each kernel from kernel_limit on and keeps the rest.
+    params = init_layer(3, 4, "exp", 0)
+    full, got = layer_kernels(params, 8), layer_kernels(params, 8, kernel_limit=2)
+    assert np.array_equal(got[:, :2], full[:, :2])
+    assert np.array_equal(got[:, 2:], np.zeros((3, 6))) and np.all(full[:, 2:] != 0.0)
 
 
 def test_truncate_kernel_beyond_length_is_identity():
-    k = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(truncate_kernel(k, 7), k)
+    params = init_layer(3, 4, "exp", 0)
+    assert np.array_equal(layer_kernels(params, 3, kernel_limit=7), layer_kernels(params, 3))
 
 
 def test_singular_lambda_rejected():
@@ -424,22 +434,17 @@ def test_singular_lambda_rejected():
         dss_softmax_kernel(p, 4)
 
 
-def grad_as_vector(g):
-    """The gradient in the order of the parameters' pack() vector."""
-    return np.concatenate([g.d_lambda_re, g.d_lambda_im, [g.d_delta_log], g.d_w_re, g.d_w_im])
-
-
 def test_kernel_grad_zero_upstream():
     p = exp_params([0.1, -0.2], [0.5, 1.5], [1.0, 2.0], -0.3)
-    g = grad_as_vector(kernel_grad_exp(p, 8, np.zeros(8)))
-    assert np.array_equal(g, np.zeros_like(g))
+    g = kernel_grad_exp(p, 8, np.zeros(8))
+    assert g.dtype == np.float64 and np.array_equal(g, np.zeros(4 * p.n + 1))
 
 
 def test_kernel_grad_weight_entry_hand_value():
     # L=1: K_0 = Re(w~) * (e^{lam dt} - 1)/lam evaluated at lam=-1, dt=ln 2
     p = exp_params([0.0], [0.0], [1.0], math.log(LN2))
-    g = kernel_grad_exp(p, 1, np.array([1.0]))
-    assert g.d_w_re[0] == pytest.approx(0.5, abs=1e-12)
+    g = p.unpack(kernel_grad_exp(p, 1, np.array([1.0])))
+    assert g.w[0, 0].real == pytest.approx(0.5, abs=1e-12)
 
 
 def grad_and_differences(params, l, u):
@@ -449,7 +454,7 @@ def grad_and_differences(params, l, u):
     def loss(theta):
         return float(dss_exp_kernel(params.unpack(theta), l) @ u)
 
-    return grad_as_vector(kernel_grad_exp(params, l, u)), finite_diff_grad(loss, params.pack())
+    return kernel_grad_exp(params, l, u), finite_diff_grad(loss, params.pack())
 
 
 def assert_real_system_grad(params, l, u):
@@ -508,11 +513,13 @@ def test_kernel_grad_refuses_what_the_kernel_builder_refuses():
                                                   (-744.0, 0.0)])
 def test_exp_scale_is_delta_when_lam_delta_underflows(lambda_re, delta_log):
     # lam*dt is subnormal or rounds to 0, where expm1(lam dt)/lam loses its
-    # digits (or overflows); kernel, basis and impulse response are dt throughout.
+    # digits (or overflows); kernel, the gradient's w block at each impulse
+    # and impulse response are dt throughout.
     p = KernelParams("exp", [lambda_re], [0.0], [1.0], delta_log)
     delta = math.exp(delta_log)
     assert np.allclose(dss_exp_kernel(p, 3), delta, rtol=1e-15, atol=0.0)
-    assert np.allclose(exp_basis(p, 3), delta, rtol=1e-15, atol=0.0)
+    w_block = [p.unpack(kernel_grad_exp(p, 3, e)).w[0, 0] for e in np.eye(3)]
+    assert np.allclose(w_block, delta, rtol=1e-15, atol=0.0)
     assert np.allclose(run_exp(p, [1.0, 0.0, 0.0])[0], delta, rtol=1e-15, atol=0.0)
 
 
@@ -552,15 +559,14 @@ def test_exp_scale_keeps_delta_for_tiny_rates():
     assert dss_exp_kernel(p, 1)[0] == pytest.approx(0.01, rel=1e-14)
 
 
-@pytest.mark.parametrize("entry", ["kernel_grad_exp", "run_exp", "run_softmax_stable", "exp_basis"])
+@pytest.mark.parametrize("entry", ["kernel_grad_exp", "run_exp", "run_softmax_stable"])
 def test_overflowing_delta_is_refused_by_every_path(entry):
     variant = "softmax" if entry == "run_softmax_stable" else "exp"
     p = KernelParams(variant, [0.0], [1.0], [1.0], 710.0)
     call = {"kernel_grad_exp": lambda: kernel_grad_exp(p, 4, np.ones(4)),
             "run_exp": lambda: run_exp(p, np.ones(4)),
-            "run_softmax_stable": lambda: run_softmax_stable(p, np.ones(4)),
-            "exp_basis": lambda: exp_basis(p, 4)}[entry]
-    assert p.delta == math.inf
+            "run_softmax_stable": lambda: run_softmax_stable(p, np.ones(4))}[entry]
+    assert _diagonal_form(p)[1][0] == math.inf
     with pytest.raises(ValueError, match="^delta must be finite$"):
         call()
 

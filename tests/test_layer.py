@@ -15,6 +15,7 @@ from diagssm import (
     build_kernel,
     causal_conv_fft,
     chunked_scan,
+    diagonal_kernels,
     dss_exp_kernel,
     dss_exp_noscale_kernel,
     dss_softmax_kernel,
@@ -26,7 +27,6 @@ from diagssm import (
     layer_forward,
     layer_kernels,
     load_layer_params,
-    nearest_rank_percentile,
     params_from_json,
     params_to_json,
     run_exp,
@@ -38,7 +38,7 @@ from diagssm import (
 )
 from diagssm.cli import main as cli_main
 from diagssm.hippo import skew_hippo_lambda
-from diagssm.kernel import VARIANTS, DiagonalParams, KernelParams, exp_basis
+from diagssm.kernel import VARIANTS, DiagonalParams, KernelParams
 from diagssm.layer import (
     _GELU_BLOCK,
     _MASK64,
@@ -49,6 +49,7 @@ from diagssm.layer import (
     TOY_SLOW_MODE_RATE,
     LayerParams,
     _gelu_into,
+    _toy_lift,
 )
 
 
@@ -669,18 +670,30 @@ def test_train_toy_gram_mse_is_the_kernel_mse(n, l, lag):
 
 
 def _toy_setup(n, l, lag):
-    """train_toy_delay's frozen 2N x L lift (K = [Re w, Im w] @ lift) and target,
-    rebuilt from exp_basis and the TOY_* constants."""
-    lambda_im = skew_hippo_lambda(n).lambda_im
-    delta = TOY_SLOW_MODE_RATE / float(lambda_im[-1])
-    params = KernelParams(variant="exp",
-                          lambda_re=np.full(n, math.log(TOY_DECAY_OVER_WINDOW / (delta * l))),
-                          lambda_im=lambda_im, w=np.zeros(n, dtype=complex),
-                          delta_log=math.log(delta))
-    basis = exp_basis(params, l)
+    """train_toy_delay's frozen 2N x L lift (K = [Re w, Im w] @ lift) and target."""
     target = np.zeros(l)
     target[lag] = 1.0
-    return np.concatenate([basis.real, -basis.imag]), target
+    return _toy_lift(n, l), target
+
+
+@pytest.mark.parametrize("n, l", [(1, 1), (3, 40), (8, 64), (16, 333), (32, 1024)])
+def test_toy_lift_is_the_direct_exp_form(n, l):
+    # Rows [Re; -Im] of g_ik = expm1(z_i)/lam_i e^{z_i k}, z = lam*dt, from one
+    # plain np.exp per entry.  That exp's own phase rounding grows with
+    # |Im z|*L (3.4e-12 of max|lift| at N, L = 64, 16384), so larger sizes
+    # are left out.  The lift is also the 2N unit-weight kernels K(e_i),
+    # K(i e_i) of the exp builder, to rounding.
+    lambda_im = skew_hippo_lambda(n).lambda_im
+    delta = TOY_SLOW_MODE_RATE / float(lambda_im[-1])
+    lam = -TOY_DECAY_OVER_WINDOW / (delta * l) + 1j * lambda_im
+    z = lam * delta
+    g = (np.expm1(z) / lam)[:, None] * np.exp(np.outer(z, np.arange(l)))
+    lift = _toy_lift(n, l)
+    assert lift.shape == (2 * n, l)
+    assert np.abs(lift - np.concatenate([g.real, -g.imag])).max() <= 1e-12 * np.abs(lift).max()
+    unit = diagonal_kernels("exp", lam, np.full(2 * n, delta),
+                            np.concatenate([np.eye(n), 1j * np.eye(n)]), l)
+    assert np.abs(lift - unit).max() <= 1e-12 * np.abs(lift).max()
 
 
 def _toy_least_squares_mse(n, l, lag):
@@ -862,6 +875,20 @@ def test_train_toy_replayed_segments_are_the_per_step_loop_bitwise(case, checked
         assert refused[0] == -(-case[3] // 100)
 
 
+@pytest.mark.parametrize("lr", [np.float16(2e-3), np.float32(2e-3), np.float64(2e-3), 2, np.int64(1),
+                                np.float32(1e30), 10 ** 200],
+                         ids=["float16", "float32", "float64", "int", "int64", "float32-huge",
+                              "int-diverging"])
+def test_train_toy_report_is_that_of_the_float_lr(lr):
+    # The trainer takes lr as a Python float, so a numpy lr sets the precision
+    # of neither the step scalars nor the overflow guard.  At lr 1e30 the
+    # loss grows past 1e50 but stays finite; at 1e200 it overflows.
+    args = (4, 32, 5, 250)
+    got = _toy_outcome(train_toy_delay, *args, lr, 1)
+    assert got == _toy_outcome(train_toy_delay, *args, float(lr), 1)
+    assert ("diverged" in got) == (float(lr) > 1e100)
+
+
 @pytest.mark.parametrize("seed", [960769185, 161173238])
 def test_train_toy_recovers_the_lag_on_seeds_that_failed_at_lr_1e_3(seed):
     # At lr = 1e-3 Adam stopped about 3% above the least-squares optimum on
@@ -895,10 +922,11 @@ def test_report_refuses_a_value_json_cannot_hold(tmp_path):
 
 
 def test_nearest_rank_percentile_definition():
-    # ceil(0.95 * 20) = 19th smallest of 0..19 is 18
-    assert nearest_rank_percentile(np.arange(20), 0.95) == 18
-    assert nearest_rank_percentile([5], 0.95) == 5
-    assert nearest_rank_percentile([3, 1], 0.5) == 1
+    # kernel_stats' p95 is the ceil(0.95*H)-th smallest peak position: the
+    # 19th of 20, the 2nd of 2.
+    for h in (1, 2, 19, 20, 21):
+        stats = kernel_stats(small_layer("softmax", h=h, n=6, seed=h), 256)
+        assert stats.argmax_p95 == sorted(stats.argmax_pos)[math.ceil(0.95 * h) - 1]
 
 
 def test_params_json_roundtrip_bit_exact(tmp_path):
@@ -1128,8 +1156,8 @@ def coordinate_entry_points(variant, l=8):
     u = np.linspace(-1.0, 1.0, l)
     common = [lambda p: build_kernel(p, l), lambda p: p.pack(), lambda p: p.unpack(np.zeros(1))]
     return common + {
-        "exp": [lambda p: dss_exp_kernel(p, l), lambda p: exp_basis(p, l),
-                lambda p: kernel_grad_exp(p, l, u), lambda p: run_exp(p, u)],
+        "exp": [lambda p: dss_exp_kernel(p, l), lambda p: kernel_grad_exp(p, l, u),
+                lambda p: run_exp(p, u)],
         "softmax": [lambda p: dss_softmax_kernel(p, l), lambda p: run_softmax_stable(p, u)],
         "exp_no_scale": [lambda p: dss_exp_noscale_kernel(p, l), lambda p: run_exp(p, u)],
     }[variant]

@@ -14,6 +14,7 @@ from diagssm import (
     diagonal_kernels,
     dss_exp_kernel,
     dss_exp_noscale_kernel,
+    dss_softmax_kernel,
     effective_lambda,
     run_exp,
     run_softmax_stable,
@@ -147,7 +148,7 @@ def test_run_softmax_positive_re_copies_to_horizon():
     assert abs(x[0] - 1.0 / lam) < 2e-3        # the headline approximation
     assert np.abs(y[:-1]).max() < math.exp(-lam) * exact_last * 1.01
     assert y[-1] == pytest.approx(exact_last, abs=1e-10)
-    y_conv = causal_conv_fft(build_kernel(p, l, eps=1e-14), u)
+    y_conv = causal_conv_fft(dss_softmax_kernel(p, l, eps=1e-14), u)
     assert np.abs(y - y_conv).max() < 1e-8
 
 
