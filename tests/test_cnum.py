@@ -45,16 +45,27 @@ def test_reciprocal_eps_rejects_non_finite_eps(eps):
         reciprocal_eps(np.array([1 + 0j, 0j]), eps)
 
 
-def test_softmax_eps_shifts_by_the_first_largest_real_part():
-    # The shift is bitwise visible: the other entry of equal real part gives
-    # other bits.  Ties resolve to the lowest index.
-    for x, first, other in [([1 + 2j, 3 - 1j, 3 + 5j], 1, 2), ([0 + 9j, 0 - 9j], 0, 1)]:
-        x = np.array(x)
-        shifted = [np.exp(x - x[i]) for i in (first, other)]
-        want, not_want = (e * reciprocal_eps(e.sum()) for e in shifted)
-        assert np.array_equal(softmax_eps(x), want)
-        assert not np.array_equal(softmax_eps(x), not_want)
+def assert_shifted_by(x, first, other):
+    # softmax_eps shifts by the entry of largest real part, the first on a
+    # tie.  The shift is bitwise visible: another entry of equal real part
+    # gives other bits.
+    x = np.array(x)
+    shifted = [np.exp(x - x[i]) for i in (first, other)]
+    want, not_want = (e * reciprocal_eps(e.sum()) for e in shifted)
+    assert np.array_equal(softmax_eps(x), want)
+    assert not np.array_equal(softmax_eps(x), not_want)
+
+
+def test_cmax_by_real_tie_breaks_low_index():
+    assert_shifted_by([1 + 2j, 3 - 1j, 3 + 5j], 1, 2)
+
+
+def test_cmax_by_real_singleton():
     assert softmax_eps(np.array([-1 + 0j]))[0] == 1.0 / (1.0 + 1e-7)
+
+
+def test_cmax_by_real_equal_real_parts():
+    assert_shifted_by([0 + 9j, 0 - 9j], 0, 1)
 
 
 def test_softmax_eps_symmetric_pair():
