@@ -20,9 +20,10 @@ import numpy as np
 from .cnum import _count, _numbers, softmax_eps
 
 # Spectrum bytes of one block of input rows in causal_conv_fft.  At
-# (B,H,L) = (4,16,16384), 1 MB blocks ran no faster and left the process
-# peak RSS higher (116 against 103 MB); 4 MB blocks put the traced peak at
-# 2.4x the result.
+# (B,H,L) = (4,16,16384), 1 MB and 512 KB blocks ran the convolution 6% and
+# 21% slower (in-process A/B, 60 alternating rounds, one BLAS thread).  A
+# conv layer_forward's traced peak is 1.44x its output at 2 MB, 1.19x and
+# 1.13x at 1 MB and 512 KB, and 1.94x at 4 MB.
 _BLOCK_BYTES = 1 << 21
 
 

@@ -202,6 +202,11 @@ _SQRT2 = math.sqrt(2.0)
 # elementwise passes of the formula.
 _GELU_BLOCK = 1 << 15
 
+# Floats in layer_forward's projection scratch: one block of the output,
+# 256 KB, which stays in a core's L2 cache between the product and the copy
+# that writes it back.
+_PROJECTION_BLOCK = 1 << 15
+
 # The float64 sign bit, for applying erf's odd symmetry as a bit operation.
 _SIGN_BIT = np.uint64(1 << 63)
 
@@ -217,7 +222,8 @@ def gelu(x):
     input is processed in blocks of ``_GELU_BLOCK`` elements, each through
     block-sized scratch buffers, so the temporaries stay in cache; every
     element sees the same operations in the same order whatever the block
-    size.  x holds real numbers.
+    size.  x holds real numbers; gelu(-inf) is -0, GELU's limit, gelu(inf)
+    is inf and NaN stays NaN.
     """
     x = _numbers("x", x)
     out = _gelu_into(x, np.empty(x.shape))
@@ -267,6 +273,10 @@ def _gelu_into(x, out):
         np.bitwise_and(half.view(np.uint64), _SIGN_BIT, out=sign)
         np.bitwise_xor(p.view(np.uint64), sign, out=p.view(np.uint64))
         p += 1.0
+        # GELU's limit at x = -inf is -0, where half*p would be -inf*0 = NaN.
+        # Wherever half < -1e300, z*z overflows and p is exactly 0, so the
+        # clamp changes the bits of no other input (NaN stays NaN).
+        np.maximum(half, -1e300, out=half)
         np.multiply(half, p, out=o)
     return out
 
@@ -354,6 +364,19 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None):
 def layer_forward(params, u, mode="conv", kernel_limit=None):
     """Full layer: out_t = W_out . gelu(y_t + u_t) + b_out, position-wise.
 
+    Returns the float64 array :func:`ssm_outputs` allocated, overwritten
+    in place by the residual, the GELU and the projection, so the output
+    is the call's only (B, H, L) array.  Beyond it and the mode's own
+    scratch, the call holds the GELU's block buffers (:func:`_gelu_into`)
+    and one projection scratch of ``_PROJECTION_BLOCK`` floats: each batch
+    row is projected through BLAS one block of ``_PROJECTION_BLOCK // H``
+    columns at a time (several rows per product when whole rows fit).  A
+    row that fits one block is the same BLAS call as ``w_out @ y`` makes
+    per row, bit for bit; across blocks, BLAS may sum a block's columns in
+    another order (numpy takes gemv for a single column), so the result
+    agrees with the whole-array product to the rounding of an H-term dot
+    product.
+
     Raises ValueError naming the field of a layer that
     :func:`_check_layout` refuses, and naming ``u`` when the input holds a
     non-finite value (see :func:`ssm_outputs`).
@@ -361,9 +384,21 @@ def layer_forward(params, u, mode="conv", kernel_limit=None):
     u = _numbers("input u", u)
     y = ssm_outputs(params, u, mode, kernel_limit)    # a fresh C-contiguous array
     y += u
-    out = params.w_out @ _gelu_into(y, y)       # (H, H) @ (B, H, L), through BLAS
-    out += params.b_out[:, None]
-    return out
+    _gelu_into(y, y)
+    h, l = y.shape[1:]
+    cols = min(l, max(1, _PROJECTION_BLOCK // h))
+    rows = max(1, _PROJECTION_BLOCK // (h * cols))     # > 1 only when whole rows fit
+    scratch = np.empty(rows * h * cols)
+    for lead in range(0, len(y), rows):
+        for lo in range(0, l, cols):
+            block = y[lead:lead + rows, :, lo:lo + cols]
+            tmp = scratch[:block.size].reshape(block.shape)   # C-contiguous, as BLAS needs
+            np.matmul(params.w_out, block, out=tmp)
+            np.copyto(block, tmp)
+    # One add over the whole array: numpy's broadcast add over a block's
+    # short rows ran 2-3x slower per element than this one pass.
+    y += params.b_out[:, None]
+    return y
 
 
 @dataclass

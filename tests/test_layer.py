@@ -37,11 +37,13 @@ from diagssm import (
     write_report_json,
 )
 from diagssm.cli import main as cli_main
+from diagssm.fftconv import _BLOCK_BYTES
 from diagssm.hippo import skew_hippo_lambda
 from diagssm.kernel import VARIANTS, DiagonalParams, KernelParams
 from diagssm.layer import (
     _GELU_BLOCK,
     _MASK64,
+    _PROJECTION_BLOCK,
     DELTA_INIT_HIGH,
     DELTA_INIT_LOW,
     TOY_DECAY_OVER_WINDOW,
@@ -239,6 +241,13 @@ def test_gelu_left_tail():
     assert abs(gelu(-20.0)) < 1e-8
 
 
+def test_gelu_at_minus_inf_is_minus_zero_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gelu(np.array([-np.inf, np.inf]))
+    assert_bitwise(got, np.array([-0.0, np.inf]))
+
+
 def test_gelu_at_one_matches_normal_cdf():
     assert abs(gelu(1.0) - 0.8413447460685429) < 1e-7
 
@@ -266,7 +275,7 @@ def oracle_gelu(x):
         poly = t * (poly + coeff)
     erfc = t * np.exp(-z * z + _ORACLE_ERF_COEFFS[0] + poly)
     erf = np.where(s >= 0.0, 1.0 - erfc, erfc - 1.0)
-    return 0.5 * x * (1.0 + erf)
+    return np.where(x == -np.inf, -0.0, 0.5 * x * (1.0 + erf))   # GELU's limit at -inf
 
 
 def assert_bitwise(got, want):
@@ -344,6 +353,23 @@ def test_gelu_in_place_holds_four_block_buffers():
     assert peak <= 4 * 8 * _GELU_BLOCK + 4096
 
 
+def test_conv_layer_forward_holds_one_output_sized_array():
+    # With its plan kept, a conv layer_forward allocates its output and,
+    # beside it, two FFT blocks, the GELU's four block buffers and the
+    # projection scratch.  A projection into a fresh array, w_out @ y, put
+    # the traced peak at 2.0x the output, over this bound.
+    params = init_layer(16, 64, "exp", 0)
+    u = np.random.default_rng(4).standard_normal((4, 16, 16384))
+    layer_forward(params, u)
+    tracemalloc.start()
+    try:
+        out = layer_forward(params, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2 * _BLOCK_BYTES + 4 * 8 * _GELU_BLOCK + 8 * _PROJECTION_BLOCK
+
+
 def test_gelu_erf_within_1e7_of_math_erf():
     # erf recovered from gelu as 2*gelu(x)/x - 1 at x = sqrt(2)*s, which
     # adds ~1e-15 of rounding to the erfcc approximation's own error.
@@ -369,6 +395,40 @@ def test_layer_forward_matches_einsum_projection(variant, mode):
             + params.b_out[None, :, None])
     assert np.abs(out - want).max() <= 1e-12 * max(1.0, np.abs(out).max())
     assert_bitwise(u, kept)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("mode", ["conv", "recurrent"])
+def test_property_blocked_projection_is_the_whole_array_product(variant, mode):
+    # The projection runs in place, one block of columns (of one or more
+    # batch rows) at a time; lengths fall inside one block and at and
+    # across block edges.
+    # A row of one block is the whole-array product's own BLAS call, so the
+    # bits match.  Across blocks BLAS may sum in another order (a one-column
+    # block goes through gemv; OpenBLAS's column-tail kernels round
+    # differently), so both sides are within an H-term dot product's
+    # rounding of the exact sum, the bias counted as one more term.
+    rng = np.random.default_rng([VARIANTS.index(variant), mode == "conv", 31])
+    eps = np.finfo(float).eps
+    for h in (1, 5, 16):
+        params = init_layer(h, 4, variant, h)
+        params.w_out = rng.standard_normal((h, h))
+        params.b_out = rng.standard_normal(h)
+        cols = _PROJECTION_BLOCK // h
+        for b in (1, 3):
+            for l in (1, 7, cols - 1, cols, cols + 1, 2 * cols + 1):
+                u = rng.standard_normal((b, h, l))
+                kept = u.copy()
+                g = gelu(ssm_outputs(params, u, mode) + u)
+                want = params.w_out @ g + params.b_out[:, None]
+                got = layer_forward(params, u, mode)
+                if l <= cols:
+                    assert_bitwise(got, want)
+                else:
+                    mass = np.abs(params.w_out) @ np.abs(g) + np.abs(params.b_out)[:, None]
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert np.all(np.abs(got - want) <= 2 * (h + 1) * eps * mass)
+                assert_bitwise(u, kept)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
