@@ -1,5 +1,5 @@
-"""Command-line surface: kernel dumps, cross-check suites, benchmarks,
-heatmap data, and the toy long-range trainer.
+"""Command-line surface: kernel dumps, cross-check suites, heatmap data,
+and the toy long-range trainer.
 
 Exit codes: 0 success, 1 usage or precondition error, 2 file I/O or
 malformed input file, 3 a check suite (or the trained lag) failed,
@@ -11,8 +11,6 @@ import inspect
 import math
 import os
 import sys
-import time
-import tracemalloc
 
 import numpy as np
 
@@ -24,9 +22,7 @@ from .layer import (
     _write_text,
     init_layer,
     kernel_stats,
-    layer_kernels,
     load_layer_params,
-    ssm_outputs,
     train_toy_delay,
     write_report_json,
 )
@@ -91,57 +87,6 @@ def _cmd_check(args):
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-_TIMED_CALLS = 5
-
-
-def _time_ms(fn):
-    """Best of 5 timed calls in ms, after one untimed warm-up call."""
-    fn()
-    best = math.inf
-    for _ in range(_TIMED_CALLS):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best * 1e3
-
-
-def _peak_mb(fn):
-    """tracemalloc's peak over one call, in MB of 2^20 bytes."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
-
-
-def _cmd_bench(args):
-    try:
-        l_list = [int(v) for v in args.l.split(",")]
-    except ValueError:
-        raise ValueError("--l expects comma-separated integers") from None
-    _count("--b", args.b)
-    params = init_layer(args.h, args.n, args.variant, args.seed)
-    rng = np.random.RandomState(args.seed)
-    # kernel_ms is the kernel build on its own.  conv_ms and recur_ms follow
-    # _time_ms's warm-up call, which builds the layer's plan for the mode
-    # (the kernels' spectrum, the scan's tables), so neither includes it,
-    # and conv_peak_mb is the peak of a conv call with the plan kept.
-    print("L,kernel_ms,conv_ms,recur_ms,conv_peak_mb")
-    for l in l_list:
-        kernel_ms = _time_ms(lambda: layer_kernels(params, l))      # refuses l < 1 before u is drawn
-        u = rng.standard_normal((args.b, args.h, l))
-        conv_ms = recur_ms = conv_peak_mb = ""
-        if args.mode in ("conv", "both"):
-            conv_ms = "%.3f" % _time_ms(lambda: ssm_outputs(params, u, mode="conv"))
-            conv_peak_mb = "%.3f" % _peak_mb(lambda: ssm_outputs(params, u, mode="conv"))
-        if args.mode in ("recurrent", "both"):
-            recur_ms = "%.3f" % _time_ms(
-                lambda: ssm_outputs(params, u, mode="recurrent"))
-        print("%d,%.3f,%s,%s,%s" % (l, kernel_ms, conv_ms, recur_ms, conv_peak_mb))
-    return EXIT_OK
-
-
 def _cmd_heatmap(args):
     try:
         params = load_layer_params(args.params)
@@ -195,18 +140,6 @@ def _build_parser():
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("bench", help="time kernel, convolution and recurrence "
-                                       "(best of 5 warm calls per cell), and "
-                                       "trace the convolution's peak memory")
-    p.add_argument("--l", required=True, help="comma list of sequence lengths")
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--h", type=int, default=16)
-    p.add_argument("--b", type=int, default=1)
-    p.add_argument("--mode", choices=("conv", "recurrent", "both"), default="both")
-    p.add_argument("--variant", choices=VARIANTS, default="exp")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("heatmap", help="normalized |K| profiles plus peak stats")
     p.add_argument("--params", required=True, help="layer parameter JSON file")

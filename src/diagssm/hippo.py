@@ -41,13 +41,15 @@ def symmetric_eigenvalues(m):
     """Eigenvalues of a dense real-symmetric or complex-Hermitian matrix,
     sorted descending (``numpy.linalg.eigvalsh``).
 
-    Raises ValueError naming ``matrix`` if the input does not hold finite
-    real (complex) numbers, or is not square and symmetric (Hermitian) to
-    1e-12 of its Frobenius norm.  Real input stays on eigvalsh's real path.
+    Raises ValueError naming ``matrix`` if it is empty or not square and
+    symmetric (Hermitian) to 1e-12 of its Frobenius norm, or does not hold
+    finite real (complex) numbers.  Real input stays on eigvalsh's real path.
     """
     a = _numbers("matrix", m, complex if np.iscomplexobj(m) else float, finite=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix not symmetric")
+    if a.size == 0:
+        raise ValueError("matrix must be nonempty")
     fro = np.sqrt((np.abs(a) ** 2).sum())
     if np.max(np.abs(a - a.conj().T)) > 1e-12 * max(1.0, fro):
         raise ValueError("matrix not symmetric")

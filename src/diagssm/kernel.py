@@ -184,6 +184,8 @@ class GeneralSSM:
         if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
             raise ValueError("A must be square")
         n = self.a.shape[0]
+        if n < 1:
+            raise ValueError("state size must be >= 1")
         if self.b.size != n or self.c.size != n:
             raise ValueError("B and C must match the state size")
         if n > 16:
@@ -237,6 +239,8 @@ def _diagonal_rates(variant, lam, delta, w, h, l):
     w = _numbers("w", w, np.complex128)
     if delta.shape != (h,) or w.shape != (h, lam.size):
         raise ValueError("delta must have shape (H,) and w (H, N) for H coordinates, N modes")
+    if lam.size == 0:
+        raise ValueError("state size must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
         z = delta[:, None] * lam
         for name, value in (("lam", lam), ("delta", delta), ("w", w), ("lam*delta*L", z * l)):

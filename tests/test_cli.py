@@ -1,5 +1,8 @@
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,62 +127,17 @@ def test_check_rejects_bad_trials(capsys):
     assert "trials" in err
 
 
-def test_bench_csv_shape(capsys):
-    code, out, _ = run(["bench", "--l", "64,256", "--n", "4", "--h", "2",
-                        "--b", "1", "--mode", "conv"], capsys)
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "L,kernel_ms,conv_ms,recur_ms,conv_peak_mb"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[0] == "64"
-    assert float(first[1]) >= 0.0
-    assert first[3] == ""  # recurrence not timed in conv mode
-    # the traced peak holds at least the (B, H, L) result, 2 x 256 doubles
-    assert float(lines[2].split(",")[4]) * 2 ** 20 >= 2 * 256 * 8
-
-
-def test_bench_times_warm_calls(monkeypatch, capsys):
-    # One untimed warm-up call, then the best of 5 timed ones, per cell.
-    calls = []
-    real = cli.layer_kernels
-    monkeypatch.setattr(cli, "layer_kernels", lambda *a: calls.append(a) or real(*a))
-    code, out, _ = run(["bench", "--l", "16,32", "--n", "4", "--h", "2", "--b", "1",
-                        "--mode", "conv"], capsys)
-    assert code == 0 and len(out.strip().split("\n")) == 3
-    assert [a[1] for a in calls] == [16] * 6 + [32] * 6
-
-
-def test_bench_recurrent_exp_no_scale(capsys):
-    code, out, _ = run(["bench", "--l", "40", "--n", "4", "--h", "2", "--b", "1",
-                        "--variant", "exp_no_scale", "--mode", "recurrent"], capsys)
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert len(lines) == 2
-    row = lines[1].split(",")
-    assert row[0] == "40" and row[2] == "" and row[4] == ""
-    assert float(row[3]) >= 0.0
-
-
-def test_bench_rejects_zero_length(capsys):
-    code, _, _ = run(["bench", "--l", "0", "--n", "4", "--h", "2"], capsys)
-    assert code == 1
-
-
 @pytest.mark.parametrize("argv", [
     ["kernel", "--variant", "exp", "--n", "0", "--l", "4"],
     ["kernel", "--variant", "exp", "--l", "0"],
     ["train-toy", "--lag", "0", "--l", "4", "--steps", "0"],
     ["train-toy", "--lag", "0", "--l", "4", "--n", "0"],
-    ["bench", "--l", "4", "--h", "0"],
     ["check", "--suite", "prop1", "--seed", "-1"],
-    ["bench", "--l", "4,x"],
     ["kernel", "--variant", "exp", "--l", "4", "--lambda-re", "0", "--lambda-im", "0", "--w=1"],
     ["kernel", "--variant", "exp", "--l", "4", "--lambda-re", "0"],
     ["kernel", "--variant", "exp", "--l", "4", "--delta", "nan"],
     ["train-toy", "--lag", "0", "--l", "4", "--lr", "-1"],
     ["train-toy", "--lag", "0", "--l", "4", "--lr", "nan"],    # an argument error, not a divergence
-    ["bench", "--l", "4", "--n", "2", "--h", "2", "--b", "0"],
 ])
 def test_library_value_error_is_usage_error(argv, capsys):
     code, _, err = run(argv, capsys)
@@ -305,3 +263,23 @@ def test_train_toy_report_roundtrips(tmp_path, capsys):
     assert {"initial_mse", "final_mse", "final_argmax", "history"} <= set(report)
     assert report["history"][0]["step"] == 0
     assert report["history"][-1]["step"] == 150
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _invoked_subcommands(text):
+    return set(re.findall(r"^\s*(?:python -m )?diagssm (\S+)", text, re.M))
+
+
+def test_ci_and_readme_run_every_subcommand():
+    # CI's "Entry points" step promises that every subcommand runs once,
+    # and README's CLI block shows each one; neither names one that is gone.
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    step = workflow.split("- name: Entry points", 1)[1].split("- name:", 1)[0]
+    readme = (ROOT / "README.md").read_text()
+    cli_block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    assert _invoked_subcommands(step) == set(sub.choices)
+    assert _invoked_subcommands(cli_block) == set(sub.choices)

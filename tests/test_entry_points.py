@@ -226,6 +226,7 @@ MALFORMED = {
     "2-D direct convolution input": (lambda: causal_conv_naive(np.ones((2, 4)), np.ones((2, 4))),
                                      "kernel and input u must be one-dimensional"),
     "non-square eigenproblem": (lambda: symmetric_eigenvalues(np.ones((2, 3))), "matrix not symmetric"),
+    "empty eigenproblem": (lambda: symmetric_eigenvalues(np.zeros((0, 0))), "matrix must be nonempty"),
     "complex gelu input": (lambda: gelu(np.ones(8) + 1j), "x must hold real numbers"),
     "object input": (lambda: layer_forward(LAYER, np.full((1, 2, 8), None)), "input u must hold real numbers"),
     "complex lambda_re": (lambda: KernelParams("exp", [1j], [0.0], [1.0], 0.0),
@@ -248,6 +249,13 @@ MALFORMED = {
                         "lambda_re, lambda_im and w must have equal length"),
     "no modes": (lambda: KernelParams("exp", np.zeros(0), np.zeros(0), np.zeros(0), 0.0),
                  "state size must be >= 1"),
+    "dense system with no modes": (lambda: general_ssm_kernel(GeneralSSM(np.zeros((0, 0)), [], []), 0.1, 4),
+                                   "state size must be >= 1"),
+    "kernels of no modes": (lambda: diagonal_kernels("exp", np.zeros(0), np.ones(1), np.zeros((1, 0)), 4),
+                            "state size must be >= 1"),
+    "scan of no modes": (lambda: chunked_scan("exp", np.zeros(0), np.ones(1), np.zeros((1, 0)),
+                                              np.ones((1, 1, 4))),
+                         "state size must be >= 1"),
     "kernel of another variant": (lambda: dss_exp_kernel(P_SOFTMAX, 4), "expected variant in ('exp',)"),
     "parameter file not an object": (lambda: params_from_json("[1]"), "parameter file is not a JSON object"),
     "empty softmax oracle input": (lambda: run_softmax_stable(P_SOFTMAX, []),
