@@ -259,7 +259,8 @@ def _gelu_into(x, out):
         for coeff in reversed(_ERF_COEFFS[1:-1]):
             p += coeff
             p *= t
-        np.multiply(z, z, out=o)
+        with np.errstate(over="ignore"):              # |x| > ~1.34e154: inf, and exp gives 0
+            np.multiply(z, z, out=o)
         np.subtract(_ERF_COEFFS[0], o, out=o)        # == -(z*z) + c0 exactly
         o += p
         np.exp(o, out=o)

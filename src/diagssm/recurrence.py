@@ -17,8 +17,12 @@ part.
 H coordinates over a batch, with a (B,H,N) state.  It cuts the sequence
 into chunks of T = 32 steps.  Inside a chunk the output is a T x T
 Toeplitz product with the first T kernel values; the state enters through
-a (N x T) read-out and leaves through a (T x N) injection, each one
-matrix product per chunk, so the Python loop runs ceil(L/T) times.  Every
+a (N x T) read-out and leaves through a (T x N) injection.  The chunks run
+in groups of G = 32 (``_GROUP``): for each group one matrix product gives
+every chunk's in-chunk output, one every chunk's injection and one every
+chunk's read-out, and only the elementwise recursion
+S_j = e^{rho T} S_{j-1} + fresh_j between the chunk states runs in the
+Python loop, ceil(L/T) steps over (B, H, N) slices.  Every
 factor is e^{rho t} with Re(rho) <= 0 and 0 <= t, where rho is lam*dt, or
 -lam*dt for the softmax modes with Re(lam) > 0; for those modes the
 chunk's offset from the start (injection) and from the horizon (read-out)
@@ -124,6 +128,10 @@ def run_softmax_stable(params, u, eps=DEFAULT_EPS):
 
 _CHUNK = 32
 
+# Chunks per group in _scan_run: each of its three products covers a group,
+# so its scratch is about _GROUP * B * H * (2N + T) floats at any L.
+_GROUP = 32
+
 
 def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
     """Every coordinate's recurrence over a (B, H, L) input, in chunks.
@@ -133,9 +141,11 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
     the form the variant's kernel takes them.  Returns y of u's shape:
     y[b, h] is what :func:`run_exp` (``exp``, ``exp_no_scale``) or
     :func:`run_softmax_stable` (``softmax``, horizon L) gives for
-    coordinate h on u[b, h].  The (B, H, N) state is held as
-    (H, B, N), so each product batches over H, and the loop runs once per
-    chunk of 32 steps; see the module docstring.  NaN or inf in u is refused.
+    coordinate h on u[b, h], with the same bits whatever the batch.  The
+    sequence is cut into chunks of 32 steps and the chunks into groups of
+    32; each group's three products are batched over its chunks, and the
+    loop over chunks runs only the elementwise state recursion; see the
+    module docstring.  NaN or inf in u is refused.
 
     This is :func:`_scan_plan` then :func:`_scan_run`; a caller that runs
     the same parameters again at the same L and eps may keep the plan.
@@ -153,16 +163,16 @@ class _ScanPlan(NamedTuple):
     read: np.ndarray        # (H, 2N, T): a full chunk's read-out
     read_tail: np.ndarray   # (H, 2N, tail): the last chunk's read-out
     inject: np.ndarray      # (H, T, 2N)
-    decay: np.ndarray       # (H, 1, N): e^{rate T}, 1 on far modes
+    decay: np.ndarray       # (H, N): e^{rate T}, 1 on far modes
     far_hi: object          # the far modes' offset tables (see _scan_plan), or None
     far_lo: object
     far_lo_tail: object
 
 
-def _far_offset(hi, lo, k):
+def _far_offset(hi, lo, k, out=None):
     """hi[k // m] * lo[k % m], m rows in lo: row k of a table split as in ``_exp_factors``."""
     m = lo.shape[0]
-    return hi[k // m] * lo[k % m]
+    return np.multiply(hi[k // m], lo[k % m], out=out)
 
 
 def _scan_plan(variant, lam, delta, w, h, l, eps=DEFAULT_EPS):
@@ -189,23 +199,23 @@ def _scan_plan(variant, lam, delta, w, h, l, eps=DEFAULT_EPS):
                    + last * fwd[..., :tail].sum(axis=-1))
         coef = coef * reciprocal_eps(row_sum, eps)
 
-    # The far modes' chunk offsets come from (., H, 1, N) factor tables, 1 on
+    # The far modes' chunk offsets come from (., H, N) factor tables, 1 on
     # near modes: e^{rate c0} on what chunk j injects is row j of (far_hi,
     # far_lo), and e^{rate (L - c0 - tc)} on what it reads, which is
     # e^{rate T (chunks-2-j)} e^{rate tail} before the last chunk, 1 in it,
     # is row chunks-2-j of (far_hi, far_lo_tail).  Each is one product of two
-    # rows (_far_offset), so the loop holds no (chunks, H, N) table.
+    # rows (_far_offset), so the scan holds no (chunks, H, N) table.
     far_hi = far_lo = far_lo_tail = None
     impulse, inject, decay = fwd, fwd[..., ::-1], powers[..., block]
     if far.any():
-        far_hi = np.where(far, np.moveaxis(hi, -1, 0), 1.0)[:, :, None, :]
-        far_lo = np.where(far, np.moveaxis(lo, -1, 0), 1.0)[:, :, None, :]
-        far_lo_tail = far_lo * np.where(far, powers[..., tail], 1.0)[:, None, :]
+        far_hi = np.where(far, np.moveaxis(hi, -1, 0), 1.0)
+        far_lo = np.where(far, np.moveaxis(lo, -1, 0), 1.0)
+        far_lo_tail = far_lo * np.where(far, powers[..., tail], 1.0)
         # Far kernel values e^{rate (L-1-m)} = e^{rate (L-T)} e^{rate (T-1-m)},
         # and e^{rate (L-T)} is chunk 0's read offset, or 1 when one chunk covers L.
         lead = (_far_offset(far_hi, far_lo_tail, chunks - 2) if chunks > 1
                 else np.ones_like(far_hi[0]))
-        impulse = np.where(far[:, None], lead.transpose(0, 2, 1) * inject, fwd)
+        impulse = np.where(far[:, None], lead[..., None] * inject, fwd)
         inject = np.where(far[:, None], fwd, inject)
         decay = np.where(far, 1.0, decay)
 
@@ -226,34 +236,64 @@ def _scan_plan(variant, lam, delta, w, h, l, eps=DEFAULT_EPS):
     return _ScanPlan(
         toeplitz, read, read if tail == block else read_map(tail),
         np.ascontiguousarray(inject.transpose(0, 2, 1)).view(np.float64),  # (H, T, 2N)
-        decay[:, None, :].copy(), far_hi, far_lo, far_lo_tail)  # decay may view all powers
+        decay.copy(), far_hi, far_lo, far_lo_tail)  # decay may view all powers
 
 
 def _scan_run(plan, u):
     """The scan of a (B, H, L) float array u through a :func:`_scan_plan` for H and L,
-    as a new C-contiguous array."""
+    as a new C-contiguous array.
+
+    The chunks run in groups of ``_GROUP``.  For a group, one product
+    writes the in-chunk Toeplitz outputs into y and one writes every
+    chunk's injection into a chunk-major state buffer; the loop then runs
+    S_j = decay S_{j-1} + fresh_j over contiguous (B, H, N) slices of that
+    buffer, leaving in slot k the state chunk k reads (with the far modes'
+    read offset), and one more product adds every chunk's read-out to y.
+    Each BLAS call is one (b, h) row's product over the group's chunks, so
+    a row's output does not depend on the batch it runs in.
+    """
     # After the parameter checks, so both layer views name the same fault first.
     _numbers("input u", u, finite=True)
     toeplitz, read, read_tail, inject, decay, far_hi, far_lo, far_lo_tail = plan
     b, h, l = u.shape
     block, n = toeplitz.shape[-1], decay.shape[-1]
     chunks = -(-l // block)
+    tail = l - block * (chunks - 1)
+    group = min(_GROUP, chunks)
 
     y = np.empty(u.shape)
-    state = np.zeros((h, b, n), dtype=np.complex128)
-    for j, c0 in enumerate(range(0, l, block)):
-        tc = min(block, l - c0)
-        uc = u[:, :, c0:c0 + tc].transpose(1, 0, 2)
-        yc = uc @ toeplitz[:, :tc, :tc]
-        if c0:
-            carried = state
-            if far_hi is not None and j < chunks - 1:
-                carried = state * _far_offset(far_hi, far_lo_tail, chunks - 2 - j)
-            yc += carried.view(np.float64) @ (read if tc == block else read_tail)
-        y[:, :, c0:c0 + tc] = yc.transpose(1, 0, 2)
-        if c0 + tc < l:
-            fresh = (uc @ inject).view(np.complex128)
+    # Slot 0 holds the state entering the group; slot k + 1 receives chunk
+    # k's injection and becomes the state after chunk k.
+    state = np.empty((group + 1, b, h, 2 * n))
+    state[0] = 0.0
+    cstate = state.view(np.complex128)                  # (group + 1, B, H, N)
+    readout = np.empty((b, h, group, block))
+    step = np.empty((b, h, n), np.complex128)
+    # A same-shape product skips the buffered loop numpy runs for a broadcast one.
+    decay = np.broadcast_to(decay, step.shape).copy()
+    offset = None if far_hi is None else np.empty((h, n), np.complex128)
+    for j0 in range(0, chunks, group):
+        g = min(group, chunks - j0)
+        fed = g - (j0 + g == chunks)                    # chunks a later chunk reads from
+        full = g - (j0 + g == chunks and tail < block)  # chunks of T steps
+        c0, c1 = j0 * block, (j0 + full) * block
+        yc = y[:, :, c0:c1].reshape(b, h, full, block)
+        np.matmul(u[:, :, c0:c1].reshape(b, h, full, block), toeplitz, out=yc)
+        np.matmul(u[:, :, c0:c0 + fed * block].reshape(b, h, fed, block), inject,
+                  out=state[1:fed + 1].transpose(1, 2, 0, 3))
+        for k in range(fed):
+            fresh = cstate[k + 1]
             if far_hi is not None:
-                fresh *= _far_offset(far_hi, far_lo, j)
-            state = decay * state + fresh
+                fresh *= _far_offset(far_hi, far_lo, j0 + k, offset)
+            fresh += np.multiply(decay, cstate[k], out=step)
+            if far_hi is not None:                      # chunk j0 + k is not the last
+                cstate[k] *= _far_offset(far_hi, far_lo_tail, chunks - 2 - j0 - k, offset)
+        np.matmul(state[:full].transpose(1, 2, 0, 3), read, out=readout[:, :, :full])
+        yc += readout[:, :, :full]
+        if full < g:                                    # the short last chunk
+            yt = y[:, :, None, c1:]
+            np.matmul(u[:, :, None, c1:], toeplitz[:, :tail, :tail], out=yt)
+            yt += state[g - 1, :, :, None, :] @ read_tail
+        if fed == g:
+            state[0] = state[g]
     return y

@@ -53,6 +53,7 @@ from diagssm.layer import (
     _gelu_into,
     _toy_lift,
 )
+from diagssm.recurrence import _CHUNK, _GROUP
 
 
 def small_layer(variant="softmax", h=4, n=6, seed=11):
@@ -248,6 +249,26 @@ def test_gelu_at_minus_inf_is_minus_zero_without_a_warning():
     assert_bitwise(got, np.array([-0.0, np.inf]))
 
 
+@pytest.mark.parametrize("x", [1e200, -1e200, 1.7e308, -1.7e308])
+def test_gelu_of_huge_finite_input_does_not_warn(x):
+    # Past |x| ~ 1.34e154 the square of x/sqrt(2) overflows to inf, erfc's
+    # exp gives 0 and GELU is x or -0, so no warning is due.
+    with np.errstate(over="ignore"):
+        want = oracle_gelu(np.array([x]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gelu(np.array([x]))
+    assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("mode", ["conv", "recurrent"])
+def test_layer_forward_of_huge_finite_input_does_not_warn(mode):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = layer_forward(init_layer(4, 8, "exp", 0), np.full((1, 4, 64), 1e300), mode)
+    assert np.isfinite(out).all()
+
+
 def test_gelu_at_one_matches_normal_cdf():
     assert abs(gelu(1.0) - 0.8413447460685429) < 1e-7
 
@@ -368,6 +389,30 @@ def test_conv_layer_forward_holds_one_output_sized_array():
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + 2 * _BLOCK_BYTES + 4 * 8 * _GELU_BLOCK + 8 * _PROJECTION_BLOCK
+
+
+@pytest.mark.parametrize("l", [1024, 16384])
+@pytest.mark.parametrize("variant", ["exp", "softmax"])
+def test_recurrent_ssm_outputs_holds_output_and_one_group(variant, l):
+    # With its plan kept, a recurrent call allocates its output and one
+    # group's scratch: the chunk-major states (one slot more than a group),
+    # the read-out block, the broadcast decay and one state-sized product,
+    # the far modes' offset row, and numpy's two iterator buffers for the
+    # add into y's strided group view.  None of it grows with L.
+    b, h, n = 4, 16, 64
+    params = init_layer(h, n, variant, 0)
+    if variant == "softmax":
+        params.lambda_re[::2] = 0.25              # far modes, with their offsets
+    u = np.random.default_rng(5).standard_normal((b, h, l))
+    ssm_outputs(params, u, "recurrent")
+    tracemalloc.start()
+    try:
+        out = ssm_outputs(params, u, "recurrent")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    group = 8 * b * h * ((_GROUP + 1) * 2 * n + _GROUP * _CHUNK) + 16 * (2 * b * h * n + h * n)
+    assert peak <= out.nbytes + group + 2 * 8 * np.getbufsize() + 16384
 
 
 def test_gelu_erf_within_1e7_of_math_erf():

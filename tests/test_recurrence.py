@@ -21,7 +21,8 @@ from diagssm import (
     ssm_outputs,
 )
 from diagssm.checks import sample_exp_params, sample_softmax_params
-from diagssm.recurrence import _CHUNK, _scan_plan
+from diagssm.kernel import VARIANTS
+from diagssm.recurrence import _CHUNK, _GROUP, _scan_plan
 
 LN2 = math.log(2.0)
 
@@ -279,3 +280,40 @@ def test_chunked_scan_rejects_bad_input(change, message):
     args.update(change)
     with pytest.raises(ValueError, match=message):
         chunked_scan(**args)
+
+
+# Steps in one group of the scan's batched products.
+GROUP_SPAN = _GROUP * _CHUNK
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_property_scan_rows_do_not_depend_on_batch(variant):
+    # Each BLAS call of the scan is one (b, h) row's product over a group of
+    # chunks, and the state recursion is elementwise, so a row's output has
+    # the same bits in a batch of one as in a batch of four.
+    rng = np.random.default_rng([VARIANTS.index(variant), 34])
+    for l in (1, 33, 1000, 1024, 4097):
+        params = _scan_instance(rng, variant, h=int(rng.integers(1, 6)), n=int(rng.integers(2, 10)))
+        assert variant != "softmax" or (params.lambda_re > 0).any()
+        u = rng.standard_normal((4, params.h, l))
+        y = ssm_outputs(params, u, "recurrent")
+        for row in range(4):
+            alone = ssm_outputs(params, u[row:row + 1], "recurrent")
+            assert alone[0].tobytes() == y[row].tobytes(), (l, row)
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("l", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, GROUP_SPAN - 1, GROUP_SPAN,
+                               GROUP_SPAN + 1, 2 * GROUP_SPAN + 5])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_property_grouped_scan_edges_match_step_oracles(variant, l, b):
+    # Lengths at and across the chunk and group edges, where the short last
+    # chunk, the carry between groups and the far modes' offsets meet.
+    rng = np.random.default_rng([VARIANTS.index(variant), l, b])
+    params = _scan_instance(rng, variant)
+    assert variant != "softmax" or (params.lambda_re > 0).any()
+    u = rng.standard_normal((b, params.h, l))
+    y = ssm_outputs(params, u, "recurrent")
+    want = np.array([[_step_oracle(params.coordinate_kernel_params(hi), u[bi, hi], DEFAULT_EPS)
+                      for hi in range(params.h)] for bi in range(b)])
+    assert np.abs(y - want).max() <= 1e-12 * np.abs(want).max()
