@@ -330,9 +330,12 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None):
     once per layer and kept until the parameters, L or ``kernel_limit``
     change (:func:`_layer_plan`); a layer keeps one plan per mode, so calls
     that alternate modes rebuild neither.  The scan's step factors come from
-    lam*dt alone, with every exponent's real part non-positive (softmax
-    modes with Re(lam) > 0 accumulate first and are scaled at read-out), so
-    it shares no closed form with the kernels.  Both modes run at
+    lam*dt alone, so it shares no closed form with the kernels.  Every
+    exponent's real part is non-positive except one: softmax modes with
+    Re(lam) > 0 accumulate and are scaled at read-out, and where such a
+    mode's growth over the whole sequence is at most e^36 it is carried in
+    a read-out frame, whose one growing factor compounds to at most e^36
+    over the sequence (``recurrence._FRAME_SPAN``).  Both modes run at
     ``DEFAULT_EPS`` and agree to rounding.  Kernel truncation only exists on
     the convolution path: a truncated kernel is no longer the impulse
     response of the underlying recurrence.  Returns a new C-contiguous array

@@ -11,7 +11,8 @@ variant's input map divides by its row sum and, with Re(lam) > 0, the
 plain recurrence would exponentiate a positive real part; those modes are
 instead accumulated as sum_j exp(-lam*dt*j) u_j and scaled at read-out by
 exp(lam*dt*(k-(L-1))), so every exponentiated scalar has non-positive real
-part.
+part; the scan below keeps that form for the modes whose span is past a
+bound, and runs the others in a frame with one bounded growth factor.
 
 :func:`chunked_scan` is the production view: one call runs a whole layer,
 H coordinates over a batch, with a (B,H,N) state.  It cuts the sequence
@@ -22,17 +23,25 @@ in groups of G = 32 (``_GROUP``): for each group one matrix product gives
 every chunk's in-chunk output, one every chunk's injection and one every
 chunk's read-out, and only the elementwise recursion
 S_j = e^{rho T} S_{j-1} + fresh_j between the chunk states runs in the
-Python loop, ceil(L/T) steps over (B, H, N) slices.  Every
-factor is e^{rho t} with Re(rho) <= 0 and 0 <= t, where rho is lam*dt, or
--lam*dt for the softmax modes with Re(lam) > 0; for those modes the
+Python loop, ceil(L/T) steps over (B, H, N) slices.  Every factor is
+e^{rho t} with 0 <= t, where rho is lam*dt, or -lam*dt for the softmax
+modes with Re(lam) > 0 (the far modes), so Re(rho) <= 0, with one
+exception.  A far mode whose span |Re(rho)| T ceil(L/T) is at most 36
+(``_FRAME_SPAN``) runs in a read-out frame: its carried state is the
+accumulated one times e^{rho (T ceil(L/T) - T (j+1))}, never larger, and
+steps like a near mode's with the constant decay e^{-rho T}, whose size
+e^{|Re(rho)| T} is at most e^{36/ceil(L/T)}; over the whole sequence it
+grows by at most e^36 < 2^52, which is what the span bound caps.  (A full
+chunk before a short last one reads the frame through that decay too.)  A
+far mode past the bound keeps every exponent's real part <= 0: the
 chunk's offset from the start (injection) and from the horizon (read-out)
-are applied to the carried state as two more such factors.  All of them
+are applied to its carried state as two more factors e^{rho t}.  All of them
 come from tables built before the loop: the in-chunk powers e^{rho t},
 t <= T, from ``kernel._exp_range``, and, for softmax, the chunk starts
 e^{rho T j} as ``kernel._exp_factors``' two tables of about sqrt(L/T)
 rows, whose product the loop takes one row pair at a time: about 12
-exponentials per mode and coordinate, plus 2*sqrt(L/T) for softmax, none
-inside the loop, and no table of L/T rows.  The softmax row sums
+exponentials per mode and coordinate, plus 2*sqrt(L/T) + 1 for softmax,
+none inside the loop, and no table of L/T rows.  The softmax row sums
 are formed from the same tables as sums of e^{rho k}, never as
 (e^{rho L}-1)/(e^{rho}-1), so a spectrum with e^{rho L} = 1 gives the
 eps-regularized output of the convolution view instead of an error.
@@ -128,6 +137,22 @@ def run_softmax_stable(params, u, eps=DEFAULT_EPS):
 
 _CHUNK = 32
 
+# The widest span |Re(rate)| T chunks of a softmax far mode that the scan
+# carries in its read-out frame (see _scan_plan).  The frame injects an
+# input at as little as e^{-span} times its size and grows the state back
+# by e^{|Re(rate)| T} a chunk, e^{span} over the sequence.  e^36 < 2^52
+# bounds both: an input moves down at most 52 of float64's binary
+# exponents, so a row that tops out at 2^-960 or more stays above the
+# subnormals (and _LIFT_BELOW lifts the rest), and the state regrows by
+# less than one significand's range.  Past the bound a mode keeps the
+# offset path, whose factors all have Re <= 0.
+_FRAME_SPAN = 36.0
+
+# A read-frame scan scales each input row whose largest magnitude is below
+# this by a power of two, to [0.5, 1), and its output back: e^{-_FRAME_SPAN}
+# > 2^-52 times 2^-960 is still above 2^-1022, below which float64 loses bits.
+_LIFT_BELOW = 2.0 ** -960
+
 # Chunks per group in _scan_run: each of its three products covers a group,
 # so its scratch is about _GROUP * B * H * (2N + T) floats at any L.
 _GROUP = 32
@@ -145,7 +170,10 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
     sequence is cut into chunks of 32 steps and the chunks into groups of
     32; each group's three products are batched over its chunks, and the
     loop over chunks runs only the elementwise state recursion; see the
-    module docstring.  NaN or inf in u is refused.
+    module docstring.  NaN or inf in u is refused.  With softmax far modes
+    in the read-out frame, a row of u whose entries are all below 2^-960
+    in magnitude runs scaled by a power of two, exactly, so it keeps the
+    relative precision of the same row at a normal scale.
 
     This is :func:`_scan_plan` then :func:`_scan_run`; a caller that runs
     the same parameters again at the same L and eps may keep the plan.
@@ -163,10 +191,24 @@ class _ScanPlan(NamedTuple):
     read: np.ndarray        # (H, 2N, T): a full chunk's read-out
     read_tail: np.ndarray   # (H, 2N, tail): the last chunk's read-out
     inject: np.ndarray      # (H, T, 2N)
-    decay: np.ndarray       # (H, N): e^{rate T}, 1 on far modes
-    far_hi: object          # the far modes' offset tables (see _scan_plan), or None
+    decay: np.ndarray       # (H, N): e^{rate T}, e^{-rate T} on read-frame modes, 1 on offset modes
+    far_hi: object          # the offset modes' tables (see _scan_plan), or None
     far_lo: object
     far_lo_tail: object
+    lift: bool              # whether tiny input rows are lifted: the plan has read-frame modes
+
+
+def _int_power(x, k):
+    """x ** k for an int k >= 0 by repeated squaring, within about k ulps of
+    the exact power of x; np.power takes e^{k log x} past k = 100, which was
+    3-7x further off at k = 100-510."""
+    out = np.ones_like(x)
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
 
 
 def _far_offset(hi, lo, k, out=None):
@@ -179,7 +221,10 @@ def _scan_plan(variant, lam, delta, w, h, l, eps=DEFAULT_EPS):
     """Everything :func:`chunked_scan` forms from the parameters, for H and L.
 
     Runs the parameter check (``kernel._diagonal_rates``) and builds every
-    table of powers, so :func:`_scan_run` evaluates no exponential.
+    table of powers, so :func:`_scan_run` evaluates no exponential.  Each
+    softmax far mode goes to the read-out frame when its span fits
+    ``_FRAME_SPAN`` and to the offset tables otherwise; a plan with no
+    offset mode has ``far_hi`` None, and its run is the near modes' loop.
     """
     # Re(rate) <= 0: the far modes accumulate, then are scaled at read-out.
     # coef holds the input map, so every mode's state is fed u unscaled.
@@ -199,25 +244,48 @@ def _scan_plan(variant, lam, delta, w, h, l, eps=DEFAULT_EPS):
                    + last * fwd[..., :tail].sum(axis=-1))
         coef = coef * reciprocal_eps(row_sum, eps)
 
-    # The far modes' chunk offsets come from (., H, N) factor tables, 1 on
-    # near modes: e^{rate c0} on what chunk j injects is row j of (far_hi,
+    # A far mode whose whole chunk grid spans |Re(rate)| T chunks <= _FRAME_SPAN
+    # is carried in the read-out frame Q_j = e^{rate (T chunks - T (j+1))} A_j,
+    # where A_j = sum_{i < T j} e^{rate i} u_i is the state chunk j reads on
+    # the offset path below.  Then Q_{j+1} = e^{-rate T} Q_j +
+    # e^{rate T (chunks-2)} F_j, F_j chunk j's injection, and chunk j reads
+    # c e^{rate (tail-1-t)} Q_j: a constant decay, injection and read-out, so
+    # the run treats the mode as it does a near one.  The exponent of Q_j's
+    # factor is >= 0, so |Q_j| <= |A_j|.
+    #
+    # The other far modes' chunk offsets come from (., H, N) factor tables,
+    # 1 elsewhere: e^{rate c0} on what chunk j injects is row j of (far_hi,
     # far_lo), and e^{rate (L - c0 - tc)} on what it reads, which is
     # e^{rate T (chunks-2-j)} e^{rate tail} before the last chunk, 1 in it,
     # is row chunks-2-j of (far_hi, far_lo_tail).  Each is one product of two
     # rows (_far_offset), so the scan holds no (chunks, H, N) table.
     far_hi = far_lo = far_lo_tail = None
     impulse, inject, decay = fwd, fwd[..., ::-1], powers[..., block]
+    frame = far & (-rate.real <= _FRAME_SPAN / (block * chunks))
     if far.any():
-        far_hi = np.where(far, np.moveaxis(hi, -1, 0), 1.0)
-        far_lo = np.where(far, np.moveaxis(lo, -1, 0), 1.0)
-        far_lo_tail = far_lo * np.where(far, powers[..., tail], 1.0)
+        offset = far & ~frame
         # Far kernel values e^{rate (L-1-m)} = e^{rate (L-T)} e^{rate (T-1-m)},
         # and e^{rate (L-T)} is chunk 0's read offset, or 1 when one chunk covers L.
-        lead = (_far_offset(far_hi, far_lo_tail, chunks - 2) if chunks > 1
-                else np.ones_like(far_hi[0]))
+        k = max(chunks - 2, 0)
+        lead = (hi[..., k // m] * (lo[..., k % m] * powers[..., tail]) if chunks > 1
+                else np.ones_like(decay))
         impulse = np.where(far[:, None], lead[..., None] * inject, fwd)
-        inject = np.where(far[:, None], fwd, inject)
-        decay = np.where(far, 1.0, decay)
+        # The frame's decay e^{-rate T}, and its injection scale e^{rate T (chunks-2)}
+        # as the decay's inverse power: the oldest input reaches the last chunk
+        # through the scale and chunks-2 decays, whose product is then 1 to
+        # about chunks ulps whatever |Im(rate)| L is.  A scale from the
+        # chunk-start tables, whose exponents round apart from the decay's,
+        # put outputs off by up to 3e-12 at L = 16384.  Unused when one chunk
+        # covers L.
+        grow = np.exp(np.where(frame, -rate, 0.0) * block)
+        scale = 1.0 / _int_power(grow, k)
+        inject = np.where(frame[..., None], scale[..., None] * fwd,
+                          np.where(far[:, None], fwd, inject))
+        decay = np.where(frame, grow, np.where(far, 1.0, decay))
+        if offset.any():
+            far_hi = np.where(offset, np.moveaxis(hi, -1, 0), 1.0)
+            far_lo = np.where(offset, np.moveaxis(lo, -1, 0), 1.0)
+            far_lo_tail = far_lo * np.where(offset, powers[..., tail], 1.0)
 
     # The first T kernel values as a C-contiguous Toeplitz block, which
     # numpy's matmul can hand to BLAS; head[:, idx] would put H fastest.
@@ -228,15 +296,19 @@ def _scan_plan(variant, lam, delta, w, h, l, eps=DEFAULT_EPS):
     def read_map(tc):
         # Re(state . R) for the chunk's tc outputs, as a real (H, 2N, tc)
         # matrix against the state's interleaved (re, im) view.
-        r = coef[..., None] * np.where(far[:, None], powers[..., tc - 1::-1],
-                                       powers[..., 1:tc + 1])
+        far_read = powers[..., tc - 1::-1]
+        if tc > tail and frame.any():   # a full chunk before a short last one
+            grown = np.concatenate([powers[..., tail - 1::-1],
+                                    grow[..., None] * powers[..., block - 1:tail - 1:-1]], axis=-1)
+            far_read = np.where(frame[..., None], grown, far_read)
+        r = coef[..., None] * np.where(far[:, None], far_read, powers[..., 1:tc + 1])
         return np.stack([r.real, -r.imag], axis=2).reshape(h, 2 * n, tc)
 
     read = read_map(block)
     return _ScanPlan(
         toeplitz, read, read if tail == block else read_map(tail),
         np.ascontiguousarray(inject.transpose(0, 2, 1)).view(np.float64),  # (H, T, 2N)
-        decay.copy(), far_hi, far_lo, far_lo_tail)  # decay may view all powers
+        decay.copy(), far_hi, far_lo, far_lo_tail, bool(frame.any()))  # decay may view all powers
 
 
 def _scan_run(plan, u):
@@ -247,14 +319,24 @@ def _scan_run(plan, u):
     writes the in-chunk Toeplitz outputs into y and one writes every
     chunk's injection into a chunk-major state buffer; the loop then runs
     S_j = decay S_{j-1} + fresh_j over contiguous (B, H, N) slices of that
-    buffer, leaving in slot k the state chunk k reads (with the far modes'
-    read offset), and one more product adds every chunk's read-out to y.
-    Each BLAS call is one (b, h) row's product over the group's chunks, so
-    a row's output does not depend on the batch it runs in.
+    buffer, leaving in slot k the state chunk k reads (with the offset
+    modes' read offset), and one more product adds every chunk's read-out
+    to y.  Each BLAS call is one (b, h) row's product over the group's
+    chunks, so a row's output does not depend on the batch it runs in;
+    nor does its lift (``_LIFT_BELOW``), which is chosen per row.
     """
     # After the parameter checks, so both layer views name the same fault first.
     _numbers("input u", u, finite=True)
-    toeplitz, read, read_tail, inject, decay, far_hi, far_lo, far_lo_tail = plan
+    toeplitz, read, read_tail, inject, decay, far_hi, far_lo, far_lo_tail, lifts = plan
+    lift = None
+    if lifts:
+        # A row whose largest magnitude is below _LIFT_BELOW is scaled by 2^k,
+        # exactly, to one in [0.5, 1), and its output back at the end.  Rows
+        # are read whole only when some row's first entry is below it.
+        if (np.abs(u[:, :, 0]) < _LIFT_BELOW).any():
+            top = np.abs(u).max(axis=2)
+            lift = np.where(top < _LIFT_BELOW, -np.frexp(top)[1], 0)[..., None]
+            u = np.ldexp(u, lift)
     b, h, l = u.shape
     block, n = toeplitz.shape[-1], decay.shape[-1]
     chunks = -(-l // block)
@@ -296,4 +378,4 @@ def _scan_run(plan, u):
             yt += state[g - 1, :, :, None, :] @ read_tail
         if fed == g:
             state[0] = state[g]
-    return y
+    return y if lift is None else np.ldexp(y, -lift, out=y)

@@ -51,6 +51,7 @@ from diagssm.layer import (
     TOY_SLOW_MODE_RATE,
     LayerParams,
     _gelu_into,
+    _layer_plan,
     _toy_lift,
 )
 from diagssm.recurrence import _CHUNK, _GROUP
@@ -397,14 +398,20 @@ def test_recurrent_ssm_outputs_holds_output_and_one_group(variant, l):
     # With its plan kept, a recurrent call allocates its output and one
     # group's scratch: the chunk-major states (one slot more than a group),
     # the read-out block, the broadcast decay and one state-sized product,
-    # the far modes' offset row, and numpy's two iterator buffers for the
-    # add into y's strided group view.  None of it grows with L.
+    # the offset modes' row, and numpy's two iterator buffers for the add
+    # into y's strided group view.  None of it grows with L.  The softmax
+    # layer's far modes (Re(lam) dt up to 0.025) all run in the read-out
+    # frame at L = 1024, with no offset row; at L = 16384 most are past its
+    # span, on the offsets.
     b, h, n = 4, 16, 64
     params = init_layer(h, n, variant, 0)
     if variant == "softmax":
-        params.lambda_re[::2] = 0.25              # far modes, with their offsets
+        params.lambda_re[::2] = 0.25
     u = np.random.default_rng(5).standard_normal((b, h, l))
     ssm_outputs(params, u, "recurrent")
+    if variant == "softmax":
+        plan = _layer_plan(params, "recurrent", l, None)
+        assert plan.lift and (plan.far_hi is None) == (l == 1024)
     tracemalloc.start()
     try:
         out = ssm_outputs(params, u, "recurrent")

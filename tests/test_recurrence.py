@@ -16,13 +16,14 @@ from diagssm import (
     dss_exp_noscale_kernel,
     dss_softmax_kernel,
     effective_lambda,
+    init_layer,
     run_exp,
     run_softmax_stable,
     ssm_outputs,
 )
 from diagssm.checks import sample_exp_params, sample_softmax_params
 from diagssm.kernel import VARIANTS
-from diagssm.recurrence import _CHUNK, _GROUP, _scan_plan
+from diagssm.recurrence import _CHUNK, _FRAME_SPAN, _GROUP, _scan_plan
 
 LN2 = math.log(2.0)
 
@@ -317,3 +318,108 @@ def test_property_grouped_scan_edges_match_step_oracles(variant, l, b):
     want = np.array([[_step_oracle(params.coordinate_kernel_params(hi), u[bi, hi], DEFAULT_EPS)
                       for hi in range(params.h)] for bi in range(b)])
     assert np.abs(y - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _stack2_softmax_layer(seed):
+    """The softmax layer of ssmbench's stack2 model: 32 of 64 modes at Re(lam) = +0.25."""
+    params = init_layer(16, 64, "softmax", seed + 1)
+    params.lambda_re[np.sort(np.random.default_rng(seed).choice(64, 32, replace=False))] = 0.25
+    return params
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stack2_softmax_scan_runs_read_frame_at_1024_and_offsets_at_16384(seed):
+    # Its far modes span 0.25 dt T ceil(L/T) <= 0.25 * 0.1 * 1024 = 25.6 at
+    # L = 1024, inside _FRAME_SPAN, so that scan builds no offset tables and
+    # runs the near modes' loop.  At L = 16384 most of them are past it:
+    # exactly those keep the offset tables, which hold 1 on every other mode.
+    params = _stack2_softmax_layer(seed)
+    lam, delta = effective_lambda(params), np.exp(params.delta_log)
+    short = _scan_plan("softmax", lam, delta, params.w, 16, 1024)
+    assert short.lift and short.far_hi is None and short.far_lo is None
+    long = _scan_plan("softmax", lam, delta, params.w, 16, 16384)
+    far = np.broadcast_to(params.lambda_re > 0, (16, 64))
+    past = far & (0.25 * delta[:, None] * 16384 > _FRAME_SPAN)
+    assert 2 * past.sum() > far.sum()
+    assert long.lift and np.array_equal((long.far_hi != 1).any(axis=0), past)
+
+
+def _span_layer(rng, side, l, h=2, n=6):
+    """Softmax parameters whose far modes (half of them) all span
+    side * _FRAME_SPAN over length l's chunk grid: one dt for every
+    coordinate, and near modes with |Re(lam) dt| from 1e-4 to 50."""
+    block = min(l, _CHUNK)
+    grid = block * -(-l // block)
+    dt = 10.0 ** rng.uniform(-3.0, -1.0)
+    near = -(10.0 ** rng.uniform(-4.0, math.log10(50.0), n - n // 2))
+    return LayerParams(
+        variant="softmax", h=h, n=n,
+        lambda_re=np.concatenate([np.full(n // 2, side * _FRAME_SPAN / grid), near]) / dt,
+        lambda_im=rng.uniform(-3.0, 3.0, n) / dt,
+        delta_log=np.full(h, math.log(dt)),
+        w=rng.standard_normal((h, n)) + 1j * rng.standard_normal((h, n)),
+        w_out=np.eye(h), b_out=np.zeros(h),
+    )
+
+
+BOUND_SIDES = [1 - 1e-3, 1 + 1e-3]
+
+
+@pytest.mark.parametrize("side", BOUND_SIDES)
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("l", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, GROUP_SPAN - 1, GROUP_SPAN,
+                               GROUP_SPAN + 1, 2 * GROUP_SPAN + 5])
+def test_property_scan_matches_step_oracle_on_both_sides_of_frame_span(l, b, side):
+    # Far modes just inside the bound run in the read-out frame, just past
+    # it on the offset tables; no far mode of another span shares the
+    # layer, so a frame error cannot hide under a larger output.  Rows at
+    # 1e-305 are lifted before the frame shrinks them into the subnormals,
+    # each by its own power of two, so in a batch of mixed scales too; each
+    # row is held to its own largest output.
+    rng = np.random.default_rng([l, b, BOUND_SIDES.index(side), 35])
+    params = _span_layer(rng, side, l)
+    plan = _scan_plan("softmax", effective_lambda(params), np.exp(params.delta_log),
+                      params.w, params.h, l)
+    assert plan.lift == (side < 1) and (plan.far_hi is None) == (side < 1)
+    u = rng.standard_normal((b, params.h, l))
+    mixed = np.array([1.0, 1e300, 1e-305])[:b, None, None]
+    for scale in (1e-305, 1e-280, 1.0, 1e300, mixed):
+        x = u * scale
+        y = ssm_outputs(params, x, "recurrent")
+        want = np.array([[run_softmax_stable(params.coordinate_kernel_params(hi), x[bi, hi])[0]
+                          for hi in range(params.h)] for bi in range(b)])
+        err, top = np.abs(y - want).max(axis=(1, 2)), np.abs(want).max(axis=(1, 2))
+        assert (err <= 1e-12 * top).all(), scale
+    assert ssm_outputs(params, x[-1:], "recurrent").tobytes() == y[-1:].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_read_frame_keeps_precision_over_a_long_turning_horizon(seed):
+    # One far mode at span 30 turning up to 3 rad a step over L = 16384:
+    # the oldest input reaches the end through 510 frame decays and the
+    # injection scale, which must agree to the last bits.  A scale taken
+    # from the chunk-start tables, whose exponents round apart from the
+    # decay's, was off by up to 3.2e-12 here; the offset path, 4.6e-14.
+    rng = np.random.default_rng([seed, 35])
+    dt, l = 0.01, 16384
+    params = LayerParams(
+        variant="softmax", h=1, n=1, lambda_re=np.array([30.0 / (dt * l)]),
+        lambda_im=np.array([rng.uniform(-3.0, 3.0) / dt]), delta_log=np.array([math.log(dt)]),
+        w=np.array([[1.0 + 0.5j]]), w_out=np.eye(1), b_out=np.zeros(1))
+    u = rng.standard_normal((1, 1, l))
+    y = ssm_outputs(params, u, "recurrent")
+    want = run_softmax_stable(params.coordinate_kernel_params(0), u[0, 0])[0]
+    assert np.abs(y[0, 0] - want).max() <= 5e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("side", BOUND_SIDES)
+@pytest.mark.parametrize("l", [33, 40, 1000])
+def test_scan_near_frame_span_of_extreme_inputs_is_finite(l, side):
+    # The frame is anchored at the chunk grid's end, so its state is never
+    # larger than the offset path's: anchored at L, it overflowed at
+    # L = 33 and 40 on 1e300 inputs.  The suite turns warnings into errors.
+    rng = np.random.default_rng([l, BOUND_SIDES.index(side), 35])
+    params = _span_layer(rng, side, l)
+    u = rng.standard_normal((2, params.h, l))
+    for scale in (1e-305, 1e305):
+        assert np.isfinite(ssm_outputs(params, u * scale, "recurrent")).all()
