@@ -105,8 +105,9 @@ def sample_softmax_params(rng, l=4096, force_positive=False):
 
 
 def sample_fftsoftmax_points(rng, count):
-    """Scalars c covering both signs of Re(c), |Im| <= 4*pi, with the real
-    part bounded away from the singular (imaginary) axis."""
+    """Scalars c covering both signs of Re(c), |Im| <= 4*pi, with
+    0.05 <= |Re(c)| <= 2, so no c comes near the singular points
+    2*pi*i*k/L of :func:`~diagssm.fftconv.softmax_via_fft`."""
     sign = np.where(rng.uniform(size=count) < 0.5, -1.0, 1.0)
     re = sign * rng.uniform(0.05, 2.0, count)
     im = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, count)
@@ -171,9 +172,10 @@ def check_recurrence(trials, seed, l=4096):
     return results
 
 
-def check_fftsoftmax(trials, seed, lengths=(8, 64, 1024)):
+def check_fftsoftmax(trials, seed, lengths=(8, 64, 1000, 1024)):
     """Transform-domain softmax of c*k against the direct eps-softmax, at
-    ``trials`` points drawn in one call, each at every length."""
+    ``trials`` points drawn in one call, each at every length (powers of
+    two and not: the transform takes one path at both)."""
     rng = np.random.RandomState(seed)
     results = []
     for c in sample_fftsoftmax_points(rng, trials):

@@ -11,13 +11,17 @@ two steps, so a caller whose kernels do not change (a layer between
 parameter updates) can keep the spectrum and skip the first.  A direct
 O(L^2) evaluation is kept as the reference the fast path is checked
 against.
+
+The softmax of c*k is one inverse FFT of (1 - a)/(1 - a*w), a = e^c and
+w the L roots of unity, at every L; a positive Re(c) is reflected first,
+and c near a singular point 2*pi*i*k/L is refused.
 """
 
 import cmath
 
 import numpy as np
 
-from .cnum import _count, _numbers, softmax_eps
+from .cnum import _count, _numbers
 
 # Spectrum bytes of one block of input rows in causal_conv_fft.  At
 # (B,H,L) = (4,16,16384), 1 MB and 512 KB blocks ran the convolution 6% and
@@ -31,7 +35,8 @@ def fft(x, inverse=False):
     """Discrete Fourier transform of a one-dimensional power-of-two signal.
 
     ``inverse=True`` applies conjugation and 1/L scaling, so
-    fft(fft(x), inverse=True) recovers x.
+    fft(fft(x), inverse=True) recovers x.  Kept only because
+    ssmbench/tracer.py wraps ``diagssm.fftconv.fft``.
     """
     a = _numbers("x", x, np.complex128)
     if a.ndim != 1:
@@ -122,23 +127,17 @@ def _conv_by_spectrum(spec_k, u):
 def softmax_via_fft(c, l):
     """softmax(c*0, c*1, ..., c*(L-1)) evaluated in the transform domain.
 
-    Exploits the geometric structure of the input: the softmax values are
-    the coefficients of a rational function that can be sampled at the L
-    roots of unity and inverse transformed.  Only scalars with negative
-    real part are exponentiated.  Valid for Re(c) != 0 away from the
-    singular points {-2*pi*i*k/L}; non-power-of-two lengths fall back to
-    the direct eps-stabilized softmax at ``DEFAULT_EPS``.
+    One inverse FFT of (1 - a) / (1 - a*w), with a = e^c and w numpy's L
+    roots of unity, at every L.  Re(c) > 0 is taken by the reflection
+    softmax(c*k)[k] = softmax(-c*k)[L-1-k], so |a| <= 1.  c within 1e-9
+    of a singular point 2*pi*i*k/L (k an integer) raises ValueError.
     """
     c = complex(_numbers("c", c, np.complex128, finite=True))
     l = _count("l", l)
-    if l & (l - 1):
-        return softmax_eps(c * np.arange(l))
-    ks = np.arange(l)
-    if c.real == 0.0 or np.min(np.abs(c + 2j * np.pi * ks / l)) < 1e-9:
-        raise ValueError("FFT softmax singular")
-    p = 1 if c.real > 0 else 0
-    q = 1 - p
-    e = cmath.exp(c * (q - p))
-    r = (q - p * e) / (p - q * e)
-    omega = np.exp(-2j * np.pi * ks / l)
-    return fft((r + 1.0) / (r + omega), inverse=True)
+    flip = c.real > 0
+    a = cmath.exp(-c if flip else c)
+    den = 1 - a * np.exp(-2j * np.pi * np.arange(l) / l)
+    if np.min(np.abs(den)) < 1e-9:
+        raise ValueError("FFT softmax singular: c is within 1e-9 of a point 2*pi*i*k/L")
+    out = np.fft.ifft((1 - a) / den)
+    return out[::-1].copy() if flip else out

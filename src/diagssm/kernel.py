@@ -450,14 +450,14 @@ def dense_to_diagonal_weights(cv, vinvb, lam, delta, l):
 
     ``w~`` feeds the exp-form kernel, ``w`` the softmax form.  delta is a
     positive scalar and l a count.  Raises ValueError rather than
-    overflowing when L*Re(lam_i)*delta > 700, and rejects near-singular
-    growth factors |exp(L*lam_i*delta) - 1| <= 1e-12.
+    overflowing when L*Re(lam_i)*delta > 700 or when either weight leaves
+    float range, and rejects near-singular growth factors
+    |exp(L*lam_i*delta) - 1| <= 1e-12.
     """
     cv, vinvb, lam = (_numbers(name, x, np.complex128, finite=True).reshape(-1)
                       for name, x in (("cv", cv), ("vinvb", vinvb), ("lam", lam)))
     _positive("delta", delta)
     l = _count("l", l)
-    w_tilde = cv * vinvb
     z = l * delta * lam
     if np.any(z.real > 700.0):
         raise ValueError("weight overflow: L*Re(lam)*delta must be at most 700, "
@@ -465,7 +465,14 @@ def dense_to_diagonal_weights(cv, vinvb, lam, delta, l):
     grow = np.expm1(z)
     if np.any(np.abs(grow) <= 1e-12):
         raise ValueError("softmax weight undefined")
-    return w_tilde, w_tilde * grow
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_tilde = cv * vinvb
+        w = w_tilde * grow
+    for name, x in (("exp weights w~ = cv*vinvb", w_tilde),
+                    ("softmax weights w = w~*(exp(L*lam*delta) - 1)", w)):
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"weight overflow: {name} must be finite")
+    return w_tilde, w
 
 
 def _scale_slope(z, e_z):

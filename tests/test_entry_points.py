@@ -192,6 +192,11 @@ MALFORMED = {
                                 "vinvb must be finite"),
     "dense weights cv inf": (lambda: dense_to_diagonal_weights([math.inf], [1.0], [-1 + 0j], 1.0, 4),
                              "cv must be finite"),
+    "dense weights exp overflow": (lambda: dense_to_diagonal_weights([1e200], [1e200], [-1], 1.0, 4),
+                                   "weight overflow: exp weights w~ = cv*vinvb must be finite"),
+    "dense weights softmax overflow": (
+        lambda: dense_to_diagonal_weights([1e10], [1.0], [0.5], 1.0, 1400),
+        "weight overflow: softmax weights w = w~*(exp(L*lam*delta) - 1) must be finite"),
     "unstable dense system, long l": (
         lambda: general_ssm_kernel(GeneralSSM([[1.0]], [1.0], [1.0]), 1.0, 2000),
         "ssm leaves float range within l = 2000 steps"),

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -224,12 +225,28 @@ def test_softmax_via_fft_rejects_singular():
         softmax_via_fft(0j, 8)
     with pytest.raises(ValueError, match="singular"):
         softmax_via_fft(-2j * np.pi * 3 / 8, 8)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 12, 1000, 1023, 1024, 4097, 65521])
+def test_property_softmax_via_fft_one_formula_at_every_length_and_sign(l):
+    # |Re c| log-uniform in [1e-3, 50] of both signs, and Re c = 0, with
+    # |Im c| <= 4*pi.  c lies on a 2^-30 grid, so every c*k (|c| < 64,
+    # k < 2^17) is exact in float64 and the direct softmax rounds only in
+    # its exp and its sum; off the grid, rounding c*k alone moves it by up
+    # to 1e-8 of its largest entry near a singular point at L = 65521.
+    rng = np.random.RandomState(l)
+    sign = np.where(rng.uniform(size=12) < 0.5, -1.0, 1.0)
+    real = np.concatenate([sign * 10.0 ** rng.uniform(-3.0, math.log10(50.0), 12), np.zeros(4)])
+    c = real + 1j * rng.uniform(-4 * np.pi, 4 * np.pi, real.size)
+    c = np.round(c * 2.0 ** 30) / 2.0 ** 30
+    for z in c:
+        got = softmax_via_fft(z, l)
+        want = softmax_eps(z * np.arange(l), eps=1e-300)
+        assert got.shape == (l,)
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), z
+    for r in (800.0, -800.0, 1e300, -1e300):
+        got = softmax_via_fft(complex(r, rng.uniform(-4 * np.pi, 4 * np.pi)), l)
+        assert np.all(np.isfinite(got))
+        assert got[l - 1 if r > 0 else 0] == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError, match="singular"):
-        softmax_via_fft(1.5j, 8)  # purely imaginary: degenerate branch choice
-
-
-def test_softmax_via_fft_general_length_falls_back():
-    c = -0.8 + 1.1j
-    got = softmax_via_fft(c, 12)
-    want = softmax_eps(c * np.arange(12))
-    assert np.abs(got - want).max() < 1e-12
+        softmax_via_fft(-2j * np.pi * (l // 2 + 1) / l, l)
