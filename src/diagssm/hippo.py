@@ -6,6 +6,13 @@ diagonal spectrum keeps the N eigenvalues with positive imaginary part.
 Only the magnitudes mu are needed, and they are the positive eigenvalues
 of the Hermitian matrix i*S, so one Hermitian eigensolve (numpy's
 ``eigvalsh``) yields them directly.
+
+:func:`skew_hippo_lambda` calls ``np.linalg.eigvalsh`` on i*S itself rather
+than through :func:`symmetric_eigenvalues`: S is built exactly
+skew-symmetric (``s == -s.T`` bit for bit) from finite entries, so i*S is
+exactly Hermitian and the validation would only re-check it.  Both routes
+make the same LAPACK call on the same matrix, so the spectrum has the same
+bits either way.
 """
 
 from dataclasses import dataclass
@@ -63,7 +70,12 @@ def skew_hippo_lambda(n):
     so the Hermitian matrix i*S has eigenvalues -+mu; the N positive ones
     are the magnitudes.  The real parts are set to -1/2 directly, not read
     off the eigensolver.
+
+    The magnitudes come from ``np.linalg.eigvalsh(1j * s)`` directly, with
+    no input validation: S is exactly skew-symmetric and finite by
+    construction, so :func:`symmetric_eigenvalues` (the same call behind
+    its checks) would accept it and return the same bits.
     """
     s = skew_hippo_matrix(n) + 0.5 * np.eye(2 * n)
-    mu = symmetric_eigenvalues(1j * s)[:n]
+    mu = np.linalg.eigvalsh(1j * s)[::-1][:n].copy()
     return DiagSpectrum(lambda_re=np.full(n, -0.5), lambda_im=mu)

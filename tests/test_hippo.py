@@ -54,8 +54,10 @@ def test_matrix_n2_corner_entry():
     assert m[3, 0] == pytest.approx(-math.sqrt(7) / 2, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("n", [1, 3, 8, 64, 100])
 def test_matrix_plus_half_identity_is_skew(n):
+    # Exact skew-symmetry makes i*S exactly Hermitian, which is why
+    # skew_hippo_lambda hands it to eigvalsh without validating it again.
     m = skew_hippo_matrix(n)
     s = m + 0.5 * np.eye(2 * n)
     assert np.array_equal(s, -s.T)
@@ -115,6 +117,15 @@ def test_eigenvalues_reject_asymmetric():
     assert symmetric_eigenvalues(m).tobytes() == np.linalg.eigvalsh(m)[::-1].tobytes()
     s = skew_hippo_matrix(5) + 0.5 * np.eye(10)
     assert skew_hippo_lambda(5).lambda_im.tobytes() == np.linalg.eigvalsh(1j * s)[::-1][:5].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 64, 100])
+def test_lambda_has_the_validated_eigensolve_bits(n):
+    # The direct eigvalsh in skew_hippo_lambda returns the bytes of the
+    # validated path, which accepts i*S.
+    s = skew_hippo_matrix(n) + 0.5 * np.eye(2 * n)
+    want = symmetric_eigenvalues(1j * s)[:n]
+    assert skew_hippo_lambda(n).lambda_im.tobytes() == want.tobytes()
 
 
 def test_lambda_n1_closed_form():

@@ -253,12 +253,20 @@ def test_gelu_at_minus_inf_is_minus_zero_without_a_warning():
 @pytest.mark.parametrize("x", [1e200, -1e200, 1.7e308, -1.7e308])
 def test_gelu_of_huge_finite_input_does_not_warn(x):
     # Past |x| ~ 1.34e154 the square of x/sqrt(2) overflows to inf, erfc's
-    # exp gives 0 and GELU is x or -0, so no warning is due.
-    with np.errstate(over="ignore"):
-        want = oracle_gelu(np.array([x]))
+    # exp gives 0 and GELU is x or -0, so no warning is due.  Beside x, a
+    # seeded sweep of both signs at every magnitude from 1e-300 up to |x|,
+    # with zeros, subnormals, infinities and NaN: every exponent of erfc
+    # below the -700 clamp keeps the unclamped formula's bits.
+    rng = np.random.default_rng(int(abs(x) > 1e300) + 2 * (x < 0))
+    top = math.log10(abs(x))
+    sweep = np.sign(rng.standard_normal(1 << 16)) * 10.0 ** rng.uniform(-300.0, top, 1 << 16)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, np.inf, -np.inf, np.nan]
+    xs = np.concatenate(([x], sweep, specials))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = oracle_gelu(xs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = gelu(np.array([x]))
+        got = gelu(xs)
     assert_bitwise(got, want)
 
 
