@@ -6,13 +6,6 @@ diagonal spectrum keeps the N eigenvalues with positive imaginary part.
 Only the magnitudes mu are needed, and they are the positive eigenvalues
 of the Hermitian matrix i*S, so one Hermitian eigensolve (numpy's
 ``eigvalsh``) yields them directly.
-
-:func:`skew_hippo_lambda` calls ``np.linalg.eigvalsh`` on i*S itself rather
-than through :func:`symmetric_eigenvalues`: S is built exactly
-skew-symmetric (``s == -s.T`` bit for bit) from finite entries, so i*S is
-exactly Hermitian and the validation would only re-check it.  Both routes
-make the same LAPACK call on the same matrix, so the spectrum has the same
-bits either way.
 """
 
 from dataclasses import dataclass

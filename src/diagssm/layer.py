@@ -218,9 +218,7 @@ def gelu(x):
     whose absolute error against math.erf is at most 8.3e-8 in erf and
     1.4e-8 in gelu (200k seeded points in [-10, 10]).  With z = |x|/sqrt(2),
     erfcc's t = 1/(1 + z/2) is formed as 2/(2 + z), which has the same bits
-    in two passes, and the exponent of erfc = t*exp(...) is clamped at -700
-    before the exp, which keeps the bits (1 - erfc rounds to 1 either way)
-    and keeps large |x| on numpy's fast exp path.
+    in two passes.
 
     Returns a new array of x's shape; x is not written to.  The flattened
     input is processed in blocks of ``_GELU_BLOCK`` elements, each through
@@ -268,11 +266,6 @@ def _gelu_into(x, out):
             np.multiply(z, z, out=o)
         np.subtract(_ERF_COEFFS[0], o, out=o)        # == -(z*z) + c0 exactly
         o += p
-        # Below -700 numpy's exp leaves its vector lane for a slow per-element
-        # one.  The clamp keeps the bits: with or without it erfc is then at
-        # most e^-700 (t <= 1), so 1 - erfc rounds to 1 either way, and NaN
-        # stays NaN.
-        np.maximum(o, -700.0, out=o)
         np.exp(o, out=o)
         o *= t                                        # erfc(|s|)
         # erf(s) = 1 - erfc for s >= 0, else erfc - 1 == -(1 - erfc) exactly, so

@@ -255,8 +255,8 @@ def test_gelu_of_huge_finite_input_does_not_warn(x):
     # Past |x| ~ 1.34e154 the square of x/sqrt(2) overflows to inf, erfc's
     # exp gives 0 and GELU is x or -0, so no warning is due.  Beside x, a
     # seeded sweep of both signs at every magnitude from 1e-300 up to |x|,
-    # with zeros, subnormals, infinities and NaN: every exponent of erfc
-    # below the -700 clamp keeps the unclamped formula's bits.
+    # with zeros, subnormals, infinities and NaN, many of them where erfc
+    # underflows.
     rng = np.random.default_rng(int(abs(x) > 1e300) + 2 * (x < 0))
     top = math.log10(abs(x))
     sweep = np.sign(rng.standard_normal(1 << 16)) * 10.0 ** rng.uniform(-300.0, top, 1 << 16)
