@@ -66,15 +66,28 @@ def reciprocal_eps(x, eps=DEFAULT_EPS):
 
     The denominator is real and at least eps, so the result is finite for
     every finite input and its magnitude never exceeds 1/(2*sqrt(eps)).
-    Accepts scalars or arrays of any shape; eps is a positive scalar.
+    Past 2^500 in either part, where x*conj(x) nears overflow, x and eps
+    are scaled by 2^-600, exactly, and the result with them, which is
+    about 1/x.  Accepts scalars or arrays of any shape; NaN or inf in x is
+    refused; eps is a positive scalar.
     """
     _positive("eps", eps)
-    x = _numbers("x", x, np.complex128)
-    return x.conj() / (x.real * x.real + x.imag * x.imag + eps)
+    x = _numbers("x", x, np.complex128, finite=True)
+    s = np.where(np.maximum(np.abs(x.real), np.abs(x.imag)) > 2.0 ** 500, 2.0 ** -600, 1.0)
+    x = _scaled(x, s)
+    return _scaled(x.conj() / (x.real * x.real + x.imag * x.imag + eps * s * s), s)[()]
+
+
+def _scaled(x, s):
+    """Complex x times real s, part by part, as an array: a complex product
+    rounds (and overflows) in ways that this does not."""
+    out = np.empty(np.shape(x), np.complex128)
+    out.real, out.imag = np.real(x) * s, np.imag(x) * s
+    return out
 
 
 def softmax_eps(x, eps=DEFAULT_EPS):
-    """Softmax of a complex vector, finite for every finite input.
+    """Softmax of a complex vector, finite for every finite input; NaN or inf is refused.
 
     Subtracts the entry with the largest real part, the first of equals
     (making every exponential have magnitude <= 1), then multiplies by the
@@ -83,8 +96,12 @@ def softmax_eps(x, eps=DEFAULT_EPS):
     perturbation; where the plain softmax would divide by zero this
     returns (near-)zeros instead of NaN.
     """
-    x = _numbers("x", x, np.complex128)
+    x = _numbers("x", x, np.complex128, finite=True)
     if x.size == 0:
         raise ValueError("empty vector")
-    e = np.exp(x - x.ravel()[np.argmax(x.real)])
+    with np.errstate(over="ignore"):
+        shift = x - x.ravel()[np.argmax(x.real)]
+    # A shift past float range has real part -inf, whose exp is 0, or an
+    # imaginary part of +-inf, a phase that no float resolves: taken as 0.
+    e = np.exp(np.where(np.isinf(shift.imag), shift.real, shift))
     return e * reciprocal_eps(np.sum(e), eps)

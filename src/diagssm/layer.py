@@ -336,10 +336,12 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None):
     lam*dt alone, so it shares no closed form with the kernels.  Every
     exponent's real part is non-positive except one: softmax modes with
     Re(lam) > 0 accumulate and are scaled at read-out, and where such a
-    mode's growth over the whole sequence is at most e^36 it is carried in
-    a read-out frame, whose one growing factor compounds to at most e^36
-    over the sequence (``recurrence._FRAME_SPAN``).  Both modes run at
-    ``DEFAULT_EPS`` and agree to rounding.  Kernel truncation only exists on
+    mode's growth over the whole sequence is at most e^36 it runs in a
+    read-out frame, as a near mode of its own rate lam*dt with
+    s = e^{-lam*dt*(L-1)} on its impulse and injection, whose decay
+    compounds to at most e^36 over the sequence
+    (``recurrence._FRAME_SPAN``).  Both modes run at ``DEFAULT_EPS`` and
+    agree to rounding.  Kernel truncation only exists on
     the convolution path: a truncated kernel is no longer the impulse
     response of the underlying recurrence.  Returns a new C-contiguous array
     of u's shape.

@@ -12,7 +12,7 @@ plain recurrence would exponentiate a positive real part; those modes are
 instead accumulated as sum_j exp(-lam*dt*j) u_j and scaled at read-out by
 exp(lam*dt*(k-(L-1))), so every exponentiated scalar has non-positive real
 part; the scan below keeps that form for the modes whose span is past a
-bound, and runs the others in a frame with one bounded growth factor.
+bound, and runs the others as near modes of their own rate lam*dt.
 
 :func:`chunked_scan` is the production view: one call runs a whole layer,
 H coordinates over a batch, with a (B,H,N) state.  It cuts the sequence
@@ -27,12 +27,12 @@ Python loop, ceil(L/T) steps over (B, H, N) slices.  Every factor is
 e^{rho t} with 0 <= t, where rho is lam*dt, or -lam*dt for the softmax
 modes with Re(lam) > 0 (the far modes), so Re(rho) <= 0, with one
 exception.  A far mode whose span |Re(rho)| T ceil(L/T) is at most 36
-(``_FRAME_SPAN``) runs in a read-out frame: its carried state is the
-accumulated one times e^{rho (T ceil(L/T) - T (j+1))}, never larger, and
-steps like a near mode's with the constant decay e^{-rho T}, whose size
-e^{|Re(rho)| T} is at most e^{36/ceil(L/T)}; over the whole sequence it
-grows by at most e^36 < 2^52, which is what the span bound caps.  (A full
-chunk before a short last one reads the frame through that decay too.)  A
+(``_FRAME_SPAN``) runs in a read-out frame, as a near mode of its own
+rate -rho: its kernel values c e^{rho (L-1-m)} are s c e^{-rho m}, s =
+e^{rho (L-1)}, which it takes on its impulse and injection.  Its state
+weighs each input by at most 1, never more than the accumulated one, and
+its decay e^{-rho T}, of size at most e^{36/ceil(L/T)}, grows by at most
+e^36 < 2^52 over the whole sequence, which is what the span bound caps.  A
 far mode past the bound keeps every exponent's real part <= 0: the
 chunk's offset from the start (injection) and from the horizon (read-out)
 are applied to its carried state as two more factors e^{rho t}.  All of them
@@ -40,7 +40,7 @@ come from tables built before the loop: the in-chunk powers e^{rho t},
 t <= T, from ``kernel._exp_range``, and, for softmax, the chunk starts
 e^{rho T j} as ``kernel._exp_factors``' two tables of about sqrt(L/T)
 rows, whose product the loop takes one row pair at a time: about 12
-exponentials per mode and coordinate, plus 2*sqrt(L/T) + 1 for softmax,
+exponentials per mode and coordinate, plus 2*sqrt(L/T) for softmax,
 none inside the loop, and no table of L/T rows.  The softmax row sums
 are formed from the same tables as sums of e^{rho k}, never as
 (e^{rho L}-1)/(e^{rho}-1), so a spectrum with e^{rho L} = 1 gives the
@@ -138,8 +138,9 @@ def run_softmax_stable(params, u, eps=DEFAULT_EPS):
 _CHUNK = 32
 
 # The widest span |Re(rate)| T chunks of a softmax far mode that the scan
-# carries in its read-out frame (see _scan_plan).  The frame injects an
-# input at as little as e^{-span} times its size and grows the state back
+# runs in its read-out frame, as a near mode of its own rate -rate (see
+# _scan_plan).  The frame's s = e^{rate (L-1)} injects an input at as little
+# as e^{-span} times its size, and its decay e^{-rate T} grows the state back
 # by e^{|Re(rate)| T} a chunk, e^{span} over the sequence.  e^36 < 2^52
 # bounds both: an input moves down at most 52 of float64's binary
 # exponents, so a row that tops out at 2^-960 or more stays above the
@@ -170,10 +171,11 @@ def chunked_scan(variant, lam, delta, w, u, eps=DEFAULT_EPS):
     sequence is cut into chunks of 32 steps and the chunks into groups of
     32; each group's three products are batched over its chunks, and the
     loop over chunks runs only the elementwise state recursion; see the
-    module docstring.  NaN or inf in u is refused.  With softmax far modes
-    in the read-out frame, a row of u whose entries are all below 2^-960
-    in magnitude runs scaled by a power of two, exactly, so it keeps the
-    relative precision of the same row at a normal scale.
+    module docstring.  NaN or inf in u is refused.  A softmax far mode in
+    the read-out frame runs as a near mode of its own rate lam*dt with
+    e^{-lam*dt*(L-1)} on its impulse and injection; with such modes, a row
+    of u whose entries are all below 2^-960 in magnitude runs scaled by a
+    power of two, exactly, keeping the relative precision of a normal scale.
 
     This is :func:`_scan_plan` then :func:`_scan_run`; a caller that runs
     the same parameters again at the same L and eps may keep the plan.
@@ -245,13 +247,14 @@ def _scan_plan(variant, lam, delta, w, h, l, eps=DEFAULT_EPS):
         coef = coef * reciprocal_eps(row_sum, eps)
 
     # A far mode whose whole chunk grid spans |Re(rate)| T chunks <= _FRAME_SPAN
-    # is carried in the read-out frame Q_j = e^{rate (T chunks - T (j+1))} A_j,
-    # where A_j = sum_{i < T j} e^{rate i} u_i is the state chunk j reads on
-    # the offset path below.  Then Q_{j+1} = e^{-rate T} Q_j +
-    # e^{rate T (chunks-2)} F_j, F_j chunk j's injection, and chunk j reads
-    # c e^{rate (tail-1-t)} Q_j: a constant decay, injection and read-out, so
-    # the run treats the mode as it does a near one.  The exponent of Q_j's
-    # factor is >= 0, so |Q_j| <= |A_j|.
+    # runs in the read-out frame: it is a near mode of its own rate -rate, as
+    # its kernel values c e^{rate (L-1-m)} are s c e^{-rate m}, s = e^{rate (L-1)}.
+    # It takes the near modes' impulse, injection, decay and read-out at that
+    # rate, its powers e^{-rate t} the reciprocals of the table's, and s on its
+    # impulse and injection.  The state chunk j reads then weighs input i by
+    # |s e^{-rate (T j - 1 - i)}| = e^{Re(rate) (L - T j + i)} <= 1, so it is no
+    # larger than A_j = sum_{i < T j} e^{rate i} u_i, the state chunk j reads
+    # on the offset path below.
     #
     # The other far modes' chunk offsets come from (., H, N) factor tables,
     # 1 elsewhere: e^{rate c0} on what chunk j injects is row j of (far_hi,
@@ -260,32 +263,33 @@ def _scan_plan(variant, lam, delta, w, h, l, eps=DEFAULT_EPS):
     # is row chunks-2-j of (far_hi, far_lo_tail).  Each is one product of two
     # rows (_far_offset), so the scan holds no (chunks, H, N) table.
     far_hi = far_lo = far_lo_tail = None
-    impulse, inject, decay = fwd, fwd[..., ::-1], powers[..., block]
     frame = far & (-rate.real <= _FRAME_SPAN / (block * chunks))
-    if far.any():
-        offset = far & ~frame
-        # Far kernel values e^{rate (L-1-m)} = e^{rate (L-T)} e^{rate (T-1-m)},
+    offset = far & ~frame
+    impulse, inject, decay = fwd, fwd[..., ::-1], powers[..., block]   # views of powers
+    if frame.any():
+        # A frame mode's powers become e^{-rate t} in place, in the views too.
+        # s = 1 / (decay^(chunks-1) e^{-rate (tail-1)}), from the decay the run
+        # multiplies: the oldest input reaches the last output through s and
+        # chunks-2 decays, whose product is then 1 to about chunks ulps whatever
+        # |Im(rate)| L is.  An s from the chunk-start tables, whose exponents
+        # round apart from the decay's, put outputs off by up to 3e-12 at
+        # L = 16384.  s is 1 on the other modes.
+        np.divide(1.0, powers, out=powers, where=frame[..., None])
+        s = 1.0 / (_int_power(np.where(frame, decay, 1.0), chunks - 1)
+                   * np.where(frame, powers[..., tail - 1], 1.0))
+        impulse, inject = s[..., None] * impulse, s[..., None] * inject
+    if offset.any():
+        # Offset kernel values e^{rate (L-1-m)} = e^{rate (L-T)} e^{rate (T-1-m)},
         # and e^{rate (L-T)} is chunk 0's read offset, or 1 when one chunk covers L.
         k = max(chunks - 2, 0)
         lead = (hi[..., k // m] * (lo[..., k % m] * powers[..., tail]) if chunks > 1
                 else np.ones_like(decay))
-        impulse = np.where(far[:, None], lead[..., None] * inject, fwd)
-        # The frame's decay e^{-rate T}, and its injection scale e^{rate T (chunks-2)}
-        # as the decay's inverse power: the oldest input reaches the last chunk
-        # through the scale and chunks-2 decays, whose product is then 1 to
-        # about chunks ulps whatever |Im(rate)| L is.  A scale from the
-        # chunk-start tables, whose exponents round apart from the decay's,
-        # put outputs off by up to 3e-12 at L = 16384.  Unused when one chunk
-        # covers L.
-        grow = np.exp(np.where(frame, -rate, 0.0) * block)
-        scale = 1.0 / _int_power(grow, k)
-        inject = np.where(frame[..., None], scale[..., None] * fwd,
-                          np.where(far[:, None], fwd, inject))
-        decay = np.where(frame, grow, np.where(far, 1.0, decay))
-        if offset.any():
-            far_hi = np.where(offset, np.moveaxis(hi, -1, 0), 1.0)
-            far_lo = np.where(offset, np.moveaxis(lo, -1, 0), 1.0)
-            far_lo_tail = far_lo * np.where(offset, powers[..., tail], 1.0)
+        impulse = np.where(offset[..., None], lead[..., None] * fwd[..., ::-1], impulse)
+        inject = np.where(offset[..., None], fwd, inject)
+        decay = np.where(offset, 1.0, decay)
+        far_hi = np.where(offset, np.moveaxis(hi, -1, 0), 1.0)
+        far_lo = np.where(offset, np.moveaxis(lo, -1, 0), 1.0)
+        far_lo_tail = far_lo * np.where(offset, powers[..., tail], 1.0)
 
     # The first T kernel values as a C-contiguous Toeplitz block, which
     # numpy's matmul can hand to BLAS; head[:, idx] would put H fastest.
@@ -296,12 +300,8 @@ def _scan_plan(variant, lam, delta, w, h, l, eps=DEFAULT_EPS):
     def read_map(tc):
         # Re(state . R) for the chunk's tc outputs, as a real (H, 2N, tc)
         # matrix against the state's interleaved (re, im) view.
-        far_read = powers[..., tc - 1::-1]
-        if tc > tail and frame.any():   # a full chunk before a short last one
-            grown = np.concatenate([powers[..., tail - 1::-1],
-                                    grow[..., None] * powers[..., block - 1:tail - 1:-1]], axis=-1)
-            far_read = np.where(frame[..., None], grown, far_read)
-        r = coef[..., None] * np.where(far[:, None], far_read, powers[..., 1:tc + 1])
+        r = coef[..., None] * np.where(offset[..., None], powers[..., tc - 1::-1],
+                                       powers[..., 1:tc + 1])
         return np.stack([r.real, -r.imag], axis=2).reshape(h, 2 * n, tc)
 
     read = read_map(block)

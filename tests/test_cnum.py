@@ -137,3 +137,25 @@ def test_softmax_eps_finite_for_extreme_inputs():
     for x in cases:
         got = softmax_eps(x)
         assert np.all(np.isfinite(got.view(float))), x
+
+
+def test_reciprocal_and_softmax_of_any_finite_x_are_finite_and_silent():
+    # |x| from 1e-300 to 1e308 at random phases; the suite makes a warning an
+    # error.  Where |x|^2 overflows, reciprocal_eps is about 1/x; up to
+    # |x| = 1e150 it keeps the bits of conj(x) / (|x|^2 + eps).
+    rng = np.random.default_rng(39)
+    x = 10.0 ** rng.uniform(-300, 308, 4200) * np.exp(1j * rng.uniform(0, 2 * np.pi, 4200))
+    r = reciprocal_eps(x)
+    assert np.isfinite(r).all()
+    big = np.abs(x) > 1e160
+    assert big.sum() > 1000 and np.abs(r[big] * x[big] - 1).max() < 1e-14
+    keep = np.abs(x) <= 1e150
+    small = x[keep]
+    plain = small.conj() / (small.real * small.real + small.imag * small.imag + 1e-7)
+    assert r[keep].tobytes() == plain.tobytes()
+    for k in (2, 3, 7):
+        for row in x.reshape(-1, k):
+            assert np.isfinite(softmax_eps(row)).all()
+    # Shifts past float range: a real part's exp is 0, a phase stays finite.
+    assert np.array_equal(softmax_eps([1e308, -1e308]), [1 / (1 + 1e-7), 0])
+    assert np.isfinite(softmax_eps([1e308j, -1e308j])).all()

@@ -214,6 +214,8 @@ MALFORMED = {
     "eps None": (lambda: reciprocal_eps(1 + 0j, None), "eps must be finite and positive"),
     "eps True": (lambda: reciprocal_eps(1 + 0j, True), "eps must be finite and positive"),
     "eps string": (lambda: softmax_eps(np.zeros(2), "1e-7"), "eps must be finite and positive"),
+    "reciprocal x nan": (lambda: reciprocal_eps(complex(math.nan, 1.0)), "x must be finite"),
+    "softmax x inf": (lambda: softmax_eps([0.0, math.inf]), "x must be finite"),
     "step nan": (lambda: finite_diff_grad(lambda t: float(t[0]), [1.0], h=math.nan),
                  "h must be finite and positive"),
     "complex layer input": (lambda: layer_forward(LAYER, U + 1j), "input u must hold real numbers"),

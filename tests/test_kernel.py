@@ -31,6 +31,7 @@ from diagssm.checks import check_grad, check_prop1
 from diagssm.cnum import reciprocal_eps
 from diagssm.kernel import (_diagonal_form, _diagonal_rates, _exp_factors, _exp_range, _factor_sum,
                             _scale_slope)
+from diagssm.recurrence import _scan_plan
 
 LN2 = math.log(2.0)
 
@@ -279,6 +280,22 @@ def test_scan_exps_do_not_scale_with_chunks(monkeypatch):
                 "softmax", lam, delta, layer.w, rng.standard_normal((1, 16, l))))
             for l in (1024, 4096)}
     assert exps[4096] < 2 * exps[1024]
+
+
+def test_read_frame_mode_costs_the_exps_of_a_near_mode(monkeypatch):
+    # At L = 1024 all 32 far modes of the benchmark softmax layer run in the
+    # read-out frame, as near modes of their own rate: their plan takes their
+    # powers as reciprocals of the table's and evaluates no more exponentials
+    # than the same layer with those modes at Re(lam) = -0.25.
+    far, near = benchmark_layer("softmax"), benchmark_layer("softmax")
+    near.lambda_re[near.lambda_re > 0] = -0.25
+    plans, exps = [], []
+    for layer in (far, near):
+        lam, delta = effective_lambda(layer), np.exp(layer.delta_log)
+        exps.append(count_exps(monkeypatch, lambda: plans.append(
+            _scan_plan("softmax", lam, delta, layer.w, 16, 1024))))
+    assert plans[0].lift and plans[0].far_hi is None and not plans[1].lift
+    assert exps[0] == exps[1]
 
 
 def kept_plan_bytes(variant, b, l):

@@ -415,9 +415,10 @@ def test_read_frame_keeps_precision_over_a_long_turning_horizon(seed):
 @pytest.mark.parametrize("side", BOUND_SIDES)
 @pytest.mark.parametrize("l", [33, 40, 1000])
 def test_scan_near_frame_span_of_extreme_inputs_is_finite(l, side):
-    # The frame is anchored at the chunk grid's end, so its state is never
-    # larger than the offset path's: anchored at L, it overflowed at
-    # L = 33 and 40 on 1e300 inputs.  The suite turns warnings into errors.
+    # A frame mode's s on its injection weighs each input in its state by at
+    # most 1, so the state is never larger than the offset path's; a frame
+    # whose state could exceed it overflowed at L = 33 and 40 on 1e300
+    # inputs.  The suite turns warnings into errors.
     rng = np.random.default_rng([l, BOUND_SIDES.index(side), 35])
     params = _span_layer(rng, side, l)
     u = rng.standard_normal((2, params.h, l))
