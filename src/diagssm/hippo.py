@@ -6,8 +6,13 @@ diagonal spectrum keeps the N eigenvalues with positive imaginary part.
 Only the magnitudes mu are needed, and they are the positive eigenvalues
 of the Hermitian matrix i*S, so one Hermitian eigensolve (numpy's
 ``eigvalsh``) yields them directly.
+
+Every layer of a given N starts from the same spectrum, so mu is solved
+once per N per process and kept read-only in a small cache; callers get
+fresh, writable copies.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +61,17 @@ def symmetric_eigenvalues(m):
     return np.linalg.eigvalsh(a)[::-1].copy()
 
 
+# Eight N stay cached: a sweep over more evicts the least recently used
+# instead of growing the cache.
+@functools.lru_cache(maxsize=8)
+def _skew_hippo_mu(n):
+    """The magnitudes mu for a validated plain-int n, solved once and kept read-only."""
+    s = skew_hippo_matrix(n) + 0.5 * np.eye(2 * n)
+    mu = np.linalg.eigvalsh(1j * s)[::-1][:n].copy()
+    mu.flags.writeable = False
+    return mu
+
+
 def skew_hippo_lambda(n):
     """Diagonal spectrum -1/2 + i*mu_k, mu_k > 0 sorted descending.
 
@@ -67,8 +83,10 @@ def skew_hippo_lambda(n):
     The magnitudes come from ``np.linalg.eigvalsh(1j * s)`` directly, with
     no input validation: S is exactly skew-symmetric and finite by
     construction, so :func:`symmetric_eigenvalues` (the same call behind
-    its checks) would accept it and return the same bits.
+    its checks) would accept it and return the same bits.  They are solved
+    once per N per process (n is validated first, so the cache is keyed on
+    a plain int) and kept read-only; each call returns new, writable
+    arrays, so a caller may edit its spectrum freely.
     """
-    s = skew_hippo_matrix(n) + 0.5 * np.eye(2 * n)
-    mu = np.linalg.eigvalsh(1j * s)[::-1][:n].copy()
-    return DiagSpectrum(lambda_re=np.full(n, -0.5), lambda_im=mu)
+    n = _count("n", n)
+    return DiagSpectrum(lambda_re=np.full(n, -0.5), lambda_im=_skew_hippo_mu(n).copy())

@@ -156,18 +156,20 @@ DELTA_INIT_HIGH = 0.1
 def init_layer(h, n, variant, seed):
     """Seeded layer parameters.
 
-    The shared spectrum comes from :func:`skew_hippo_lambda`; for the exp
-    family lambda_re stores log(1/2) so the effective real part is -1/2 at
-    init, matching the softmax variant.  Each delta is log-uniform in
-    [0.001, 0.1].  W's real and imaginary parts are standard normal.  The
-    projection starts as the identity with zero bias, keeping the layer
-    near-passthrough.  Draw order: H uniforms for delta_log, then W row by
-    row, real part before imaginary part.
+    Every layer of size n starts from the same skew-HiPPO spectrum:
+    :func:`skew_hippo_lambda` solves it once per n per process and gives
+    each layer its own writable copy.  For the exp family lambda_re stores
+    log(1/2) so the effective real part is -1/2 at init, matching the
+    softmax variant.  Each delta is log-uniform in [0.001, 0.1].  W's real
+    and imaginary parts are standard normal.  The projection starts as the
+    identity with zero bias, keeping the layer near-passthrough.  Draw
+    order: H uniforms for delta_log, then W row by row, real part before
+    imaginary part.
     """
     _check_sizes(h, n, variant)
     spectrum = skew_hippo_lambda(n)
     if variant == "softmax":
-        lambda_re = spectrum.lambda_re.copy()
+        lambda_re = spectrum.lambda_re
     else:
         lambda_re = np.full(n, math.log(0.5))
     rng = SplitMix64(seed)
@@ -180,7 +182,7 @@ def init_layer(h, n, variant, seed):
         h=h,
         n=n,
         lambda_re=lambda_re,
-        lambda_im=spectrum.lambda_im.copy(),
+        lambda_im=spectrum.lambda_im,
         delta_log=delta_log,
         w=w,
         w_out=np.eye(h),
@@ -388,25 +390,33 @@ def layer_forward(params, u, mode="conv", kernel_limit=None):
 
     Raises ValueError naming the field of a layer that
     :func:`_check_layout` refuses, and naming ``u`` when the input holds a
-    non-finite value (see :func:`ssm_outputs`).
+    non-finite value (see :func:`ssm_outputs`).  A residual, projection or
+    bias add whose finite operands give a result past float range raises
+    ValueError("layer output leaves float range") in either mode, with no
+    warning; the check is numpy's own overflow flag on each call, so it
+    adds no pass.
     """
     u = _numbers("input u", u)
     y = ssm_outputs(params, u, mode, kernel_limit)    # a fresh C-contiguous array
-    y += u
-    _gelu_into(y, y)
     h, l = y.shape[1:]
     cols = min(l, max(1, _PROJECTION_BLOCK // h))
     rows = max(1, _PROJECTION_BLOCK // (h * cols))     # > 1 only when whole rows fit
     scratch = np.empty(rows * h * cols)
-    for lead in range(0, len(y), rows):
-        for lo in range(0, l, cols):
-            block = y[lead:lead + rows, :, lo:lo + cols]
-            tmp = scratch[:block.size].reshape(block.shape)   # C-contiguous, as BLAS needs
-            np.matmul(params.w_out, block, out=tmp)
-            np.copyto(block, tmp)
-    # One add over the whole array: numpy's broadcast add over a block's
-    # short rows ran 2-3x slower per element than this one pass.
-    y += params.b_out[:, None]
+    try:
+        with np.errstate(over="raise"):               # the GELU's z*z keeps its own "ignore"
+            y += u
+            _gelu_into(y, y)
+            for lead in range(0, len(y), rows):
+                for lo in range(0, l, cols):
+                    block = y[lead:lead + rows, :, lo:lo + cols]
+                    tmp = scratch[:block.size].reshape(block.shape)   # C-contiguous for BLAS
+                    np.matmul(params.w_out, block, out=tmp)
+                    np.copyto(block, tmp)
+            # One add over the whole array: numpy's broadcast add over a
+            # block's short rows ran 2-3x slower per element than this one pass.
+            y += params.b_out[:, None]
+    except FloatingPointError:
+        raise ValueError("layer output leaves float range") from None
     return y
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from diagssm import skew_hippo_lambda, skew_hippo_matrix, symmetric_eigenvalues
+from diagssm import init_layer, skew_hippo_lambda, skew_hippo_matrix, symmetric_eigenvalues
+from diagssm.hippo import _skew_hippo_mu
 
 
 def charpoly_eigenvalues(m, tol=1e-12):
@@ -120,10 +121,44 @@ def test_eigenvalues_reject_asymmetric():
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 64, 100])
 def test_lambda_has_the_validated_eigensolve_bits(n):
     # skew_hippo_lambda's direct eigvalsh returns the bytes of the validated
-    # path, which accepts i*S.
+    # path, which accepts i*S, on the call that solves it (cold) and on the
+    # call that reads the cached magnitudes (warm).
     s = skew_hippo_matrix(n) + 0.5 * np.eye(2 * n)
     want = symmetric_eigenvalues(1j * s)[:n]
-    assert skew_hippo_lambda(n).lambda_im.tobytes() == want.tobytes()
+    _skew_hippo_mu.cache_clear()
+    cold = skew_hippo_lambda(n).lambda_im
+    warm = skew_hippo_lambda(n).lambda_im
+    assert cold.tobytes() == warm.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cached, bad", [(1, True), (64, 64.0), (np.int64(64), 64.0)])
+def test_lambda_refuses_a_non_integer_equal_to_a_cached_n(cached, bad):
+    # Each pair compares equal and hashes alike, so a cache keyed before the
+    # check could hand back the cached spectrum instead of refusing;
+    # functools' cache on the raw argument does so for the numpy pair.
+    skew_hippo_lambda(cached)
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        skew_hippo_lambda(bad)
+
+
+def test_one_eigensolve_serves_every_layer_of_one_n(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    _skew_hippo_mu.cache_clear()
+    first = init_layer(16, 64, "exp", 0)
+    second = init_layer(16, 64, "softmax", 1)
+    assert calls == [(128, 128)]
+    assert first.lambda_im.tobytes() == second.lambda_im.tobytes()
+    # A sweep over more sizes than the cache holds does not grow it.
+    for n in range(1, 12):
+        skew_hippo_lambda(n)
+    assert _skew_hippo_mu.cache_info().currsize == 8
 
 
 def test_lambda_n1_closed_form():
@@ -169,3 +204,15 @@ def test_lambda_deterministic():
     b = skew_hippo_lambda(6)
     assert np.array_equal(a.lambda_re, b.lambda_re)
     assert np.array_equal(a.lambda_im, b.lambda_im)
+    # Each call hands out its own writable arrays: editing one spectrum,
+    # or a layer's, leaves the next call's bytes as they were.
+    want_re, want_im = a.lambda_re.tobytes(), a.lambda_im.tobytes()
+    a.lambda_re[:] = 1.0
+    a.lambda_im[:] = 2.0
+    layer = init_layer(2, 6, "softmax", 0)
+    layer.lambda_re[0] = 3.0
+    layer.lambda_im[0] = 4.0
+    c = skew_hippo_lambda(6)
+    assert c.lambda_re.tobytes() == want_re
+    assert c.lambda_im.tobytes() == want_im
+    assert init_layer(2, 6, "softmax", 0).lambda_im.tobytes() == want_im

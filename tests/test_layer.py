@@ -278,6 +278,26 @@ def test_layer_forward_of_huge_finite_input_does_not_warn(mode):
     assert np.isfinite(out).all()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["conv", "recurrent"])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("field, u_value", [("w_out", 4.0), ("b_out", 1e307), ("u", 1.5e308)])
+def test_layer_output_past_float_range_is_refused(variant, mode, field, u_value):
+    # At L = 1 with W scaled so each kernel opens at 0.5, the SSM output is
+    # u/2 and finite in both modes; then the projection (w_out), the bias
+    # add (b_out) or the residual y + u (u) alone leaves float range.
+    params = init_layer(2, 4, variant, 0)
+    params.w = params.w * (0.5 / layer_kernels(params, 1)[:, 0])[:, None]
+    u = np.full((1, 2, 1), u_value)
+    assert np.isfinite(ssm_outputs(params, u, mode)).all()
+    if field == "w_out":
+        params.w_out = np.full((2, 2), 1e308)
+    elif field == "b_out":
+        params.b_out = np.full(2, 1.7e308)
+    with pytest.raises(ValueError, match="layer output leaves float range"):
+        layer_forward(params, u, mode)
+
+
 def test_gelu_at_one_matches_normal_cdf():
     assert abs(gelu(1.0) - 0.8413447460685429) < 1e-7
 
