@@ -54,6 +54,34 @@ def _numbers(name, x, dtype=float, finite=False):
     return x
 
 
+def _rows_in_range(run, u):
+    """run(u) for a linear map ``run`` that computes each row along u's last
+    axis apart from the others', with no float overflow left in it.
+
+    numpy's overflow and invalid flags are noted, not warned, so a call that
+    raises none costs one ``np.errstate``.  Where one is raised, each row
+    whose output is not finite runs again scaled by a power of two to a
+    largest magnitude in [0.5, 1), exactly, and its output is scaled back;
+    the other rows keep their bits.  A row whose output still leaves float
+    range raises ValueError("state-space output leaves float range").
+    """
+    flagged = []
+    with np.errstate(over="call", invalid="call", call=lambda *_: flagged.append(True)):
+        y = run(u)
+    if not flagged:
+        return y
+    bad = ~np.isfinite(y).all(axis=-1, keepdims=True)
+    if not bad.any():                       # the flag came from no row's output
+        return y
+    shift = np.where(bad, -np.frexp(np.abs(u).max(axis=-1, keepdims=True))[1], 0)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            np.copyto(y, np.ldexp(run(np.ldexp(u, shift)), -shift), where=bad)
+    except FloatingPointError:
+        raise ValueError("state-space output leaves float range") from None
+    return y
+
+
 def _choice(name, value, choices):
     """value, if it is one of the strings in choices."""
     if not isinstance(value, str) or value not in choices:

@@ -21,7 +21,7 @@ import cmath
 
 import numpy as np
 
-from .cnum import _count, _numbers
+from .cnum import _count, _numbers, _rows_in_range
 
 # Spectrum bytes of one block of input rows in causal_conv_fft.  At
 # (B,H,L) = (4,16,16384), 1 MB and 512 KB blocks ran the convolution 6% and
@@ -78,6 +78,9 @@ def causal_conv_fft(kernel, u):
     ``_BLOCK_BYTES``, so beyond the result and the kernel's spectrum the
     call holds about two blocks (:func:`_conv_by_spectrum`).  numpy's FFT
     transforms each row alone, so the result does not depend on the runs.
+    A row whose transform overflows is convolved again scaled by a power of
+    two; an output past float range raises ValueError("state-space output
+    leaves float range").
     """
     u = _numbers("input u", u, finite=True)
     kernel = _numbers("kernel", kernel, finite=True)
@@ -105,8 +108,16 @@ def _conv_by_spectrum(spec_k, u):
     """Causal convolution of a finite float array u with the kernels of spectrum spec_k.
 
     spec_k is :func:`_kernel_spectrum` of kernels of u's length that
-    broadcast to u's shape; the caller has checked both.
+    broadcast to u's shape; the caller has checked both.  A row whose
+    transform overflows is convolved again scaled by a power of two
+    (``cnum._rows_in_range``); where its output leaves float range, raises
+    ValueError("state-space output leaves float range").
     """
+    return _rows_in_range(lambda rows: _conv_blocks(spec_k, rows), u)
+
+
+def _conv_blocks(spec_k, u):
+    """:func:`_conv_by_spectrum` with no overflow check, one block of rows at a time."""
     l = u.shape[-1]
     n = _next_pow2(2 * l)
     out = np.empty(u.shape)

@@ -16,7 +16,10 @@ softmax modes on both sides of the imaginary axis), no N x L array.  Every
 table of powers in the package, these two and the recurrent scan's, comes
 from one primitive that splits it again into two tables of about
 sqrt(count) entries: about N*(2*sqrt(L/64) + 16) exponentials per kernel,
-48 per mode at L = 16384.  Three parameterizations:
+48 per mode at L = 16384.  Sums over positions of products of two such
+exponentials are geometric series: ``_exp_gram`` forms the Gram matrix of
+an exp basis from them in closed form, O(N^2) at any L.  Three
+parameterizations:
 
 * ``exp``           -- weights w~ against (exp(lam*dt)-1)/lam * exp(lam*dt*k),
                        with lam forced into the left half plane;
@@ -310,6 +313,65 @@ def _exp_blocks(z, l):
     """
     block = min(l, _BLOCK)
     return _exp_range(z, -(-l // block), block), _exp_range(z, block)
+
+
+# 2*pi = _TWO_PI_HI + _TWO_PI_LO to about 1e-25.  _TWO_PI_HI has 27 significant
+# bits, so n * _TWO_PI_HI is exact for |n| < 2^26 (Cody-Waite reduction).
+_TWO_PI_HI = float.fromhex("0x1.921fb54p+2")
+_TWO_PI_LO = float.fromhex("0x1.10b4611a62633p-28")
+
+
+def _reduce_phase(b):
+    """b - 2 pi m for the integer m nearest b / (2 pi): in [-pi, pi], to
+    an ulp of the result for |b| < 4e8 (Cody-Waite)."""
+    turns = np.rint(b / (_TWO_PI_HI + _TWO_PI_LO))
+    return (b - turns * _TWO_PI_HI) - turns * _TWO_PI_LO
+
+
+def _expm1_parts(a, b):
+    """(Re, Im) of expm1(a + ib) for real arrays a and b, b in [-pi, pi].
+
+    expm1(a) cos(b) - 2 sin^2(b/2) and e^a sin(b), with cos and sin of b
+    from its half angle, keep their digits where a + ib is near 0.
+    """
+    half, cos_half = np.sin(b / 2), np.cos(b / 2)
+    vers = 2.0 * half * half                # 1 - cos(b)
+    return np.expm1(a) * (1.0 - vers) - vers, 2.0 * np.exp(a) * half * cos_half
+
+
+def _exp_gram(z, coef, l):
+    """The real 2N x 2N Gram matrix of the rows [Re g; -Im g], g_ik = coef_i e^{z_i k}, k < L.
+
+    In closed form, with no N x L array: with P = (c c^T) o S(z_i + z_j)
+    and Q = (c c^H) o S(z_i + conj(z_j)),
+    G = 1/2 [[Re(P + Q), Im(Q - P)], [Im(Q - P)^T, Re(Q - P)]], where
+    S(s) = sum_{k<L} e^{s k} = expm1(s L) / expm1(s) (L where s = 0).  P is
+    symmetric and Q Hermitian, so S is evaluated for pairs i <= j only.
+    Im(s) is taken as its rounded sum plus that sum's exact rounding error
+    (Knuth's two-sum), reduced modulo 2 pi by an exact split of 2 pi first,
+    so that s near 2 pi i m keeps its digits in both expm1s.  z and coef are
+    (N,) complex, with Re(z) <= 0 and |Im z| below 1e8; l is a count >= 1.
+    """
+    n = len(z)
+    modes = np.arange(n)
+    i, j = np.nonzero(modes[:, None] <= modes)      # the pairs i <= j; np.triu_indices is slower
+    a = z.real[i] + z.real[j]
+    x, y = z.imag[i], np.stack([z.imag[j], -z.imag[j]])       # for P, then Q
+    b = x + y
+    err = (x - (b - (b - x))) + (y - (b - x))
+    b = _reduce_phase(b) + err
+    num, den = _complex(*_expm1_parts(a * l, b * l)), _complex(*_expm1_parts(a, b))
+    sums = np.divide(num, den, out=np.full(den.shape, complex(l)), where=den != 0)
+    sums *= coef[i] * np.stack([coef[j], coef[j].conj()])
+    p, q = np.empty((2, n, n), complex)
+    p[i, j] = p[j, i] = sums[0]
+    q[i, j], q[j, i] = sums[1], sums[1].conj()
+    gram = np.empty((2 * n, 2 * n))
+    np.multiply(0.5, (q + p).real, out=gram[:n, :n])
+    np.multiply(0.5, (q - p).imag, out=gram[:n, n:])
+    np.multiply(0.5, (q - p).real, out=gram[n:, n:])
+    gram[n:, :n] = gram[:n, n:].T
+    return gram
 
 
 def diagonal_kernels(variant, lam, delta, w, l, eps=DEFAULT_EPS):

@@ -28,7 +28,8 @@ from .cnum import _choice, _count, _numbers, _positive
 from .fftconv import _conv_by_spectrum, _kernel_spectrum
 from .hippo import skew_hippo_lambda
 from .kernel import (DiagonalParams, _check_layout, _check_sizes, _complex, _diagonal_form,
-                     _diagonal_rates, _exp_blocks, diagonal_kernels)
+                     _diagonal_rates, _exp_blocks, _exp_gram, _reduce_phase,
+                     diagonal_kernels)
 from .recurrence import _scan_plan, _scan_run
 # Bound only because ssmbench/tracer.py wraps these names here; the layer calls none.
 from .fftconv import causal_conv_fft  # noqa: F401
@@ -352,7 +353,11 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None):
     parameter check, and refuse the same parameters.  Raises ValueError
     naming ``u`` when the input holds NaN or +-inf (checked on every call,
     after the parameters): in either mode one NaN would otherwise spread
-    to earlier positions.
+    to earlier positions.  Each view computes a row apart from the others;
+    a row whose transform or scan overflows runs again scaled by a power
+    of two (``cnum._rows_in_range``), and where the output itself leaves
+    float range, both raise ValueError("state-space output leaves float
+    range"), with no warning.
     """
     _check_layout(params)
     u = _numbers("input u", u)
@@ -394,7 +399,8 @@ def layer_forward(params, u, mode="conv", kernel_limit=None):
     bias add whose finite operands give a result past float range raises
     ValueError("layer output leaves float range") in either mode, with no
     warning; the check is numpy's own overflow flag on each call, so it
-    adds no pass.
+    adds no pass.  An SSM output past float range raises first, in
+    :func:`ssm_outputs`.
     """
     u = _numbers("input u", u)
     y = ssm_outputs(params, u, mode, kernel_limit)    # a fresh C-contiguous array
@@ -454,27 +460,51 @@ TOY_INIT_ENERGY = 0.15        # mean squared value of the initial kernel
 TOY_SEGMENT = 100             # steps between logged losses, and between loss checks
 
 
-def _toy_lift(n, l):
-    """The toy's frozen real 2N x L lift: K = [Re w, Im w] @ lift is the exp
-    kernel of weights w on the spectrum and sample time of
-    :func:`train_toy_delay`'s setup.
+def _toy_system(n, l, lag, seed):
+    """:func:`train_toy_delay`'s frozen set-up: (z, coef, theta_a, bordered).
 
-    Row i is Re g_i and row N + i is -Im g_i, for the N x L complex
-    g_ik = (e^{lam_i dt}-1)/lam_i e^{lam_i dt k}, formed from the kernels'
-    discretization and blocked exponentials.
+    z = lam*dt and coef = (e^z - 1)/lam are the (N,) rates and exp input
+    maps of the toy's spectrum and sample time, so the kernel of weights w
+    is Re sum_i w_i g_i with g_ik = coef_i e^{z_i k}: K = theta @ lift for
+    theta = [Re w; Im w] and the 2N x L rows lift = [Re g; -Im g], which
+    are never formed.  bordered is [[G, -p], [-p^T, 1]], G = lift @ lift.T
+    in closed form (``kernel._exp_gram``) and p = lift[:, lag] =
+    [Re g(lag); -Im g(lag)].  theta_a = [theta; 1] holds the seed's weights,
+    rescaled so the kernel's mean square theta^T G theta / L is
+    ``TOY_INIT_ENERGY``.
     """
     spectrum = skew_hippo_lambda(n)
     delta = TOY_SLOW_MODE_RATE / float(spectrum.lambda_im[-1])
     lambda_re = np.full(n, math.log(TOY_DECAY_OVER_WINDOW / (delta * l)))
     lam = -np.exp(lambda_re) + 1j * spectrum.lambda_im
     # delta goes through its log and back, as a stored delta_log would.
-    _, scale, z, _ = _diagonal_rates("exp", lam, np.exp([math.log(delta)]), np.ones((1, n)), 1, l)
-    outer, inner = _exp_blocks(z[0], l)
-    g = ((scale[0, :, None] * outer)[:, :, None] * inner[:, None, :]).reshape(n, -1)[:, :l]
-    lift = np.empty((2 * n, l))
-    lift[:n] = g.real
-    np.negative(g.imag, out=lift[n:])
-    return lift
+    _, coef, z, _ = _diagonal_rates("exp", lam, np.exp([math.log(delta)]), np.ones((1, n)), 1, l)
+    # e^{z k} is periodic in Im z: reduced to [-pi, pi], z*k rounds at ulps of
+    # pi*k rather than of |Im z|*k (up to 7409*k at N = 32).
+    z, coef = _complex(z[0].real, _reduce_phase(z[0].imag)), coef[0]
+    k = 2 * n
+    gram = _exp_gram(z, coef, l)
+    bordered = np.empty((k + 1, k + 1))
+    bordered[:k, :k] = gram
+    at_lag = coef * np.exp(z * lag)
+    bordered[:n, k], bordered[n:k, k] = -at_lag.real, at_lag.imag
+    bordered[k, :k] = bordered[:k, k]
+    bordered[k, k] = 1.0
+    w = SplitMix64(seed).normals(k).view(np.complex128)
+    theta = np.concatenate([w.real, w.imag])
+    theta_a = np.ones(k + 1)
+    energy = float(theta @ gram @ theta) / l
+    np.multiply(theta, math.sqrt(TOY_INIT_ENERGY / energy), out=theta_a[:k])
+    return z, coef, theta_a, bordered
+
+
+def _toy_kernel(z, coef, theta, l):
+    """The kernel theta @ lift of :func:`_toy_system`'s rates z and input maps
+    coef, as one row from blocked exponentials (``kernel._exp_blocks``)."""
+    n = len(z)
+    outer, inner = _exp_blocks(z, l)
+    weights = _complex(theta[:n], theta[n:]) * coef
+    return ((weights[:, None] * outer).T @ inner).reshape(-1)[:l].real
 
 
 def train_toy_delay(n, l, lag, steps, lr=2e-3, seed=0):
@@ -485,24 +515,29 @@ def train_toy_delay(n, l, lag, steps, lr=2e-3, seed=0):
     The spectrum and sample time stay frozen at a setup chosen for the
     task, which keeps the fit convex in the trained parameters.  The kernel
     is then linear in theta = [Re w, Im w]: K = theta @ lift for a real
-    2N x L lift (:func:`_toy_lift`), so the loss is a
-    quadratic in theta and needs only the 2N x 2N Gram matrix
-    G = lift @ lift.T and p = lift[:, lag].  Both are built once, bordered
-    into M = [[G, -p], [-p^T, 1]]; with theta_a = [theta; 1], one
+    2N x L lift (see :func:`_toy_system`), so the loss is a quadratic in
+    theta and needs only the 2N x 2N Gram matrix G = lift @ lift.T and
+    p = lift[:, lag].  Neither needs the lift: G is a sum of geometric
+    series in closed form, O(N^2) at any L (``kernel._exp_gram``), and p
+    is one exponential per mode.  Both are bordered into
+    M = [[G, -p], [-p^T, 1]]; with theta_a = [theta; 1], one
     (2N+1) x (2N+1) product gives M @ theta_a = [back; 1 - p . theta],
     where back = G @ theta - p = lift @ (K - impulse) is the gradient times
-    L/2, and theta_a . (M @ theta_a) = L * mse.  A step never reads the
-    lift, and Adam's gradient scale, bias corrections and lr fold into two
-    scalars per step, c_t and e_t.  Steps run in 100-step segments: the loss
-    is logged and checked at a segment's start, and its c_t and e_t formed
-    in one pass, so a step is the bordered product and eight ufunc calls.
-    A segment that may hide an overflowed loss reruns checking every loss,
-    so divergence is reported at the first step whose loss is not finite.
-    At N = 32, L = 1024 the default lr, 2e-3, recovered lag 1000 on each of
-    4500 seeds surveyed; 1e-3 stopped ~3% above the optimum on a few.  The
-    logged losses are exact to a few ulps of (1 + |K|^2) / L, so a fit that
-    can be exact (L <= 2N) may log one a hair below 0; the final MSE and
-    argmax come from the kernel itself.  The setup:
+    L/2, and theta_a . (M @ theta_a) = L * mse.  Adam's gradient scale,
+    bias corrections and lr fold into two scalars per step, c_t and e_t.
+    Steps run in 100-step segments: the loss is logged and checked at a
+    segment's start, and its c_t and e_t formed in one pass, so a step is
+    the bordered product and eight ufunc calls.  A segment that may hide
+    an overflowed loss reruns checking every loss, so divergence is
+    reported at the first step whose loss is not finite.  At N = 32,
+    L = 1024 the default lr, 2e-3, recovered lag 1000 on each of 4502
+    seeds surveyed; 1e-3 stopped ~3% above the optimum on a few.  The
+    rates are reduced modulo 2 pi, so the logged losses (from M) and the
+    final MSE (from the kernel, one blocked row) are both within a few
+    ulps of (1 + |K|^2) / L of the loss of the kernel from exact
+    exponents, and a fit that can be exact (L <= 2N) may log one a hair
+    below 0; the final MSE and argmax come from the kernel itself.  The
+    setup:
 
     * the shared spectrum is the long-memory initialization, with the
       sample time set so the slowest mode advances ~1.5 rad per step
@@ -524,20 +559,10 @@ def train_toy_delay(n, l, lag, steps, lr=2e-3, seed=0):
         raise ValueError("lag must satisfy 0 <= lag < l")
     # A numpy lr would make the step scalars and the overflow guard its dtype.
     lr = float(_positive("lr", lr))
-    w = SplitMix64(seed).normals(2 * n).view(np.complex128)
-    lift = _toy_lift(n, l)
-    theta = np.concatenate([w.real, w.imag])
-    k0 = theta @ lift
-    k = 2 * n
     # theta_a = [theta; 1] and the bordered Gram matrix: bordered @ theta_a
     # is back_a = [back; 1 - p . theta], and theta_a . back_a = L * mse.
-    theta_a = np.ones(k + 1)
-    np.multiply(theta, math.sqrt(TOY_INIT_ENERGY / float(np.mean(k0 * k0))),
-                out=theta_a[:k])
-    bordered = np.empty((k + 1, k + 1))
-    np.matmul(lift, lift.T, out=bordered[:k, :k])
-    bordered[:k, k] = bordered[k, :k] = -lift[:, lag]
-    bordered[k, k] = 1.0
+    z, coef, theta_a, bordered = _toy_system(n, l, lag, seed)
+    k = 2 * n
     target = np.zeros(l)
     target[lag] = 1.0
 
@@ -606,7 +631,7 @@ def train_toy_delay(n, l, lag, steps, lr=2e-3, seed=0):
             for step in range(start, stop):
                 loss(step)
                 advance(step, step + 1)
-        final_kernel = theta @ lift
+        final_kernel = _toy_kernel(z, coef, theta, l)
         final_resid = final_kernel - target
         final_mse = float(np.mean(final_resid * final_resid))
     if not np.isfinite(final_mse):

@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cnum import DEFAULT_EPS, _numbers, reciprocal_eps
+from .cnum import DEFAULT_EPS, _numbers, _rows_in_range, reciprocal_eps
 from .kernel import _coordinate_form, _diagonal_rates, _exp_factors, _exp_range, _factor_sum
 
 
@@ -323,13 +323,15 @@ def _scan_run(plan, u):
     modes' read offset), and one more product adds every chunk's read-out
     to y.  Each BLAS call is one (b, h) row's product over the group's
     chunks, so a row's output does not depend on the batch it runs in;
-    nor does its lift (``_LIFT_BELOW``), which is chosen per row.
+    nor does its lift (``_LIFT_BELOW``), which is chosen per row, nor its
+    rerun scaled down where its scan overflowed (``cnum._rows_in_range``),
+    which raises ValueError("state-space output leaves float range") where
+    the output itself does.
     """
     # After the parameter checks, so both layer views name the same fault first.
     _numbers("input u", u, finite=True)
-    toeplitz, read, read_tail, inject, decay, far_hi, far_lo, far_lo_tail, lifts = plan
     lift = None
-    if lifts:
+    if plan.lift:
         # A row whose largest magnitude is below _LIFT_BELOW is scaled by 2^k,
         # exactly, to one in [0.5, 1), and its output back at the end.  Rows
         # are read whole only when some row's first entry is below it.
@@ -337,6 +339,14 @@ def _scan_run(plan, u):
             top = np.abs(u).max(axis=2)
             lift = np.where(top < _LIFT_BELOW, -np.frexp(top)[1], 0)[..., None]
             u = np.ldexp(u, lift)
+    # A row whose scan overflows runs again scaled down, exactly, the same way.
+    y = _rows_in_range(lambda rows: _scan_rows(plan, rows), u)
+    return y if lift is None else np.ldexp(y, -lift, out=y)
+
+
+def _scan_rows(plan, u):
+    """:func:`_scan_run` of a (B, H, L) array with no lift and no overflow check."""
+    toeplitz, read, read_tail, inject, decay, far_hi, far_lo, far_lo_tail, _ = plan
     b, h, l = u.shape
     block, n = toeplitz.shape[-1], decay.shape[-1]
     chunks = -(-l // block)
@@ -378,4 +388,4 @@ def _scan_run(plan, u):
             yt += state[g - 1, :, :, None, :] @ read_tail
         if fed == g:
             state[0] = state[g]
-    return y if lift is None else np.ldexp(y, -lift, out=y)
+    return y

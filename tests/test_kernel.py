@@ -29,8 +29,8 @@ from diagssm import (
 )
 from diagssm.checks import check_grad, check_prop1
 from diagssm.cnum import reciprocal_eps
-from diagssm.kernel import (_diagonal_form, _diagonal_rates, _exp_factors, _exp_range, _factor_sum,
-                            _scale_slope)
+from diagssm.kernel import (_diagonal_form, _diagonal_rates, _exp_factors, _exp_gram, _exp_range,
+                            _factor_sum, _scale_slope)
 from diagssm.recurrence import _scan_plan
 
 LN2 = math.log(2.0)
@@ -244,6 +244,93 @@ def test_factor_sum_is_the_sum_over_the_range(count):
     for upto in sorted({0, 1, count // 2, count - 1, count}):
         got = _factor_sum(hi, lo, upto)
         assert np.abs(got - want[:, :upto].sum(axis=1)).max() <= 1e-12 * count
+
+
+def _split(x):
+    """x = head + tail, each with at most 26 significant bits (Veltkamp)."""
+    c = x * 134217729.0
+    head = c - (c - x)
+    return head, x - head
+
+
+def _exact_exp(z, k):
+    """e^{z k}, (N,) z by (K,) positions k < 2^26, from exact exponents:
+    each part of z is split in two, each piece times k is exact, and the
+    four factors are each within an ulp or so."""
+    out = np.ones((len(z), len(k)), complex)
+    for part, unit in ((z.real, 1.0), (z.imag, 1j)):
+        for piece in _split(part):
+            out *= np.exp(unit * np.multiply.outer(piece, k))
+    return out
+
+
+def _gram_rates(rng, n, l, alias):
+    """n rates with Re(z) <= 0, a fifth of them 0; alias "sum" or
+    "difference" puts one pair's Im(z_i + z_j) or Im(z_i - z_j) within
+    1e-9 of 2*pi*m, m = +-1 (i = j when n = 1)."""
+    re = -rng.uniform(0.0, 1.0, n) ** 2 * 3.0 / l
+    re[rng.random(n) < 0.2] = 0.0
+    im = rng.uniform(-4.0, 4.0, n)
+    if alias is not None:
+        turn = 2.0 * math.pi * rng.choice([-1.0, 1.0])
+        i, j = rng.choice(n, 2, replace=False) if n > 1 else (0, 0)
+        if i == j:
+            im[i] = turn / 2 + rng.uniform(-5e-10, 5e-10)
+        else:
+            im[i] = math.copysign(rng.uniform(2.3, 4.0), turn)
+            im[j] = (turn - im[i] if alias == "sum" else im[i] - turn) + rng.uniform(-9e-10, 9e-10)
+        assert abs((im[i] + im[j] if alias == "sum" else im[i] - im[j]) - turn) <= 1e-9
+    return re + 1j * im
+
+
+def _gram_cases():
+    """Seeded (n, l, alias, seed): N = 1, L = 1, both aliases, L up to 2^20."""
+    rng = np.random.default_rng(41)
+    cases = [(1, 1, None), (1, 1, "sum"), (4, 1, "difference"), (1, 2 ** 20, "sum"),
+             (2, 2 ** 20, "sum"), (2, 2 ** 20, "difference"), (3, 2 ** 16 + 3, None),
+             (3, 4095, "difference"), (8, 4096, "sum")]
+    while len(cases) < 30:
+        n = int(rng.integers(1, 9))
+        l = int(rng.choice([2, 3, 63, 64, 65, 1024, int(rng.integers(1, 5000))]))
+        alias = [None, "sum", "difference"][int(rng.integers(3))]
+        if not (n == 1 and alias == "difference"):
+            cases.append((n, l, alias))
+    return [case + (seed,) for seed, case in enumerate(cases)]
+
+
+def _blocked_gram(rows_of, l, block=1 << 14):
+    """sum over blocks of positions of rows @ rows.T, rows_of(start, stop) the 2N rows there."""
+    total = 0.0
+    for start in range(0, l, block):
+        rows = rows_of(start, min(start + block, l))
+        total = total + rows @ rows.T
+    return total
+
+
+@pytest.mark.parametrize("n, l, alias, seed", _gram_cases())
+def test_property_exp_gram_is_the_sum_over_positions(n, l, alias, seed):
+    # Two oracles for sum_k r_i(k) r_j(k) over the rows r = [Re g; -Im g],
+    # g_ik = c_i e^{z_i k}: the lift from exact exponents, and up to
+    # L = 2^16 the 2N unit-weight exp_no_scale kernels K(c_i e_i),
+    # K(i c_i e_i).  Past that, the kernels' own rounded exponents z*64*j
+    # drift by more than the budget near an alias (4.5e-12 at L = 2^20).
+    rng = np.random.default_rng([n, l, seed])
+    z = _gram_rates(rng, n, l, alias)
+    coef = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = _exp_gram(z, coef, l)
+    assert got.shape == (2 * n, 2 * n)
+
+    def lift(start, stop):
+        g = coef[:, None] * _exact_exp(z, np.arange(start, stop, dtype=float))
+        return np.concatenate([g.real, -g.imag])
+
+    wants = [_blocked_gram(lift, l)]
+    if l <= 2 ** 16:
+        kernels = diagonal_kernels("exp_no_scale", z, np.ones(2 * n),
+                                   np.concatenate([np.diag(coef), 1j * np.diag(coef)]), l)
+        wants.append(_blocked_gram(lambda a, b: kernels[:, a:b], l))
+    for want in wants:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def count_exps(monkeypatch, fn):
