@@ -1,10 +1,13 @@
-"""Causal convolution by numpy's real FFT, and a transform-domain softmax.
+"""Causal convolution by numpy's FFT, and a transform-domain softmax.
 
 The causal convolution y_k = sum_{j<=k} K_j u_{k-j} is the product of two
 degree L-1 polynomials, so it is computed by zero-padding both factors to
 the next power of two >= 2L (avoiding circular wrap-around), multiplying
-spectra, and inverse transforming.  The input is transformed one block of
-rows at a time, each block's spectrum within a fixed 2 MB, so the working
+spectra, and inverse transforming.  The kernel is real, so two input rows
+that share it are convolved as the real and imaginary parts of one complex
+transform, which numpy runs faster than two real ones; a row with no
+partner takes the real transform.  The input is transformed one block of
+rows at a time, each block's buffer within a fixed 2 MB, so the working
 memory beyond the result and the kernel's spectrum does not grow with the
 batch.  The kernel's spectrum and the convolution of an input with it are
 two steps, so a caller whose kernels do not change (a layer between
@@ -18,16 +21,17 @@ and c near a singular point 2*pi*i*k/L is refused.
 """
 
 import cmath
+import math
 
 import numpy as np
 
 from .cnum import _count, _numbers, _rows_in_range
 
-# Spectrum bytes of one block of input rows in causal_conv_fft.  At
-# (B,H,L) = (4,16,16384), 1 MB and 512 KB blocks ran the convolution 6% and
-# 21% slower (in-process A/B, 60 alternating rounds, one BLAS thread).  A
-# conv layer_forward's traced peak is 1.44x its output at 2 MB, 1.19x and
-# 1.13x at 1 MB and 512 KB, and 1.94x at 4 MB.
+# Bytes of one block in causal_conv_fft: the spectra of a run of real rows,
+# or the complex rows of a run of row pairs together with their kernels'
+# spectrum over all n bins.  Pair blocks of twice this ran the conv_long
+# layer's convolution 2-4% faster and raised its peak RSS by about 2 MB
+# (2-vCPU Xeon VM, in-process A/B, 40 alternating rounds).
 _BLOCK_BYTES = 1 << 21
 
 
@@ -74,13 +78,14 @@ def causal_conv_fft(kernel, u):
     either (the transform would spread it to every output, where the
     direct sum keeps it to later ones).  The kernel's spectrum is taken
     once (:func:`_kernel_spectrum`); the input is transformed in runs of
-    rows within one (..., H, L) slice, each run's spectrum within
+    rows within one (..., H, L) slice, each run's buffer within
     ``_BLOCK_BYTES``, so beyond the result and the kernel's spectrum the
-    call holds about two blocks (:func:`_conv_by_spectrum`).  numpy's FFT
-    transforms each row alone, so the result does not depend on the runs.
-    A row whose transform overflows is convolved again scaled by a power of
-    two; an output past float range raises ValueError("state-space output
-    leaves float range").
+    call holds about two blocks (:func:`_conv_by_spectrum`).  Rows of
+    consecutive leading indices that share a kernel row share one complex
+    transform (:func:`_conv_pairs`), so a row's bits depend on its partner
+    at rounding level, and never on the runs.  A row whose transform
+    overflows is convolved again scaled by a power of two; an output past
+    float range raises ValueError("state-space output leaves float range").
     """
     u = _numbers("input u", u, finite=True)
     kernel = _numbers("kernel", kernel, finite=True)
@@ -117,22 +122,89 @@ def _conv_by_spectrum(spec_k, u):
 
 
 def _conv_blocks(spec_k, u):
-    """:func:`_conv_by_spectrum` with no overflow check, one block of rows at a time."""
+    """:func:`_conv_by_spectrum` with no overflow check, one block of rows at a time.
+
+    Where every leading index shares one kernel row per coordinate, rows of
+    consecutive leading indices are convolved two at a time
+    (:func:`_conv_pairs`); the last row of an odd count, and every row of
+    kernels with their own leading axes, takes the real transform.
+    """
     l = u.shape[-1]
     n = _next_pow2(2 * l)
     out = np.empty(u.shape)
+    shared = math.prod(spec_k.shape[:-2]) == 1
     u = u.reshape((1,) * (2 - u.ndim) + u.shape)        # at least (H, L)
     spec_k = np.broadcast_to(spec_k, u.shape[:-1] + (n // 2 + 1,))
     blocks = out.reshape(u.shape)
+    leads = list(np.ndindex(u.shape[:-2]))
+    if shared and len(leads) > 1:
+        paired = len(leads) // 2 * 2
+        _conv_pairs(spec_k[leads[0]], u, blocks, list(zip(leads[0:paired:2], leads[1:paired:2])))
+        leads = leads[paired:]
     h = u.shape[-2]
     rows = max(1, _BLOCK_BYTES // (16 * (n // 2 + 1)))
-    for lead in np.ndindex(u.shape[:-2]):
+    for lead in leads:
         for j in range(0, h, rows):
             blk = (*lead, slice(j, j + rows))
             spec = np.fft.rfft(u[blk], n)
             spec *= spec_k[blk]
             blocks[blk] = np.fft.irfft(spec, n)[..., :l]
     return out
+
+
+def _conv_pairs(spec_k, u, out, pairs):
+    """Convolve rows u[a] and u[b] of each pair (a, b) of leading indices
+    with the (H, n/2 + 1) kernel spectrum spec_k, into out[a] and out[b].
+
+    The two rows of one coordinate share its real kernel K, so conv(K, u_a
+    + i*u_b) = conv(K, u_a) + i*conv(K, u_b): one complex FFT of n = 2L
+    points, the product with K's spectrum over all n bins (the upper ones
+    the conjugates of the mirrored lower ones, formed once per block of
+    coordinates) and one inverse FFT, both in place, give both rows.  The
+    smaller row is first lifted by an exact power of two to the larger
+    one's binary exponent and its output scaled back, so each row rounds
+    relative to its own scale; an all-zero row's output is zero.
+    """
+    h, l = u.shape[-2:]
+    n = _next_pow2(2 * l)
+    # A block holds its complex rows and their kernels' full spectrum, and
+    # at most half the slice's coordinates: no more bytes than the real
+    # transform spends on a whole slice (its spectra and inverse).
+    rows = max(1, min(_BLOCK_BYTES // (32 * n), (h + 1) // 2))
+    z = np.empty((rows, n), complex)
+    full = np.empty(z.shape, complex)
+    for j in range(0, h, rows):
+        spec = spec_k[j:j + rows]
+        zj, fj = z[:len(spec)], full[:len(spec)]
+        fj[:, :n // 2 + 1] = spec
+        np.conjugate(spec[:, -2:0:-1], out=fj[:, n // 2 + 1:])
+        parts = zj.real[:, :l], zj.imag[:, :l]
+        for pair in pairs:
+            rows_in = [u[p][j:j + rows] for p in pair]
+            tops = np.array([np.maximum(r.max(axis=-1), -r.min(axis=-1)) for r in rows_in])
+            exps = np.frexp(np.where(tops > 0, tops, tops.max(axis=0)))[1]
+            lift = (exps.max(axis=0) - exps)[..., None]
+            for r, s, part in zip(rows_in, lift, parts):
+                _times_pow2(r, s, part)
+            zj[:, l:] = 0
+            np.fft.fft(zj, out=zj)
+            zj *= fj
+            np.fft.ifft(zj, out=zj)
+            for p, s, part, top in zip(pair, lift, parts, tops):
+                dst = out[p][j:j + rows]
+                _times_pow2(part, -s, dst)
+                dst[top == 0] = 0
+
+
+def _times_pow2(x, s, out):
+    """out = x * 2**s, exactly (rounded once where it is subnormal), for an
+    integer array s broadcast against x.  A multiply where 2**s is a float
+    (-1074 <= s <= 1023), as it is for all but rows over 2**1023 apart;
+    np.ldexp, about ten times slower, otherwise."""
+    if s.min() >= -1074 and s.max() <= 1023:
+        np.multiply(x, np.ldexp(1.0, s), out=out)
+    else:
+        np.ldexp(x, s, out=out)
 
 
 def softmax_via_fft(c, l):

@@ -353,9 +353,11 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None):
     parameter check, and refuse the same parameters.  Raises ValueError
     naming ``u`` when the input holds NaN or +-inf (checked on every call,
     after the parameters): in either mode one NaN would otherwise spread
-    to earlier positions.  Each view computes a row apart from the others;
-    a row whose transform or scan overflows runs again scaled by a power
-    of two (``cnum._rows_in_range``), and where the output itself leaves
+    to earlier positions.  Each view computes a row apart from the others,
+    but for conv mode's pairs of batch rows, which share one complex FFT:
+    a row's bits depend on its partner at rounding level, and never on the
+    blocks the convolution runs in.  A row whose transform or scan
+    overflows runs again scaled by a power of two (``cnum._rows_in_range``), and where the output itself leaves
     float range, both raise ValueError("state-space output leaves float
     range"), with no warning.
     """

@@ -148,29 +148,64 @@ def test_conv_length_mismatch():
 
 
 def one_shot_conv(kernel, u):
-    """The whole-array formula the blocked convolution must reproduce bit for bit."""
+    """The whole-array formula the blocked convolution must reproduce bit for bit.
+
+    Under a kernel with no leading axes of its own, rows of consecutive
+    leading indices (flattened) pair up: the smaller lifted by np.ldexp to
+    the larger's binary exponent, one complex FFT of both, the product with
+    the kernel's Hermitian spectrum over all n bins, one inverse FFT, and
+    each part scaled back (an all-zero row gives zeros).  A lone row, and
+    every row under a kernel with its own leading axes, takes the real
+    transform.
+    """
     l = u.shape[-1]
     n = fftconv._next_pow2(2 * l)
-    return np.fft.irfft(np.fft.rfft(u, n) * np.fft.rfft(kernel, n), n)[..., :l]
+    spec = np.fft.rfft(kernel, n)
+    out = np.fft.irfft(np.fft.rfft(u, n) * spec, n)[..., :l]
+    if u.ndim < 3 or math.prod(kernel.shape[:-2]) > 1:
+        return out
+    rows, out = u.reshape(-1, *u.shape[-2:]), out.reshape(-1, *u.shape[-2:])
+    m = len(rows) // 2 * 2
+    pair = rows[0:m:2], rows[1:m:2]
+    tops = [np.abs(r).max(axis=-1, keepdims=True) for r in pair]
+    exps = [np.frexp(np.where(t > 0, t, np.maximum(*tops)))[1] for t in tops]
+    lifts = [np.maximum(*exps) - e for e in exps]
+    z = np.zeros(pair[0].shape[:-1] + (n,), complex)
+    z.real[..., :l], z.imag[..., :l] = (np.ldexp(r, s) for r, s in zip(pair, lifts))
+    full = np.concatenate([spec, spec[..., -2:0:-1].conj()], axis=-1)
+    y = np.fft.ifft(np.fft.fft(z) * full)
+    for start, part, s, t in zip((0, 1), (y.real, y.imag), lifts, tops):
+        out[start:m:2] = np.where(t > 0, np.ldexp(part[..., :l], -s), 0)
+    return out.reshape(u.shape)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 2, 3, 8])
 @pytest.mark.parametrize("l", [1, 2, 33])
 def test_conv_blocks_are_bitwise_the_one_shot_formula(monkeypatch, rows, l):
-    # A budget of exactly `rows` row spectra; each block is a run of at most
-    # `rows` rows inside one (..., H, L) slice, so blocks split H unevenly
-    # (H = 5), cover a whole slice (H = 1, 2) or walk the extra leading axes.
+    # A budget of exactly `rows` real row spectra; a real block is a run of
+    # at most `rows` rows inside one (..., H, L) slice, and a pair block a
+    # run of coordinates whose complex rows and kernel spectrum fit it (2 to
+    # 4 of them at rows = 8), so blocks split H unevenly (H = 5), cover a
+    # whole slice (H = 1, 2) or walk the extra leading axes.  Odd batches leave a lone row on the real transform;
+    # pairs span leading axes (2 x 3); kernels with their own leading axes
+    # stay real.  Rows scaled by up to 2^+-1000, and all-zero rows, take the
+    # lift, past the multiply's range too.
     n = fftconv._next_pow2(2 * l)
     monkeypatch.setattr(fftconv, "_BLOCK_BYTES", rows * 16 * (n // 2 + 1))
     rng = np.random.default_rng(100 * rows + l)
     cases = [((5, l), (3, 5, l)), ((2, l), (4, 2, l)), ((1, l), (3, 1, l)),
-             ((l,), (3, 5, l)), ((l,), (l,)), ((l,), (4, l)), ((3, 1, l), (2, 3, 2, l))]
-    for kernel_shape, input_shape in cases:
-        kernel = rng.standard_normal(kernel_shape)
-        u = rng.standard_normal(input_shape)
-        got = causal_conv_fft(kernel, u)
-        assert got.shape == u.shape
-        assert np.array_equal(got, one_shot_conv(kernel, u)), (kernel_shape, input_shape)
+             ((l,), (3, 5, l)), ((l,), (l,)), ((l,), (4, l)), ((3, 1, l), (2, 3, 2, l)),
+             ((5, l), (5, 5, l)), ((1, 5, l), (2, 3, 5, l)), ((4, 5, l), (4, 5, l))]
+    for scaled in (False, True):
+        for kernel_shape, input_shape in cases:
+            kernel = rng.standard_normal(kernel_shape)
+            u = rng.standard_normal(input_shape)
+            if scaled:
+                u = np.ldexp(u, rng.integers(-1000, 1000, input_shape[:-1] + (1,)))
+                u.reshape(-1, l)[::3] = 0
+            got = causal_conv_fft(kernel, u)
+            assert got.shape == u.shape
+            assert np.array_equal(got, one_shot_conv(kernel, u)), (kernel_shape, input_shape, scaled)
 
 
 def test_conv_traced_peak_is_bounded():

@@ -307,15 +307,30 @@ def test_property_both_views_agree_on_inputs_from_1e_305_to_1e306(variant):
     # products near 1e307, where the outputs are finite.  A row that
     # overflows runs again scaled by a power of two, so every row at any
     # scale, in a batch of mixed scales, gives the same answer in both views
-    # (1e-14 of the row's largest output measured), and no warning.
+    # (1e-14 of the row's largest output measured), and no warning.  Conv
+    # mode convolves batch rows two per complex FFT, the smaller lifted to
+    # the larger's binary exponent, so partners 2^2000 apart, an impulse
+    # beside a dense row, and a kernel near 1e300 over a 1e-300 input each
+    # round at their own scale.
     rng = np.random.default_rng([VARIANTS.index(variant), 22])
     params = init_layer(4, 8, variant, 0)
+    loud = dataclasses.replace(params, w=params.w * (1e300 / np.abs(layer_kernels(params, 64)).max()))
     full = np.full((1, 4, 64), 1e306)
     cases = [full] + [rng.uniform(-1.0, 1.0, (3, 4, 64)) * 10.0 ** rng.uniform(-305, 306, (3, 4, 1))
                       for _ in range(12)]
     cases[1][0, :2, :] = [[1e306], [1e-305]]
-    for u in cases:
-        conv, rec = ssm_outputs(params, u, "conv"), ssm_outputs(params, u, "recurrent")
+    for b in (2, 4):
+        dense = rng.uniform(-1.0, 1.0, (b, 4, 64))
+        cases.append(dense * 2.0 ** np.where(np.arange(b) % 2, -1000, 1000)[:, None, None])
+        cases.append(dense * 2.0 ** np.where(np.arange(b) % 2, 1000, -1000)[:, None, None])
+        impulse = dense.copy()
+        impulse[::2] = 0
+        impulse[::2, :, 0] = 1
+        cases.append(impulse)
+    cases = [(params, u) for u in cases] + [(loud, 1e-300 * rng.uniform(-1.0, 1.0, (b, 4, 64)))
+                                           for b in (1, 2, 3)]
+    for p, u in cases:
+        conv, rec = ssm_outputs(p, u, "conv"), ssm_outputs(p, u, "recurrent")
         top = np.abs(rec).max(axis=2)
         assert (top > 0).all() and np.isfinite(top).all()
         assert (np.abs(conv - rec).max(axis=2) <= 1e-12 * top).all()
