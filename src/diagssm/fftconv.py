@@ -1,17 +1,20 @@
 """Causal convolution by numpy's FFT, and a transform-domain softmax.
 
 The causal convolution y_k = sum_{j<=k} K_j u_{k-j} is the product of two
-degree L-1 polynomials, so it is computed by zero-padding both factors to
-the next power of two >= 2L (avoiding circular wrap-around), multiplying
-spectra, and inverse transforming.  The kernel is real, so two input rows
-that share it are convolved as the real and imaginary parts of one complex
-transform, which numpy runs faster than two real ones; a row with no
-partner takes the real transform.  The input is transformed one block of
-rows at a time, each block's buffer within a fixed 2 MB, so the working
-memory beyond the result and the kernel's spectrum does not grow with the
-batch.  The kernel's spectrum and the convolution of an input with it are
-two steps, so a caller whose kernels do not change (a layer between
-parameter updates) can keep the spectrum and skip the first.  A direct
+degree L-1 polynomials.  A row with no partner is zero-padded to n, the
+next power of two >= 2L (avoiding circular wrap-around), and convolved by
+numpy's real transform: multiply the spectra, inverse transform.  The
+kernel is real, so two input rows that share it are convolved as the real
+and imaginary parts of one complex row z, which numpy transforms faster
+than two real ones, and z takes two transforms of m = n/2 points instead
+of one of n: since x^n - 1 = (x^m - 1)(x^m + 1), the first L terms of the
+product are half the sum of its cyclic and its negacyclic convolution of
+length m.  The input is transformed one block of rows at a time, each
+block's buffer within a fixed 2 MB, so the working memory beyond the
+result and the kernel's spectrum does not grow with the batch.  The
+kernel's spectrum and the convolution of an input with it are two steps,
+so a caller whose kernels do not change (a layer between parameter
+updates) can keep the spectrum and skip the first.  A direct
 O(L^2) evaluation is kept as the reference the fast path is checked
 against.
 
@@ -21,6 +24,7 @@ and c near a singular point 2*pi*i*k/L is refused.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -28,10 +32,11 @@ import numpy as np
 from .cnum import _count, _numbers, _rows_in_range
 
 # Bytes of one block in causal_conv_fft: the spectra of a run of real rows,
-# or the complex rows of a run of row pairs together with their kernels'
-# spectrum over all n bins.  Pair blocks of twice this ran the conv_long
-# layer's convolution 2-4% faster and raised its peak RSS by about 2 MB
-# (2-vCPU Xeon VM, in-process A/B, 40 alternating rounds).
+# or the cyclic and negacyclic halves (m points each) of a run of row pairs
+# together with their kernels' spectrum over all n = 2m bins, 4m complex
+# values per coordinate.  Pair blocks of twice this ran the conv_long
+# layer's convolution 2-3% faster and would raise its peak RSS by about
+# 2 MB (2-vCPU Xeon VM, in-process A/B, 40 alternating rounds).
 _BLOCK_BYTES = 1 << 21
 
 
@@ -83,7 +88,9 @@ def causal_conv_fft(kernel, u):
     call holds about two blocks (:func:`_conv_by_spectrum`).  Rows of
     consecutive leading indices that share a kernel row share one complex
     transform (:func:`_conv_pairs`), so a row's bits depend on its partner
-    at rounding level, and never on the runs.  A row whose transform
+    at rounding level, and never on the runs; the pair's complex row takes
+    a cyclic and a negacyclic transform of n/2 points each rather than one
+    of n.  Empty input gives empty output.  A row whose transform
     overflows is convolved again scaled by a power of two; an output past
     float range raises ValueError("state-space output leaves float range").
     """
@@ -132,6 +139,8 @@ def _conv_blocks(spec_k, u):
     l = u.shape[-1]
     n = _next_pow2(2 * l)
     out = np.empty(u.shape)
+    if out.size == 0:                                   # no row to pair or transform
+        return out
     shared = math.prod(spec_k.shape[:-2]) == 1
     u = u.reshape((1,) * (2 - u.ndim) + u.shape)        # at least (H, L)
     spec_k = np.broadcast_to(spec_k, u.shape[:-1] + (n // 2 + 1,))
@@ -157,43 +166,67 @@ def _conv_pairs(spec_k, u, out, pairs):
     with the (H, n/2 + 1) kernel spectrum spec_k, into out[a] and out[b].
 
     The two rows of one coordinate share its real kernel K, so conv(K, u_a
-    + i*u_b) = conv(K, u_a) + i*conv(K, u_b): one complex FFT of n = 2L
-    points, the product with K's spectrum over all n bins (the upper ones
-    the conjugates of the mirrored lower ones, formed once per block of
-    coordinates) and one inverse FFT, both in place, give both rows.  The
-    smaller row is first lifted by an exact power of two to the larger
-    one's binary exponent and its output scaled back, so each row rounds
-    relative to its own scale; an all-zero row's output is zero.
+    + i*u_b) = conv(K, u_a) + i*conv(K, u_b).  Its first L terms are half
+    the sum of its cyclic and negacyclic convolutions of length m = n/2 >=
+    L, since x^n - 1 = (x^m - 1)(x^m + 1): the cyclic one is ifft(fft(z) *
+    X[0::2]) and the negacyclic one conj(tau) * ifft(fft(z*tau) * X[1::2]),
+    tau_j = e^{-i*pi*j/m} (:func:`_twist`), where X is K's spectrum over all
+    n bins (the upper ones the conjugates of the mirrored lower ones,
+    formed once per block of coordinates) and z = u_a + i*u_b.  Both halves
+    share one (2, rows, m) buffer, so one in-place FFT and one inverse FFT
+    give both rows.  The smaller row is first lifted by an exact power of
+    two to the larger one's binary exponent and its output scaled back
+    (with the 1/2), so each row rounds relative to its own scale; an
+    all-zero row's output is zero.
     """
     h, l = u.shape[-2:]
-    n = _next_pow2(2 * l)
+    m = _next_pow2(l)
+    tau, untwist = _twist(m)
     # A block holds its complex rows and their kernels' full spectrum, and
     # at most half the slice's coordinates: no more bytes than the real
     # transform spends on a whole slice (its spectra and inverse).
-    rows = max(1, min(_BLOCK_BYTES // (32 * n), (h + 1) // 2))
-    z = np.empty((rows, n), complex)
-    full = np.empty(z.shape, complex)
+    rows = max(1, min(_BLOCK_BYTES // (64 * m), (h + 1) // 2))
+    zbuf = np.empty(2 * rows * m, complex)        # flat, so a short last block is contiguous too
+    full = np.empty((rows, 2 * m), complex)
+    lifted = []
+    for pair in pairs:
+        tops = np.array([np.maximum(u[p].max(axis=-1), -u[p].min(axis=-1)) for p in pair])
+        exps = np.frexp(np.where(tops > 0, tops, tops.max(axis=0)))[1]
+        lifted.append((pair, tops, (exps.max(axis=0) - exps)[..., None]))
     for j in range(0, h, rows):
         spec = spec_k[j:j + rows]
-        zj, fj = z[:len(spec)], full[:len(spec)]
-        fj[:, :n // 2 + 1] = spec
-        np.conjugate(spec[:, -2:0:-1], out=fj[:, n // 2 + 1:])
-        parts = zj.real[:, :l], zj.imag[:, :l]
-        for pair in pairs:
-            rows_in = [u[p][j:j + rows] for p in pair]
-            tops = np.array([np.maximum(r.max(axis=-1), -r.min(axis=-1)) for r in rows_in])
-            exps = np.frexp(np.where(tops > 0, tops, tops.max(axis=0)))[1]
-            lift = (exps.max(axis=0) - exps)[..., None]
-            for r, s, part in zip(rows_in, lift, parts):
-                _times_pow2(r, s, part)
-            zj[:, l:] = 0
-            np.fft.fft(zj, out=zj)
-            zj *= fj
-            np.fft.ifft(zj, out=zj)
+        z, fj = zbuf[:2 * len(spec) * m].reshape(2, len(spec), m), full[:len(spec)]
+        fj[:, :m + 1] = spec
+        np.conjugate(spec[:, -2:0:-1], out=fj[:, m + 1:])
+        bins = fj.reshape(len(spec), m, 2).transpose(2, 0, 1)     # X[0::2], X[1::2]
+        cyc, neg = z
+        parts = cyc.real[:, :l], cyc.imag[:, :l]
+        for pair, tops, lift in lifted:
+            tops, lift = tops[:, j:j + rows], lift[:, j:j + rows]
+            for p, s, part in zip(pair, lift, parts):
+                _times_pow2(u[p][j:j + rows], s, part)
+            cyc[:, l:] = 0
+            np.multiply(cyc, tau, out=neg)
+            np.fft.fft(z, out=z)
+            z *= bins
+            np.fft.ifft(z, out=z)
+            np.multiply(neg[:, :l], untwist[:l], out=neg[:, :l])
+            cyc[:, :l] += neg[:, :l]
             for p, s, part, top in zip(pair, lift, parts, tops):
                 dst = out[p][j:j + rows]
-                _times_pow2(part, -s, dst)
+                _times_pow2(part, -s - 1, dst)
                 dst[top == 0] = 0
+
+
+# Eight lengths stay cached: a sweep over more evicts the least recently
+# used instead of growing the cache.
+@functools.lru_cache(maxsize=8)
+def _twist(m):
+    """tau_j = e^{-i*pi*j/m} for j < m and its conjugate, made once per m, read-only."""
+    tau = np.exp(-1j * np.pi * np.arange(m) / m)
+    untwist = tau.conj()
+    tau.flags.writeable = untwist.flags.writeable = False
+    return tau, untwist
 
 
 def _times_pow2(x, s, out):

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from diagssm import (
+    VARIANTS,
     causal_conv_fft,
     causal_conv_naive,
     fft,
     fftconv,
+    init_layer,
+    layer_kernels,
     softmax_eps,
     softmax_via_fft,
+    ssm_outputs,
 )
 
 
@@ -152,11 +156,13 @@ def one_shot_conv(kernel, u):
 
     Under a kernel with no leading axes of its own, rows of consecutive
     leading indices (flattened) pair up: the smaller lifted by np.ldexp to
-    the larger's binary exponent, one complex FFT of both, the product with
-    the kernel's Hermitian spectrum over all n bins, one inverse FFT, and
-    each part scaled back (an all-zero row gives zeros).  A lone row, and
-    every row under a kernel with its own leading axes, takes the real
-    transform.
+    the larger's binary exponent into z = u_a + i*u_b of length m = n/2,
+    then the cyclic convolution ifft(fft(z) * X[0::2]) plus the negacyclic
+    one conj(tau) * ifft(fft(z*tau) * X[1::2]), tau_j = e^{-i*pi*j/m}, with
+    X the kernel's Hermitian spectrum over all n bins, and each part scaled
+    back with the 1/2 (an all-zero row gives zeros).  A lone row, and every
+    row under a kernel with its own leading axes, takes the real transform.
+    Every product runs over whole rows, as the blocked path's do.
     """
     l = u.shape[-1]
     n = fftconv._next_pow2(2 * l)
@@ -170,17 +176,20 @@ def one_shot_conv(kernel, u):
     tops = [np.abs(r).max(axis=-1, keepdims=True) for r in pair]
     exps = [np.frexp(np.where(t > 0, t, np.maximum(*tops)))[1] for t in tops]
     lifts = [np.maximum(*exps) - e for e in exps]
-    z = np.zeros(pair[0].shape[:-1] + (n,), complex)
+    z = np.zeros(pair[0].shape[:-1] + (n // 2,), complex)
     z.real[..., :l], z.imag[..., :l] = (np.ldexp(r, s) for r, s in zip(pair, lifts))
     full = np.concatenate([spec, spec[..., -2:0:-1].conj()], axis=-1)
-    y = np.fft.ifft(np.fft.fft(z) * full)
+    tau = np.exp(-1j * np.pi * np.arange(n // 2) / (n // 2))
+    cyclic = np.fft.ifft(np.fft.fft(z) * full[..., 0::2])
+    negacyclic = np.fft.ifft(np.fft.fft(z * tau) * full[..., 1::2])
+    y = cyclic[..., :l] + negacyclic[..., :l] * tau[:l].conj()
     for start, part, s, t in zip((0, 1), (y.real, y.imag), lifts, tops):
-        out[start:m:2] = np.where(t > 0, np.ldexp(part[..., :l], -s), 0)
+        out[start:m:2] = np.where(t > 0, np.ldexp(part, -s - 1), 0)
     return out.reshape(u.shape)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 8])
-@pytest.mark.parametrize("l", [1, 2, 33])
+@pytest.mark.parametrize("l", [1, 2, 33, 1000])
 def test_conv_blocks_are_bitwise_the_one_shot_formula(monkeypatch, rows, l):
     # A budget of exactly `rows` real row spectra; a real block is a run of
     # at most `rows` rows inside one (..., H, L) slice, and a pair block a
@@ -206,6 +215,35 @@ def test_conv_blocks_are_bitwise_the_one_shot_formula(monkeypatch, rows, l):
             got = causal_conv_fft(kernel, u)
             assert got.shape == u.shape
             assert np.array_equal(got, one_shot_conv(kernel, u)), (kernel_shape, input_shape, scaled)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("l", [1, 2, 3, 5, 33, 100, 1024, 1025])
+def test_property_paired_rows_match_the_direct_sum(variant, l):
+    # Conv-mode rows convolved in pairs against the direct O(L^2) sum over
+    # the layer's own kernels, with and without a kernel_limit: partners
+    # 2^1000 apart either way round, all-zero rows (whose outputs are exact
+    # zeros) and odd batches whose last row takes the real transform.
+    rng = np.random.default_rng(l)
+    params = init_layer(3, 8, variant, seed=l)
+    for b in (2, 3, 4, 5):
+        for limit in (None, int(rng.integers(1, l + 1))):
+            kernels = layer_kernels(params, l, limit)
+            u = rng.standard_normal((b, 3, l))
+            u[0:b // 2 * 2:2, 0] *= 2.0 ** 1000
+            u[1:b // 2 * 2:2, 1] *= 2.0 ** 1000
+            u[b - 1, 2] = 0
+            got = ssm_outputs(params, u, "conv", limit)
+            for i, j in np.ndindex(b, 3):
+                want = causal_conv_naive(kernels[j], u[i, j])
+                assert np.abs(got[i, j] - want).max() <= 1e-13 * np.abs(want).max(), (b, limit, i, j)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 5), (2, 0, 5), (2, 3, 0), (3, 0), (0,)])
+def test_conv_of_empty_input_is_empty(shape):
+    got = causal_conv_fft(np.ones(shape[-2:]), np.ones(shape))
+    assert got.shape == shape
 
 
 def test_conv_traced_peak_is_bounded():
