@@ -56,8 +56,7 @@ def _numbers(name, x, dtype=float, finite=False):
 
 def _rows_in_range(run, u):
     """run(u) for a linear map ``run`` that computes each row along u's last
-    axis from that row (another row may move its rounding, not its scale),
-    with no float overflow left in it.
+    axis from that row, with no float overflow left in it.
 
     numpy's overflow and invalid flags are noted, not warned, so a call that
     raises none costs one ``np.errstate``.  Where one is raised, each row

@@ -1,20 +1,19 @@
 """Causal convolution by numpy's FFT, and a transform-domain softmax.
 
 The causal convolution y_k = sum_{j<=k} K_j u_{k-j} is the product of two
-degree L-1 polynomials.  A row with no partner is zero-padded to n, the
-next power of two >= 2L (avoiding circular wrap-around), and convolved by
-numpy's real transform: multiply the spectra, inverse transform.  The
-kernel is real, so two input rows that share it are convolved as the real
-and imaginary parts of one complex row z, which numpy transforms faster
-than two real ones, and z takes two transforms of m = n/2 points instead
-of one of n: since x^n - 1 = (x^m - 1)(x^m + 1), the first L terms of the
-product are half the sum of its cyclic and its negacyclic convolution of
-length m.  The input is transformed one block of rows at a time, each
-block's buffer within a fixed 2 MB, so the working memory beyond the
-result and the kernel's spectrum does not grow with the batch.  The
-kernel's spectrum and the convolution of an input with it are two steps,
-so a caller whose kernels do not change (a layer between parameter
-updates) can keep the spectrum and skip the first.  A direct
+degree L-1 polynomials, whose first L terms are those of the product mod
+x^n - 1, n = 2m and m = max(4, next power of two >= L).  Since x^n - 1 =
+(x^m - 1)(x^m + 1), they are half the sum of the cyclic and negacyclic
+convolutions of length m.  Every row takes both on its own: the cyclic
+one by numpy's real transform of m points, and the negacyclic one, right
+angle style (Crandall and Fagin, 1994), as a cyclic convolution of h =
+m/2 complex points, the row folded to u[:h] - i*u[h:] and twisted.  A
+row's bits depend on no other row.  The input is transformed one block of
+rows at a time, each block's buffer within a fixed 2 MB, so the working
+memory beyond the result and the kernel's spectrum does not grow with the
+batch.  The kernel's spectrum and the convolution of an input with it
+are two steps, so a caller whose kernels do not change (a layer between
+parameter updates) can keep the spectrum and skip the first.  A direct
 O(L^2) evaluation is kept as the reference the fast path is checked
 against.
 
@@ -25,18 +24,17 @@ and c near a singular point 2*pi*i*k/L is refused.
 
 import cmath
 import functools
-import math
 
 import numpy as np
 
 from .cnum import _count, _numbers, _rows_in_range
 
-# Bytes of one block in causal_conv_fft: the spectra of a run of real rows,
-# or the cyclic and negacyclic halves (m points each) of a run of row pairs
-# together with their kernels' spectrum over all n = 2m bins, 4m complex
-# values per coordinate.  Pair blocks of twice this ran the conv_long
-# layer's convolution 2-3% faster and would raise its peak RSS by about
-# 2 MB (2-vCPU Xeon VM, in-process A/B, 40 alternating rounds).
+# Bytes of one block's buffer in causal_conv_fft: 16*m per row, m the
+# padded length (the row's m/2 + 1 cyclic spectrum values and its m/2
+# negacyclic ones, whose bytes then take the m floats of the inverse real
+# transform).  Blocks of 1 MB and 4 MB ran the conv_long layer's
+# convolution within 2% of this size (2-vCPU Xeon VM, in-process A/B, 10
+# alternating rounds); a larger block only raises the peak.
 _BLOCK_BYTES = 1 << 21
 
 
@@ -85,14 +83,13 @@ def causal_conv_fft(kernel, u):
     once (:func:`_kernel_spectrum`); the input is transformed in runs of
     rows within one (..., H, L) slice, each run's buffer within
     ``_BLOCK_BYTES``, so beyond the result and the kernel's spectrum the
-    call holds about two blocks (:func:`_conv_by_spectrum`).  Rows of
-    consecutive leading indices that share a kernel row share one complex
-    transform (:func:`_conv_pairs`), so a row's bits depend on its partner
-    at rounding level, and never on the runs; the pair's complex row takes
-    a cyclic and a negacyclic transform of n/2 points each rather than one
-    of n.  Empty input gives empty output.  A row whose transform
-    overflows is convolved again scaled by a power of two; an output past
-    float range raises ValueError("state-space output leaves float range").
+    call holds about one block (:func:`_conv_by_spectrum`).  Each row
+    takes a real transform of m = next_pow2(L) points (the cyclic half)
+    and a complex one of m/2 (the negacyclic half) on its own, so its bits
+    depend neither on the other rows nor on the runs.
+    Empty input gives empty output.  A row whose transform overflows is
+    convolved again scaled by a power of two; an output past float range
+    raises ValueError("state-space output leaves float range").
     """
     u = _numbers("input u", u, finite=True)
     kernel = _numbers("kernel", kernel, finite=True)
@@ -112,12 +109,30 @@ def causal_conv_fft(kernel, u):
 
 
 def _kernel_spectrum(kernel):
-    """The real FFT of each length-L kernel row, zero-padded to the next power of two >= 2L."""
-    return np.fft.rfft(kernel, _next_pow2(2 * kernel.shape[-1]))
+    """The (..., m + 1) complex plan of each length-L kernel row K, m = max(4, next_pow2(L)).
+
+    Its first h + 1 = m/2 + 1 values are half the real FFT of K at m
+    points (the even bins X[2k] of K's spectrum at n = 2m points); the
+    other h are half the FFT at h points of K folded and twisted,
+    (K[:h] - i*K[h:]) * tau (the bins X[4k+1]).  Both are formed in place
+    in the plan, so building it holds about the plan's own bytes.  h is at
+    least 2: numpy's in-place complex product of one element rounds without
+    the fused multiply-add of its vector loop, so at h = 1 a block of one
+    row would round otherwise than a longer one.
+    """
+    m = max(4, _next_pow2(kernel.shape[-1]))
+    plan = np.empty(kernel.shape[:-1] + (m + 1,), complex)
+    cyclic, negacyclic = plan[..., :m // 2 + 1], plan[..., m // 2 + 1:]
+    np.fft.rfft(kernel, m, out=cyclic)
+    _fold(kernel, negacyclic)
+    negacyclic *= _twist(m)[0]
+    np.fft.fft(negacyclic, out=negacyclic)
+    plan *= 0.5
+    return plan
 
 
 def _conv_by_spectrum(spec_k, u):
-    """Causal convolution of a finite float array u with the kernels of spectrum spec_k.
+    """Causal convolution of a finite float array u with the kernels of plan spec_k.
 
     spec_k is :func:`_kernel_spectrum` of kernels of u's length that
     broadcast to u's shape; the caller has checked both.  A row whose
@@ -131,113 +146,66 @@ def _conv_by_spectrum(spec_k, u):
 def _conv_blocks(spec_k, u):
     """:func:`_conv_by_spectrum` with no overflow check, one block of rows at a time.
 
-    Where every leading index shares one kernel row per coordinate, rows of
-    consecutive leading indices are convolved two at a time
-    (:func:`_conv_pairs`); the last row of an odd count, and every row of
-    kernels with their own leading axes, takes the real transform.
+    Each row u of a block, with its kernel's plan (X_e, X_o), gives the
+    cyclic half c = irfft(rfft(u, m) * X_e, m) and the negacyclic half w =
+    conj(tau) * ifft(fft((u[:h] - i*u[h:]) * tau) * X_o) of h points, tau_j
+    = e^{-i*pi*j/m} (:func:`_twist`), and y[:h] = c[:h] + Re(w), y[h:L] =
+    c[h:L] - Im(w): the twist reads x^h as -i, a square root of x^m = -1.
+    One buffer of m + 1 complex values per row holds the spectrum and w;
+    w's bytes take c once w is spent.
     """
     l = u.shape[-1]
-    n = _next_pow2(2 * l)
     out = np.empty(u.shape)
-    if out.size == 0:                                   # no row to pair or transform
+    if out.size == 0:                                   # no row to transform
         return out
-    shared = math.prod(spec_k.shape[:-2]) == 1
+    m = spec_k.shape[-1] - 1
+    h = m // 2
+    tau, untwist = _twist(m)
     u = u.reshape((1,) * (2 - u.ndim) + u.shape)        # at least (H, L)
-    spec_k = np.broadcast_to(spec_k, u.shape[:-1] + (n // 2 + 1,))
+    spec_k = np.broadcast_to(spec_k, u.shape[:-1] + (m + 1,))
     blocks = out.reshape(u.shape)
-    leads = list(np.ndindex(u.shape[:-2]))
-    if shared and len(leads) > 1:
-        paired = len(leads) // 2 * 2
-        _conv_pairs(spec_k[leads[0]], u, blocks, list(zip(leads[0:paired:2], leads[1:paired:2])))
-        leads = leads[paired:]
-    h = u.shape[-2]
-    rows = max(1, _BLOCK_BYTES // (16 * (n // 2 + 1)))
-    for lead in leads:
-        for j in range(0, h, rows):
+    rows = max(1, min(u.shape[-2], _BLOCK_BYTES // (16 * m)))
+    buf = np.empty((rows, m + 1), complex)
+    for lead in np.ndindex(u.shape[:-2]):
+        for j in range(0, u.shape[-2], rows):
             blk = (*lead, slice(j, j + rows))
-            spec = np.fft.rfft(u[blk], n)
-            spec *= spec_k[blk]
-            blocks[blk] = np.fft.irfft(spec, n)[..., :l]
+            x, y, plan = u[blk], blocks[blk], spec_k[blk]
+            spec, w = buf[:len(x), :h + 1], buf[:len(x), h + 1:]
+            _fold(x, w)
+            w *= tau
+            np.fft.fft(w, out=w)
+            w *= plan[:, h + 1:]
+            np.fft.ifft(w, out=w)
+            w *= untwist
+            y[:, :h] = w.real[:, :l]
+            np.negative(w.imag[:, :max(l - h, 0)], out=y[:, h:])
+            np.fft.rfft(x, m, out=spec)
+            spec *= plan[:, :h + 1]
+            cyclic = w.view(float)                      # m floats per row
+            np.fft.irfft(spec, m, out=cyclic)
+            y += cyclic[:, :l]
     return out
 
 
-def _conv_pairs(spec_k, u, out, pairs):
-    """Convolve rows u[a] and u[b] of each pair (a, b) of leading indices
-    with the (H, n/2 + 1) kernel spectrum spec_k, into out[a] and out[b].
-
-    The two rows of one coordinate share its real kernel K, so conv(K, u_a
-    + i*u_b) = conv(K, u_a) + i*conv(K, u_b).  Its first L terms are half
-    the sum of its cyclic and negacyclic convolutions of length m = n/2 >=
-    L, since x^n - 1 = (x^m - 1)(x^m + 1): the cyclic one is ifft(fft(z) *
-    X[0::2]) and the negacyclic one conj(tau) * ifft(fft(z*tau) * X[1::2]),
-    tau_j = e^{-i*pi*j/m} (:func:`_twist`), where X is K's spectrum over all
-    n bins (the upper ones the conjugates of the mirrored lower ones,
-    formed once per block of coordinates) and z = u_a + i*u_b.  Both halves
-    share one (2, rows, m) buffer, so one in-place FFT and one inverse FFT
-    give both rows.  The smaller row is first lifted by an exact power of
-    two to the larger one's binary exponent and its output scaled back
-    (with the 1/2), so each row rounds relative to its own scale; an
-    all-zero row's output is zero.
-    """
-    h, l = u.shape[-2:]
-    m = _next_pow2(l)
-    tau, untwist = _twist(m)
-    # A block holds its complex rows and their kernels' full spectrum, and
-    # at most half the slice's coordinates: no more bytes than the real
-    # transform spends on a whole slice (its spectra and inverse).
-    rows = max(1, min(_BLOCK_BYTES // (64 * m), (h + 1) // 2))
-    zbuf = np.empty(2 * rows * m, complex)        # flat, so a short last block is contiguous too
-    full = np.empty((rows, 2 * m), complex)
-    lifted = []
-    for pair in pairs:
-        tops = np.array([np.maximum(u[p].max(axis=-1), -u[p].min(axis=-1)) for p in pair])
-        exps = np.frexp(np.where(tops > 0, tops, tops.max(axis=0)))[1]
-        lifted.append((pair, tops, (exps.max(axis=0) - exps)[..., None]))
-    for j in range(0, h, rows):
-        spec = spec_k[j:j + rows]
-        z, fj = zbuf[:2 * len(spec) * m].reshape(2, len(spec), m), full[:len(spec)]
-        fj[:, :m + 1] = spec
-        np.conjugate(spec[:, -2:0:-1], out=fj[:, m + 1:])
-        bins = fj.reshape(len(spec), m, 2).transpose(2, 0, 1)     # X[0::2], X[1::2]
-        cyc, neg = z
-        parts = cyc.real[:, :l], cyc.imag[:, :l]
-        for pair, tops, lift in lifted:
-            tops, lift = tops[:, j:j + rows], lift[:, j:j + rows]
-            for p, s, part in zip(pair, lift, parts):
-                _times_pow2(u[p][j:j + rows], s, part)
-            cyc[:, l:] = 0
-            np.multiply(cyc, tau, out=neg)
-            np.fft.fft(z, out=z)
-            z *= bins
-            np.fft.ifft(z, out=z)
-            np.multiply(neg[:, :l], untwist[:l], out=neg[:, :l])
-            cyc[:, :l] += neg[:, :l]
-            for p, s, part, top in zip(pair, lift, parts, tops):
-                dst = out[p][j:j + rows]
-                _times_pow2(part, -s - 1, dst)
-                dst[top == 0] = 0
+def _fold(x, out):
+    """out = x[..., :h] - i*x[..., h:] for out's length h, x zero-padded to 2h points."""
+    h = out.shape[-1]
+    lo, hi = x[..., :h], x[..., h:]
+    out.real[..., :lo.shape[-1]] = lo
+    out.real[..., lo.shape[-1]:] = 0
+    np.negative(hi, out=out.imag[..., :hi.shape[-1]])
+    out.imag[..., hi.shape[-1]:] = 0
 
 
 # Eight lengths stay cached: a sweep over more evicts the least recently
 # used instead of growing the cache.
 @functools.lru_cache(maxsize=8)
 def _twist(m):
-    """tau_j = e^{-i*pi*j/m} for j < m and its conjugate, made once per m, read-only."""
-    tau = np.exp(-1j * np.pi * np.arange(m) / m)
+    """tau_j = e^{-i*pi*j/m} for j < m/2 and its conjugate, made once per m, read-only."""
+    tau = np.exp(-1j * np.pi * np.arange(m // 2) / m)
     untwist = tau.conj()
     tau.flags.writeable = untwist.flags.writeable = False
     return tau, untwist
-
-
-def _times_pow2(x, s, out):
-    """out = x * 2**s, exactly (rounded once where it is subnormal), for an
-    integer array s broadcast against x.  A multiply where 2**s is a float
-    (-1074 <= s <= 1023), as it is for all but rows over 2**1023 apart;
-    np.ldexp, about ten times slower, otherwise."""
-    if s.min() >= -1074 and s.max() <= 1023:
-        np.multiply(x, np.ldexp(1.0, s), out=out)
-    else:
-        np.ldexp(x, s, out=out)
 
 
 def softmax_via_fft(c, l):

@@ -154,53 +154,43 @@ def test_conv_length_mismatch():
 def one_shot_conv(kernel, u):
     """The whole-array formula the blocked convolution must reproduce bit for bit.
 
-    Under a kernel with no leading axes of its own, rows of consecutive
-    leading indices (flattened) pair up: the smaller lifted by np.ldexp to
-    the larger's binary exponent into z = u_a + i*u_b of length m = n/2,
-    then the cyclic convolution ifft(fft(z) * X[0::2]) plus the negacyclic
-    one conj(tau) * ifft(fft(z*tau) * X[1::2]), tau_j = e^{-i*pi*j/m}, with
-    X the kernel's Hermitian spectrum over all n bins, and each part scaled
-    back with the 1/2 (an all-zero row gives zeros).  A lone row, and every
-    row under a kernel with its own leading axes, takes the real transform.
+    With m = max(4, next_pow2(L)), h = m/2 and tau_j = e^{-i*pi*j/m}, every
+    row takes the cyclic half irfft(rfft(u, m) * X_e, m) and the negacyclic
+    half conj(tau) * ifft(fft(fold(u) * tau) * X_o), fold(x) = x[:h] -
+    i*x[h:] zero-padded to h points, where X_e = rfft(K, m)/2 and X_o =
+    fft(fold(K) * tau)/2; the output is the first L of c[:h] + Re(w), then
+    c[h:] - Im(w).
     Every product runs over whole rows, as the blocked path's do.
     """
     l = u.shape[-1]
-    n = fftconv._next_pow2(2 * l)
-    spec = np.fft.rfft(kernel, n)
-    out = np.fft.irfft(np.fft.rfft(u, n) * spec, n)[..., :l]
-    if u.ndim < 3 or math.prod(kernel.shape[:-2]) > 1:
-        return out
-    rows, out = u.reshape(-1, *u.shape[-2:]), out.reshape(-1, *u.shape[-2:])
-    m = len(rows) // 2 * 2
-    pair = rows[0:m:2], rows[1:m:2]
-    tops = [np.abs(r).max(axis=-1, keepdims=True) for r in pair]
-    exps = [np.frexp(np.where(t > 0, t, np.maximum(*tops)))[1] for t in tops]
-    lifts = [np.maximum(*exps) - e for e in exps]
-    z = np.zeros(pair[0].shape[:-1] + (n // 2,), complex)
-    z.real[..., :l], z.imag[..., :l] = (np.ldexp(r, s) for r, s in zip(pair, lifts))
-    full = np.concatenate([spec, spec[..., -2:0:-1].conj()], axis=-1)
-    tau = np.exp(-1j * np.pi * np.arange(n // 2) / (n // 2))
-    cyclic = np.fft.ifft(np.fft.fft(z) * full[..., 0::2])
-    negacyclic = np.fft.ifft(np.fft.fft(z * tau) * full[..., 1::2])
-    y = cyclic[..., :l] + negacyclic[..., :l] * tau[:l].conj()
-    for start, part, s, t in zip((0, 1), (y.real, y.imag), lifts, tops):
-        out[start:m:2] = np.where(t > 0, np.ldexp(part, -s - 1), 0)
-    return out.reshape(u.shape)
+    m = max(4, fftconv._next_pow2(l))
+    h = m // 2
+    tau = np.exp(-1j * np.pi * np.arange(h) / m)
+
+    def fold(x):
+        z = np.zeros(x.shape[:-1] + (h,), complex)
+        z.real[..., :min(l, h)] = x[..., :h]
+        z.imag[..., :max(l - h, 0)] = -x[..., h:]
+        return z
+
+    x_e = np.fft.rfft(kernel, m) * 0.5
+    x_o = np.fft.fft(fold(kernel) * tau) * 0.5
+    c = np.fft.irfft(np.fft.rfft(u, m) * x_e, m)
+    w = np.fft.ifft(np.fft.fft(fold(u) * tau) * x_o) * tau.conj()
+    return np.concatenate([c[..., :h] + w.real, c[..., h:] - w.imag], axis=-1)[..., :l]
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 8])
 @pytest.mark.parametrize("l", [1, 2, 33, 1000])
 def test_conv_blocks_are_bitwise_the_one_shot_formula(monkeypatch, rows, l):
-    # A budget of exactly `rows` real row spectra; a real block is a run of
-    # at most `rows` rows inside one (..., H, L) slice, and a pair block a
-    # run of coordinates whose complex rows and kernel spectrum fit it (2 to
-    # 4 of them at rows = 8), so blocks split H unevenly (H = 5), cover a
-    # whole slice (H = 1, 2) or walk the extra leading axes.  Odd batches leave a lone row on the real transform;
-    # pairs span leading axes (2 x 3); kernels with their own leading axes
-    # stay real.  Rows scaled by up to 2^+-1000, and all-zero rows, take the
-    # lift, past the multiply's range too.
-    n = fftconv._next_pow2(2 * l)
-    monkeypatch.setattr(fftconv, "_BLOCK_BYTES", rows * 16 * (n // 2 + 1))
+    # A budget of exactly `rows` rows (16*m bytes each); a block is a run of
+    # at most `rows` rows inside one (..., H, L) slice, so blocks split H
+    # unevenly (H = 5), cover a whole slice (H = 1, 2) or walk the extra
+    # leading axes (2 x 3), under kernels with and without leading axes of
+    # their own.  Rows scaled by up to 2^+-1000, and all-zero rows, take
+    # the same path as any other.
+    m = max(4, fftconv._next_pow2(l))
+    monkeypatch.setattr(fftconv, "_BLOCK_BYTES", rows * 16 * m)
     rng = np.random.default_rng(100 * rows + l)
     cases = [((5, l), (3, 5, l)), ((2, l), (4, 2, l)), ((1, l), (3, 1, l)),
              ((l,), (3, 5, l)), ((l,), (l,)), ((l,), (4, l)), ((3, 1, l), (2, 3, 2, l)),
@@ -221,10 +211,11 @@ def test_conv_blocks_are_bitwise_the_one_shot_formula(monkeypatch, rows, l):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("l", [1, 2, 3, 5, 33, 100, 1024, 1025])
 def test_property_paired_rows_match_the_direct_sum(variant, l):
-    # Conv-mode rows convolved in pairs against the direct O(L^2) sum over
-    # the layer's own kernels, with and without a kernel_limit: partners
+    # Conv-mode rows against the direct O(L^2) sum over the layer's own
+    # kernels, with and without a kernel_limit: neighbouring batch rows
     # 2^1000 apart either way round, all-zero rows (whose outputs are exact
-    # zeros) and odd batches whose last row takes the real transform.
+    # zeros) and batches of even and odd size; each row is transformed on
+    # its own, at its own scale.
     rng = np.random.default_rng(l)
     params = init_layer(3, 8, variant, seed=l)
     for b in (2, 3, 4, 5):
@@ -238,6 +229,30 @@ def test_property_paired_rows_match_the_direct_sum(variant, l):
             for i, j in np.ndindex(b, 3):
                 want = causal_conv_naive(kernels[j], u[i, j])
                 assert np.abs(got[i, j] - want).max() <= 1e-13 * np.abs(want).max(), (b, limit, i, j)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("l", [1, 2, 3, 33, 1000, 1024, 1025])
+def test_property_conv_row_bits_depend_on_neither_batch_nor_block(monkeypatch, variant, l,
+                                                                  one_row_blocks):
+    # Row i of a batch of 1 to 5 rows, each scaled by 2^k (|k| <= 1000) and
+    # some all zero, is bit for bit the row convolved alone at the default
+    # block size, whether the batch runs at that size or one row per block.
+    rng = np.random.default_rng([VARIANTS.index(variant), l, one_row_blocks])
+    params = init_layer(3, 8, variant, seed=l)
+    batches = []
+    for b in range(1, 6):
+        u = np.ldexp(rng.standard_normal((b, 3, l)), rng.integers(-1000, 1001, (b, 3, 1)))
+        u[rng.uniform(size=(b, 3)) < 0.2] = 0
+        batches.append((u, [ssm_outputs(params, u[i:i + 1], "conv")[0] for i in range(b)]))
+    if one_row_blocks:
+        monkeypatch.setattr(fftconv, "_BLOCK_BYTES", 1)
+    for u, alone in batches:
+        got = ssm_outputs(params, u, "conv")
+        for i, want in enumerate(alone):
+            assert np.array_equal(got[i], want), (len(u), i)
 
 
 @pytest.mark.parametrize("shape", [(0, 3, 5), (2, 0, 5), (2, 3, 0), (3, 0), (0,)])
@@ -259,6 +274,24 @@ def test_conv_traced_peak_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * out.nbytes
+
+
+def test_conv_plan_build_holds_about_the_plan():
+    # Both halves of the plan are formed in place in it, so building it
+    # holds the plan's own (H, m + 1) complex bytes, as many as a real
+    # transform at 2m points would, plus numpy's small per-call buffers.
+    # A first call at this length also makes numpy's FFT plans and the two
+    # twist tables, once per process; it runs before the trace.
+    kernel = np.random.default_rng(7).standard_normal((16, 16384))
+    fftconv._kernel_spectrum(kernel[:1])
+    tracemalloc.start()
+    try:
+        plan = fftconv._kernel_spectrum(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.shape == (16, 16385) and plan.dtype == np.complex128
+    assert peak <= plan.nbytes + 64 * 1024
 
 
 def test_softmax_via_fft_two_point_hand_value():

@@ -308,10 +308,9 @@ def test_property_both_views_agree_on_inputs_from_1e_305_to_1e306(variant):
     # overflows runs again scaled by a power of two, so every row at any
     # scale, in a batch of mixed scales, gives the same answer in both views
     # (1e-14 of the row's largest output measured), and no warning.  Conv
-    # mode convolves batch rows two per complex FFT, the smaller lifted to
-    # the larger's binary exponent, so partners 2^2000 apart, an impulse
-    # beside a dense row, and a kernel near 1e300 over a 1e-300 input each
-    # round at their own scale.
+    # mode transforms each row on its own, so neighbouring batch rows
+    # 2^2000 apart, an impulse beside a dense row, and a kernel near 1e300
+    # over a 1e-300 input each round at their own scale.
     rng = np.random.default_rng([VARIANTS.index(variant), 22])
     params = init_layer(4, 8, variant, 0)
     loud = dataclasses.replace(params, w=params.w * (1e300 / np.abs(layer_kernels(params, 64)).max()))
