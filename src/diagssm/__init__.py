@@ -22,6 +22,7 @@ from .kernel import (
     build_kernel,
     dense_to_diagonal_weights,
     diagonal_kernels,
+    diagonal_kernels_vjp,
     dss_exp_kernel,
     dss_exp_noscale_kernel,
     dss_softmax_kernel,

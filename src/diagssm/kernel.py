@@ -12,11 +12,14 @@ builds the kernels of a layer's H coordinates, which share the spectrum;
 the one-coordinate functions are its H = 1 case.  Exponentials are built
 in blocks of 64 positions, e^{z k} = e^{64 z j} * e^{z r} for k = 64 j + r,
 then each kernel is one ceil(L/64) x N by N x 64 matrix product (two for
-softmax modes on both sides of the imaginary axis), no N x L array.  Every
-table of powers in the package, these two and the recurrent scan's, comes
-from one primitive that splits it again into two tables of about
-sqrt(count) entries: about N*(2*sqrt(L/64) + 16) exponentials per kernel,
-48 per mode at L = 16384.  Sums over positions of products of two such
+softmax modes on both sides of the imaginary axis), no N x L array.  The
+kernels' gradient, :func:`diagonal_kernels_vjp`, is that product's
+transpose on the same two tables, again one row at a time and with no
+N x L array; ``kernel_grad_exp`` is its H = 1 case.  Every table of powers
+in the package, these two and the recurrent scan's, comes from one
+primitive that splits it again into two tables of about sqrt(count)
+entries: about N*(2*sqrt(L/64) + 16) exponentials per kernel, 48 per mode
+at L = 16384.  Sums over positions of products of two such
 exponentials are geometric series: ``_exp_gram`` forms the Gram matrix of
 an exp basis from them in closed form, O(N^2) at any L.  Three
 parameterizations:
@@ -255,15 +258,22 @@ def _diagonal_rates(variant, lam, delta, w, h, l):
         raise ValueError("singular lambda")
     with np.errstate(over="ignore", invalid="ignore"):
         if variant == "exp":
-            # The quotient loses its digits (or overflows) where z is subnormal
-            # or 0; its limit delta*(1 + z/2) is off by at most |z|^2/6 relative.
-            w = w * np.where(np.abs(z) < 1e-8, delta[:, None] * (1 + z / 2), np.expm1(z) / lam)
+            w = w * _exp_scale(lam, delta, z)
         elif variant == "softmax":
             w = w / lam
     if not np.isfinite(w).all():
         raise ValueError("lam gives a non-finite input map w/lam or w*(e^{lam*delta}-1)/lam")
     far = (lam.real > 0) & (variant == "softmax")
     return lam, w, np.where(far, -z, z), far
+
+
+def _exp_scale(lam, delta, z):
+    """The exp input map expm1(z)/lam of rates z = delta[:, None]*lam, (H, N).
+
+    The quotient loses its digits (or overflows) where z is subnormal or 0;
+    there its limit delta*(1 + z/2) is used, off by at most |z|^2/6 relative.
+    """
+    return np.where(np.abs(z) < 1e-8, delta[:, None] * (1 + z / 2), np.expm1(z) / lam)
 
 
 _BLOCK = 64
@@ -313,6 +323,29 @@ def _exp_blocks(z, l):
     """
     block = min(l, _BLOCK)
     return _exp_range(z, -(-l // block), block), _exp_range(z, block)
+
+
+def _blocked_kernel(coef, outer, inner, l):
+    """Re sum_i coef_i e^{z_i k} for 0 <= k < L, from the tables (outer, inner)
+    of :func:`_exp_blocks`: one ceil(L/B) x N by N x B product."""
+    return ((coef[:, None] * outer).T @ inner).reshape(-1)[:l].real
+
+
+def _blocked_kernel_transpose(outer, inner, dk):
+    """sum_k dk[m, k] e^{z_i k} over 0 <= k < L for the M rows of dk (M, L),
+    as an (M, N) array, from the tables (outer, inner) of :func:`_exp_blocks`.
+
+    The transpose of :func:`_blocked_kernel`'s product: the rows, padded to
+    ceil(L/B) blocks of B, are one M*ceil(L/B) x B by B x N product with
+    inner, then weighted by outer and summed over the blocks.  That product
+    is real by complex, so it runs on inner's (Re, Im) pairs as one real
+    product of twice the width.
+    """
+    (n, blocks), block = outer.shape, inner.shape[1]
+    padded = np.zeros((len(dk), blocks * block))
+    padded[:, :dk.shape[1]] = dk
+    per_block = (padded.reshape(-1, block) @ inner.T.copy().view(float)).view(complex)
+    return np.einsum("mji,ij->mi", per_block.reshape(len(dk), blocks, n), outer)
 
 
 # 2*pi = _TWO_PI_HI + _TWO_PI_LO to about 1e-25.  _TWO_PI_HI has 27 significant
@@ -394,7 +427,7 @@ def diagonal_kernels(variant, lam, delta, w, l, eps=DEFAULT_EPS):
             coef = w[row, sel]
             if variant == "softmax":
                 coef = coef * reciprocal_eps(_factor_sum(outer, inner, l), eps)
-            kernel = ((coef[:, None] * outer).T @ inner).reshape(-1)[:l].real
+            kernel = _blocked_kernel(coef, outer, inner, l)
             dst += kernel[::-1] if flip else kernel
     return out
 
@@ -553,44 +586,76 @@ def _scale_slope(z, e_z):
     return np.where(near, series, (zq * e_z - np.expm1(zq)) / zq / zq)
 
 
+def diagonal_kernels_vjp(variant, lam, delta, w, l, dk):
+    """The gradient of f = sum(dk * K), K = ``diagonal_kernels(variant, lam, delta, w, l)``.
+
+    The arguments are :func:`diagonal_kernels`' and ``dk`` is (H, L) real
+    upstream kernels.  The gradient is one float64 vector in the
+    :meth:`DiagonalParams.pack` layout of an H-row container of the
+    variant: lambda_re, lambda_im (each summed over the H rows, which share
+    the spectrum), delta_log, Re w, Im w, for lam = -e^{lambda_re} +
+    i*lambda_im and delta = e^{delta_log}.  ``exp`` and ``exp_no_scale``
+    only: ``softmax`` raises a ValueError naming the variant.
+
+    With z = lam*delta_h and the input map s (delta_h*expm1(z)/z for
+    ``exp``, 1 for ``exp_no_scale``), row h is Re sum_i w_hi s_hi e^{z_hi k},
+    so f = Re sum_hi w_hi s_hi G_hi, where G_hi = sum_k dk_hk e^{z_hi k}.
+    G and its z-derivative G'_hi = sum_k k dk_hk e^{z_hi k} are, row by row,
+    the transpose of the forward build's blocked product
+    (:func:`_blocked_kernel_transpose`), so no N x L table is formed.  The
+    chain rule runs through z: df/dz = w (ds/dz G + s G'), with ds/dz =
+    delta phi(z) from :func:`_scale_slope`; dz/dlambda_re = Re(z),
+    dz/dlambda_im = i*delta_h, dz/ddelta_log = z and, at fixed lam,
+    ds/ddelta_log = delta_h e^z.  No delta^2 is formed, so a finite gradient
+    is computed finite.  Parameters :func:`diagonal_kernels` refuses raise
+    its ValueError, and a component outside float range raises
+    ValueError("gradient leaves float range").
+    """
+    l = _count("l", l)
+    if _choice("variant", variant, VARIANTS) == "softmax":
+        raise ValueError("diagonal_kernels_vjp has no softmax variant yet, got 'softmax'")
+    h = np.size(delta)
+    lam, _, z, _ = _diagonal_rates(variant, lam, delta, w, h, l)
+    dk = _numbers("dk", dk, finite=True)
+    if dk.shape != (h, l):
+        raise ValueError(f"dk must have shape {(h, l)}, got {dk.shape}")
+    delta, w = np.asarray(delta, dtype=float).reshape(-1), np.asarray(w, dtype=complex)
+    dt, positions = delta[:, None], np.arange(l)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, gk = np.stack([_blocked_kernel_transpose(*_exp_blocks(z[row], l),
+                                                    np.stack([dk[row], positions * dk[row]]))
+                          for row in range(h)], axis=1)
+        if variant == "exp":
+            e_z = np.exp(z)
+            scale, ds_dz, ds_dlog = _exp_scale(lam, delta, z), dt * _scale_slope(z, e_z), dt * e_z
+        else:
+            scale, ds_dz, ds_dlog = 1.0, 0.0, 0.0
+        sens = w * (ds_dz * g + scale * gk)         # df/dz
+        d_delta_log = (w * (ds_dlog * g + scale * z * gk)).sum(axis=1).real
+        grad = DiagonalParams(variant, h, lam.size, (z.real * sens.real).sum(axis=0),
+                              (-dt * sens.imag).sum(axis=0), d_delta_log,
+                              np.conj(scale * g)).pack()
+    if not np.isfinite(grad).all():
+        raise ValueError("gradient leaves float range")
+    return grad
+
+
 def kernel_grad_exp(params, l, upstream):
     """Analytic gradient of f = sum_k upstream_k * K_k, exp variant.
 
     The gradient is one float64 vector laid out as the
     :meth:`DiagonalParams.pack` vector of the coordinate's parameters:
     lambda_re, lambda_im, delta_log, Re w~, Im w~; ``params.unpack(grad)``
-    names the parts.
-
-    With z = lam dt and the exp scale s = dt*expm1(z)/z, f = Re sum_i
-    w~_i s_i G_i, where G_i = sum_k u_k e^{z_i k}; G and its z-derivative
-    sum_k k u_k e^{z_i k} are two products with one table of powers.  The
-    chain rule runs through z: df/dz = w~ (dt phi(z) G + s G') with phi
-    from :func:`_scale_slope`; with lam = -e^{lambda_re} + i*lambda_im,
-    dz/dlambda_re = Re(z) and dz/dlambda_im = i*dt; with dt = e^{delta_log}
-    at fixed lam, dz/ddelta_log = z and ds/ddelta_log = dt e^z.  No dt^2
-    is formed, so a finite gradient is computed finite.  Parameters
-    :func:`dss_exp_kernel` refuses raise the same ValueError, and a
-    component outside float range raises ValueError("gradient leaves
-    float range").
+    names the parts.  It is the H = 1 case of :func:`diagonal_kernels_vjp`,
+    whose docstring gives the chain rule.  Parameters :func:`dss_exp_kernel`
+    refuses raise the same ValueError, and a component outside float range
+    raises ValueError("gradient leaves float range").
     """
     l = _count("l", l)
     upstream = _numbers("upstream", upstream, finite=True)
     if upstream.shape != (l,):
         raise ValueError(f"upstream must have shape ({l},), got {upstream.shape}")
-    lam, delta, w = _coordinate_form(params, "exp")
-    _, scale, z, _ = _diagonal_rates("exp", lam, delta, np.ones_like(w), 1, l)
-    dt, scale, z, w = delta[0], scale[0], z[0], w[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = _exp_range(z, l)
-        g_u, gk_u = powers @ upstream, powers @ (np.arange(l) * upstream)
-        e_z = np.exp(z)
-        sens = w * (dt * _scale_slope(z, e_z) * g_u + scale * gk_u)      # df/dz
-        d_delta_log = (w * (dt * e_z * g_u + scale * z * gk_u)).sum(keepdims=True).real
-        grad = DiagonalParams("exp", 1, params.n, z.real * sens.real, -dt * sens.imag,
-                              d_delta_log, np.conj(scale * g_u)[None]).pack()
-    if not np.isfinite(grad).all():
-        raise ValueError("gradient leaves float range")
-    return grad
+    return diagonal_kernels_vjp("exp", *_coordinate_form(params, "exp"), l, upstream[None])
 
 
 def finite_diff_grad(f, theta, h=1e-6):

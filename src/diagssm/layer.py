@@ -27,8 +27,8 @@ import numpy as np
 from .cnum import _choice, _count, _numbers, _positive
 from .fftconv import _conv_by_spectrum, _kernel_spectrum
 from .hippo import skew_hippo_lambda
-from .kernel import (DiagonalParams, _check_layout, _check_sizes, _complex, _diagonal_form,
-                     _diagonal_rates, _exp_blocks, _exp_gram, _reduce_phase,
+from .kernel import (DiagonalParams, _blocked_kernel, _check_layout, _check_sizes, _complex,
+                     _diagonal_form, _diagonal_rates, _exp_blocks, _exp_gram, _reduce_phase,
                      diagonal_kernels)
 from .recurrence import _scan_plan, _scan_run
 # Bound only because ssmbench/tracer.py wraps these names here; the layer calls none.
@@ -502,11 +502,9 @@ def _toy_system(n, l, lag, seed):
 
 def _toy_kernel(z, coef, theta, l):
     """The kernel theta @ lift of :func:`_toy_system`'s rates z and input maps
-    coef, as one row from blocked exponentials (``kernel._exp_blocks``)."""
+    coef, as one row of the kernels' blocked product (``kernel._blocked_kernel``)."""
     n = len(z)
-    outer, inner = _exp_blocks(z, l)
-    weights = _complex(theta[:n], theta[n:]) * coef
-    return ((weights[:, None] * outer).T @ inner).reshape(-1)[:l].real
+    return _blocked_kernel(_complex(theta[:n], theta[n:]) * coef, *_exp_blocks(z, l), l)
 
 
 def train_toy_delay(n, l, lag, steps, lr=2e-3, seed=0):

@@ -28,6 +28,7 @@ from diagssm import (
     chunked_scan,
     dense_to_diagonal_weights,
     diagonal_kernels,
+    diagonal_kernels_vjp,
     dss_exp_kernel,
     effective_lambda,
     finite_diff_grad,
@@ -116,6 +117,12 @@ def test_entry_points_give_finite_output_or_value_error(variant):
         with np.errstate(over="ignore"):   # the layer's own form of its parameters
             lam, delta = effective_lambda(params), np.exp(params.delta_log)
         kernels = outcome(lambda: diagonal_kernels(variant, lam, delta, params.w, l))
+        if variant != "softmax":
+            # u[0] as H upstream kernels: the VJP refuses what the kernels
+            # refuse, by the same message, and then only a non-finite dk or
+            # a gradient past float range.
+            vjp = outcome(lambda: diagonal_kernels_vjp(variant, lam, delta, params.w, l, u[0]))
+            assert vjp == kernels if kernels is not None else vjp in VJP_REFUSALS
         assert outcome(lambda: chunked_scan(variant, lam, delta, params.w, u)) == conv
         if np.isfinite(u).all():
             assert kernels == conv
@@ -171,6 +178,7 @@ def test_non_integer_sizes_are_refused(fn, args):
 
 
 P_EXP = KernelParams("exp", [0.1], [0.4], [1.0], -0.5)
+VJP_REFUSALS = (None, "dk must be finite (no NaN or inf)", "gradient leaves float range")
 P_SOFTMAX = KernelParams("softmax", [-0.5], [0.4], [1.0], -0.5)
 LAYER = init_layer(2, 4, "exp", 0)
 U = np.ones((1, 2, 8))
@@ -227,6 +235,29 @@ MALFORMED = {
                          "upstream must hold real numbers"),
     "upstream of another length": (lambda: kernel_grad_exp(P_EXP, 8, np.ones(7)),
                                    "upstream must have shape (8,), got (7,)"),
+    "complex upstream kernels": (lambda: diagonal_kernels_vjp("exp", [-1.0], [0.5], [[1.0]], 8,
+                                                              np.ones((1, 8)) + 1j),
+                                 "dk must hold real numbers"),
+    "upstream kernels with a NaN": (lambda: diagonal_kernels_vjp("exp", [-1.0], [0.5], [[1.0]], 2,
+                                                                 [[1.0, math.nan]]),
+                                    "dk must be finite (no NaN or inf)"),
+    "upstream kernels with an inf": (lambda: diagonal_kernels_vjp("exp_no_scale", [-1.0], [0.5], [[1.0]],
+                                                                  2, [[-math.inf, 1.0]]),
+                                     "dk must be finite (no NaN or inf)"),
+    "upstream kernels of another shape": (lambda: diagonal_kernels_vjp("exp", [-1.0], [0.5, 1.0],
+                                                                       [[1.0], [2.0]], 8, np.ones(8)),
+                                          "dk must have shape (2, 8), got (8,)"),
+    "softmax kernels' gradient": (lambda: diagonal_kernels_vjp("softmax", [-1.0], [0.5], [[1.0]], 8,
+                                                               np.ones((1, 8))),
+                                  "diagonal_kernels_vjp has no softmax variant yet, got 'softmax'"),
+    # Im z = 0.52 at delta = e^400: d/dlambda_im = -delta Im(df/dz) ~ e^800.
+    "kernels' gradient past float range": (
+        lambda: diagonal_kernels_vjp("exp", [-math.exp(-400.0) + 1e-174j], [math.exp(400.0)], [[1.0]], 8,
+                                     np.ones((1, 8))),
+        "gradient leaves float range"),
+    "upstream kernels past float range": (
+        lambda: diagonal_kernels_vjp("exp_no_scale", [-1.0], [0.5], [[1.0]], 8, np.full((1, 8), 1e308)),
+        "gradient leaves float range"),
     "2-D oracle input": (lambda: run_exp(P_EXP, np.ones((2, 4))), "input u must be one-dimensional"),
     "oracle state of another size": (lambda: run_exp(P_EXP, np.ones(4), x_init=np.ones(2)),
                                      "x_init must hold 1 entries, one per mode"),

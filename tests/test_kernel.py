@@ -13,6 +13,7 @@ from diagssm import (
     chunked_scan,
     dense_to_diagonal_weights,
     diagonal_kernels,
+    diagonal_kernels_vjp,
     dss_exp_kernel,
     dss_exp_noscale_kernel,
     dss_softmax_kernel,
@@ -27,10 +28,10 @@ from diagssm import (
     ssm_outputs,
     write_kernel_csv,
 )
-from diagssm.checks import check_grad, check_prop1
+from diagssm.checks import check_grad, check_prop1, sample_exp_params
 from diagssm.cnum import reciprocal_eps
-from diagssm.kernel import (_diagonal_form, _diagonal_rates, _exp_factors, _exp_gram, _exp_range,
-                            _factor_sum, _scale_slope)
+from diagssm.kernel import (DiagonalParams, _diagonal_form, _diagonal_rates, _exp_factors,
+                            _exp_gram, _exp_range, _factor_sum, _scale_slope)
 from diagssm.recurrence import _scan_plan
 
 LN2 = math.log(2.0)
@@ -678,6 +679,115 @@ def test_overflowing_delta_is_refused_by_every_path(entry):
 def test_kernel_grad_matches_finite_differences():
     for trial in check_grad(trials=10, seed=6):
         assert trial.errors["grad"] < 1e-4
+
+
+def table_grad_exp(params, l, u):
+    """kernel_grad_exp by its former formula, kept as an oracle: both sums
+    over the upstream from one N x L table of powers e^{z_i k}."""
+    lam, delta, w = _diagonal_form(params)
+    _, scale, z, _ = _diagonal_rates("exp", lam, delta, np.ones_like(w), 1, l)
+    dt, scale, z, w = delta[0], scale[0], z[0], w[0]
+    powers = _exp_range(z, l)
+    g_u, gk_u = powers @ u, powers @ (np.arange(l) * u)
+    e_z = np.exp(z)
+    sens = w * (dt * _scale_slope(z, e_z) * g_u + scale * gk_u)
+    d_delta_log = (w * (dt * e_z * g_u + scale * z * gk_u)).sum(keepdims=True).real
+    return DiagonalParams("exp", 1, params.n, z.real * sens.real, -dt * sens.imag,
+                          d_delta_log, np.conj(scale * g_u)[None]).pack()
+
+
+def test_kernel_grad_matches_the_table_formula_on_the_gate_instances():
+    # check_grad(trials=20, seed=14)'s instances, drawn in its order.
+    rng = np.random.RandomState(14)
+    for _ in range(20):
+        params = sample_exp_params(rng, n_max=4)
+        l = int(rng.randint(2, 33))
+        u = rng.standard_normal(l)
+        got, want = kernel_grad_exp(params, l, u), table_grad_exp(params, l, u)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def diagonal_params(variant, h, n, seed):
+    """An H-row container: init_layer's spectrum and sample times, Re(lam) spread."""
+    layer = init_layer(h, n, variant, seed)
+    rng = np.random.default_rng(seed)
+    return DiagonalParams(variant, h, n, layer.lambda_re + rng.uniform(-1.0, 1.0, n),
+                          layer.lambda_im, layer.delta_log, layer.w)
+
+
+def vjp(params, l, dk):
+    """diagonal_kernels_vjp of a container's own parameters."""
+    return diagonal_kernels_vjp(params.variant, *_diagonal_form(params), l, dk)
+
+
+def kernels_dot(params, l, dk):
+    """f = sum(dk * K) of the function of params.pack() that the VJP differentiates."""
+    return lambda theta: float((diagonal_kernels(params.variant, *_diagonal_form(params.unpack(theta)),
+                                                 l) * dk).sum())
+
+
+@pytest.mark.parametrize("variant", ["exp", "exp_no_scale"])
+def test_kernels_vjp_rows_are_the_one_row_calls(variant):
+    # Row h's delta_log and w parts are its own H = 1 call's; the spectrum
+    # is shared, so the H-row lambda parts are the sum of the rows'.
+    rng = np.random.default_rng(31)
+    for h, n, l in ((3, 4, 37), (5, 8, 1000), (16, 64, 4096)):
+        params = diagonal_params(variant, h, n, int(rng.integers(2 ** 31)))
+        dk = rng.standard_normal((h, l))
+        got = params.unpack(vjp(params, l, dk))
+        lam_sum = np.zeros(2 * n)
+        for row in range(h):
+            one = params.coordinate_kernel_params(row)
+            part = one.unpack(vjp(one, l, dk[row:row + 1]))
+            lam_sum += np.concatenate([part.lambda_re, part.lambda_im])
+            for name in ("delta_log", "w"):
+                want = getattr(part, name)[0]
+                assert np.abs(getattr(got, name)[row] - want).max() <= 1e-12 * np.abs(want).max()
+        lam_got = np.concatenate([got.lambda_re, got.lambda_im])
+        assert np.abs(lam_got - lam_sum).max() <= 1e-12 * np.abs(lam_sum).max()
+
+
+@pytest.mark.parametrize("variant", ["exp", "exp_no_scale"])
+@pytest.mark.parametrize("h, n, l", [(3, 4, 37), (2, 5, 200), (1, 3, 65)])
+def test_kernels_vjp_matches_central_differences(variant, h, n, l):
+    rng = np.random.default_rng(h * n * l)
+    params = diagonal_params(variant, h, n, int(rng.integers(2 ** 31)))
+    dk = rng.standard_normal((h, l))
+    got = vjp(params, l, dk)
+    want = finite_diff_grad(kernels_dot(params, l, dk), params.pack())
+    assert got.shape == want.shape == params.pack().shape
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("variant", ["exp", "exp_no_scale"])
+def test_kernels_vjp_matches_fourth_order_differences_at_layer_scale(variant):
+    # At (16, 64, 16384) a mode's phase moves by delta*k with k up to L, and
+    # plain central differences miss the bound (by up to 2e-5 relative on
+    # these directions): the derivative along each direction is taken by
+    # the fourth-order stencil instead, which agrees within about 1e-8.
+    rng = np.random.default_rng(len(variant))
+    params, l, step = diagonal_params(variant, 16, 64, 3), 16384, 1e-7
+    dk = rng.standard_normal((16, l))
+    grad, theta, f = vjp(params, l, dk), params.pack(), kernels_dot(params, l, dk)
+    for _ in range(3):
+        v = rng.standard_normal(theta.size)
+        at = [f(theta + j * step * v) for j in (2, 1, -1, -2)]
+        want = (8.0 * (at[1] - at[2]) - (at[0] - at[3])) / (12.0 * step)
+        assert abs(grad @ v - want) <= 1e-6 * abs(want)
+
+
+def test_kernel_grad_forms_no_table_of_n_by_l_powers():
+    # At N = 64, L = 16384 an N x L complex table alone is 16 MiB.
+    params, l = init_layer(1, 64, "exp", 1).coordinate_kernel_params(0), 16384
+    u = np.random.default_rng(2).standard_normal(l)
+    kernel_grad_exp(params, l, u)                   # first-call allocations are not the gradient's
+    tracemalloc.start()
+    try:
+        kernel_grad_exp(params, l, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20, peak / 2 ** 20
 
 
 def test_finite_diff_grad_quadratic():
