@@ -54,9 +54,10 @@ def _numbers(name, x, dtype=float, finite=False):
     return x
 
 
-def _rows_in_range(run, u):
-    """run(u) for a linear map ``run`` that computes each row along u's last
-    axis from that row, with no float overflow left in it.
+def _rows_in_range(run, u, out=None):
+    """run(u, y) for a linear map ``run`` that writes into y, an array of u's
+    shape (``out``, or a new one), each row along u's last axis computed
+    from that row; y is returned with no float overflow left in it.
 
     numpy's overflow and invalid flags are noted, not warned, so a call that
     raises none costs one ``np.errstate``.  Where one is raised, each row
@@ -66,8 +67,9 @@ def _rows_in_range(run, u):
     range raises ValueError("state-space output leaves float range").
     """
     flagged = []
+    y = np.empty(u.shape) if out is None else out
     with np.errstate(over="call", invalid="call", call=lambda *_: flagged.append(True)):
-        y = run(u)
+        run(u, y)
     if not flagged:
         return y
     bad = ~np.isfinite(y).all(axis=-1, keepdims=True)
@@ -76,7 +78,9 @@ def _rows_in_range(run, u):
     shift = np.where(bad, -np.frexp(np.abs(u).max(axis=-1, keepdims=True))[1], 0)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            np.copyto(y, np.ldexp(run(np.ldexp(u, shift)), -shift), where=bad)
+            scaled = np.empty(u.shape)
+            run(np.ldexp(u, shift), scaled)
+            np.copyto(y, np.ldexp(scaled, -shift, out=scaled), where=bad)
     except FloatingPointError:
         raise ValueError("state-space output leaves float range") from None
     return y

@@ -8,10 +8,13 @@ convolutions of length m.  Every row takes both on its own: the cyclic
 one by numpy's real transform of m points, and the negacyclic one, right
 angle style (Crandall and Fagin, 1994), as a cyclic convolution of h =
 m/2 complex points, the row folded to u[:h] - i*u[h:] and twisted.  A
-row's bits depend on no other row.  The input is transformed one block of
-rows at a time, each block's buffer within a fixed 2 MB, so the working
-memory beyond the result and the kernel's spectrum does not grow with the
-batch.  The kernel's spectrum and the convolution of an input with it
+row's bits depend on no other row.  The batch's rows are cut into one
+contiguous share per available core (``shares._split_rows``), each
+convolved into its slice of the one result, and each share transforms
+one block of rows at a time (a pool thread in the buffer it keeps), the
+buffers of all shares within a fixed 2 MB, so the working memory beyond the result
+and the kernel's spectrum does not grow with the batch, and the bits do
+not depend on the share count.  The kernel's spectrum and the convolution of an input with it
 are two steps, so a caller whose kernels do not change (a layer between
 parameter updates) can keep the spectrum and skip the first.  A direct
 O(L^2) evaluation is kept as the reference the fast path is checked
@@ -24,18 +27,23 @@ and c near a singular point 2*pi*i*k/L is refused.
 
 import cmath
 import functools
+import threading
 
 import numpy as np
 
 from .cnum import _count, _numbers, _rows_in_range
+from .shares import _cores, _on_pool, _split_rows
 
-# Bytes of one block's buffer in causal_conv_fft: 16*m per row, m the
+# Bytes of the block buffers in causal_conv_fft, over all threads: each
+# thread keeps one within _BLOCK_BYTES // cores, 16*m bytes per row, m the
 # padded length (the row's m/2 + 1 cyclic spectrum values and its m/2
 # negacyclic ones, whose bytes then take the m floats of the inverse real
 # transform).  Blocks of 1 MB and 4 MB ran the conv_long layer's
-# convolution within 2% of this size (2-vCPU Xeon VM, in-process A/B, 10
-# alternating rounds); a larger block only raises the peak.
+# convolution within 2% of 2 MB (2-vCPU Xeon VM, one thread, in-process
+# A/B, 10 alternating rounds); a larger block only raises the peak.
 _BLOCK_BYTES = 1 << 21
+
+_kept = threading.local()           # a pool thread's scratch buffer (_scratch)
 
 
 def fft(x, inverse=False):
@@ -80,13 +88,15 @@ def causal_conv_fft(kernel, u):
     kernel that would widen it raises ValueError, as does a NaN or inf in
     either (the transform would spread it to every output, where the
     direct sum keeps it to later ones).  The kernel's spectrum is taken
-    once (:func:`_kernel_spectrum`); the input is transformed in runs of
-    rows within one (..., H, L) slice, each run's buffer within
-    ``_BLOCK_BYTES``, so beyond the result and the kernel's spectrum the
-    call holds about one block (:func:`_conv_by_spectrum`).  Each row
+    once (:func:`_kernel_spectrum`); the input's first axis is cut into
+    one share of rows per core, and each share is transformed in runs of
+    rows within one (..., H, L) slice, the runs' buffers within
+    ``_BLOCK_BYTES`` over all shares, so beyond the result and the
+    kernel's spectrum the call holds about one block per share
+    (:func:`_conv_by_spectrum`).  Each row
     takes a real transform of m = next_pow2(L) points (the cyclic half)
     and a complex one of m/2 (the negacyclic half) on its own, so its bits
-    depend neither on the other rows nor on the runs.
+    depend neither on the other rows nor on the runs or shares.
     Empty input gives empty output.  A row whose transform overflows is
     convolved again scaled by a power of two; an output past float range
     raises ValueError("state-space output leaves float range").
@@ -135,41 +145,49 @@ def _conv_by_spectrum(spec_k, u):
     """Causal convolution of a finite float array u with the kernels of plan spec_k.
 
     spec_k is :func:`_kernel_spectrum` of kernels of u's length that
-    broadcast to u's shape; the caller has checked both.  A row whose
-    transform overflows is convolved again scaled by a power of two
+    broadcast to u's shape; the caller has checked both.  The rows of u's
+    first axis are cut into per-core shares (``shares._split_rows``), each
+    convolved into its slice of the one result.  A row whose transform
+    overflows is convolved again scaled by a power of two
     (``cnum._rows_in_range``); where its output leaves float range, raises
     ValueError("state-space output leaves float range").
     """
-    return _rows_in_range(lambda rows: _conv_blocks(spec_k, rows), u)
-
-
-def _conv_blocks(spec_k, u):
-    """:func:`_conv_by_spectrum` with no overflow check, one block of rows at a time.
-
-    Each row u of a block, with its kernel's plan (X_e, X_o), gives the
-    cyclic half c = irfft(rfft(u, m) * X_e, m) and the negacyclic half w =
-    conj(tau) * ifft(fft((u[:h] - i*u[h:]) * tau) * X_o) of h points, tau_j
-    = e^{-i*pi*j/m} (:func:`_twist`), and y[:h] = c[:h] + Re(w), y[h:L] =
-    c[h:L] - Im(w): the twist reads x^h as -i, a square root of x^m = -1.
-    One buffer of m + 1 complex values per row holds the spectrum and w;
-    w's bytes take c once w is spent.
-    """
-    l = u.shape[-1]
     out = np.empty(u.shape)
     if out.size == 0:                                   # no row to transform
         return out
+    rows, y = (a.reshape((1,) * (2 - u.ndim) + u.shape) for a in (u, out))   # at least (H, L)
+    spec_k = np.broadcast_to(spec_k, rows.shape[:-1] + spec_k.shape[-1:])
+
+    def share(lo, hi):
+        _rows_in_range(functools.partial(_conv_blocks, spec_k[lo:hi]), rows[lo:hi], y[lo:hi])
+
+    _split_rows(len(rows), share, rows[0].size)
+    return out
+
+
+def _conv_blocks(spec_k, u, out):
+    """:func:`_conv_by_spectrum` into out with no overflow check, one block of rows at a time.
+
+    u has at least two axes, spec_k its shape but for the last axis and out
+    its shape.  Each row u of a block, with its kernel's plan (X_e, X_o),
+    gives the cyclic half c = irfft(rfft(u, m) * X_e, m) and the negacyclic
+    half w = conj(tau) * ifft(fft((u[:h] - i*u[h:]) * tau) * X_o) of h
+    points, tau_j = e^{-i*pi*j/m} (:func:`_twist`), and y[:h] = c[:h] +
+    Re(w), y[h:L] = c[h:L] - Im(w): the twist reads x^h as -i, a square
+    root of x^m = -1.  One buffer of m + 1 complex values per row holds the
+    spectrum and w; w's bytes take c once w is spent.  The buffer is a
+    block of :func:`_scratch`, within the thread's share of ``_BLOCK_BYTES``.
+    """
+    l = u.shape[-1]
     m = spec_k.shape[-1] - 1
     h = m // 2
     tau, untwist = _twist(m)
-    u = u.reshape((1,) * (2 - u.ndim) + u.shape)        # at least (H, L)
-    spec_k = np.broadcast_to(spec_k, u.shape[:-1] + (m + 1,))
-    blocks = out.reshape(u.shape)
-    rows = max(1, min(u.shape[-2], _BLOCK_BYTES // (16 * m)))
-    buf = np.empty((rows, m + 1), complex)
+    rows = max(1, min(u.shape[-2], _BLOCK_BYTES // _cores() // (16 * (m + 1))))
+    buf = _scratch(rows * (m + 1), complex).reshape(rows, m + 1)
     for lead in np.ndindex(u.shape[:-2]):
         for j in range(0, u.shape[-2], rows):
             blk = (*lead, slice(j, j + rows))
-            x, y, plan = u[blk], blocks[blk], spec_k[blk]
+            x, y, plan = u[blk], out[blk], spec_k[blk]
             spec, w = buf[:len(x), :h + 1], buf[:len(x), h + 1:]
             _fold(x, w)
             w *= tau
@@ -185,6 +203,26 @@ def _conv_blocks(spec_k, u):
             np.fft.irfft(spec, m, out=cyclic)
             y += cyclic[:, :l]
     return out
+
+
+def _scratch(size, dtype=float):
+    """size values of dtype: on a pool thread, in the buffer it keeps.
+
+    A pool thread (``shares``) makes its buffer once and grows it while it
+    fits the thread's share of ``_BLOCK_BYTES``, so it faults in no fresh
+    scratch on every share; the convolution's blocks and the layer's GELU
+    and projection take turns in it.  A larger request, or one from any
+    other thread, gets an array of its own: a buffer kept on the calling
+    thread would hold its bytes through the caller's own peaks (it raised
+    recurrent_short's peak_rss_mb by 0.6 MB).
+    """
+    nbytes = size * np.dtype(dtype).itemsize
+    buf = getattr(_kept, "buf", None)
+    if buf is None or buf.size < nbytes:
+        if nbytes > _BLOCK_BYTES // _cores() or not _on_pool():
+            return np.empty(size, dtype)
+        buf = _kept.buf = np.empty(nbytes, np.uint8)
+    return buf[:nbytes].view(dtype)
 
 
 def _fold(x, out):

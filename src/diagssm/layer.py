@@ -25,12 +25,13 @@ from typing import ClassVar
 import numpy as np
 
 from .cnum import _choice, _count, _numbers, _positive
-from .fftconv import _conv_by_spectrum, _kernel_spectrum
+from .fftconv import _conv_by_spectrum, _kernel_spectrum, _scratch
 from .hippo import skew_hippo_lambda
 from .kernel import (DiagonalParams, _blocked_kernel, _check_layout, _check_sizes, _complex,
                      _diagonal_form, _diagonal_rates, _exp_blocks, _exp_gram, _reduce_phase,
                      diagonal_kernels)
 from .recurrence import _scan_plan, _scan_run
+from .shares import _split_rows
 # Bound only because ssmbench/tracer.py wraps these names here; the layer calls none.
 from .fftconv import causal_conv_fft  # noqa: F401
 from .kernel import build_kernel, kernel_grad_exp  # noqa: F401
@@ -200,9 +201,11 @@ _ERF_COEFFS = (
 
 _SQRT2 = math.sqrt(2.0)
 
-# Elements per gelu block: the block's input and output and the four float
+# Elements per gelu block: the block's input and output and the three float
 # scratch buffers (1 MiB together) stay in a core's L2 cache across the 32
-# elementwise passes of the formula.
+# elementwise passes of the formula.  Each share of a split layer_forward
+# runs whole blocks: 2^14 per block ran conv_long's layer_forward at 53 ms
+# against 44 ms (two shares, in-process, alternating calls).
 _GELU_BLOCK = 1 << 15
 
 # Floats in layer_forward's projection scratch: one block of the output,
@@ -239,8 +242,11 @@ def _gelu_into(x, out):
     """:func:`gelu` of the float array x written to out, a C-contiguous float
     array of x's shape, which may be x itself; returns out.
 
-    Each block of x is read only at the block's start, into x/sqrt(2) and
-    x*0.5, so writing over x gives the same bits as a fresh out.
+    Each block of x is read at the block's start, into x/sqrt(2), and at
+    its end, for its sign and x*0.5, before the block of out is written,
+    so writing over x gives the same bits as a fresh out.  The block's
+    three float buffers are a block of ``fftconv._scratch``, which a
+    pool thread keeps between calls.
 
     The loop is branch-free: erf's sign is applied by a sign-bit AND and
     XOR on uint64 views, not by a masked (``where=``) ufunc.  numpy's masked
@@ -250,12 +256,11 @@ def _gelu_into(x, out):
     """
     src, dst = x.reshape(-1), out.reshape(-1)
     size = min(src.size, _GELU_BLOCK)
-    z_buf, t_buf, p_buf, half_buf = (np.empty(size) for _ in range(4))
+    z_buf, t_buf, p_buf = _scratch(3 * size).reshape(3, size)
     for lo in range(0, src.size, _GELU_BLOCK):
         xb, o = src[lo:lo + _GELU_BLOCK], dst[lo:lo + _GELU_BLOCK]
-        z, t, p, half = (buf[:xb.size] for buf in (z_buf, t_buf, p_buf, half_buf))
+        z, t, p = (buf[:xb.size] for buf in (z_buf, t_buf, p_buf))
         np.divide(xb, _SQRT2, out=z)                  # s = x/sqrt(2)
-        np.multiply(xb, 0.5, out=half)                # xb is not read again
         np.abs(z, out=z)
         # t = 2/(2 + z) has the bits of 1/(1 + z/2): scaling by 2 is exact,
         # and 2 + z cannot overflow (z = |x|/sqrt(2) < 1.3e308).
@@ -266,25 +271,26 @@ def _gelu_into(x, out):
             p += coeff
             p *= t
         with np.errstate(over="ignore"):              # |x| > ~1.34e154: inf, and exp gives 0
-            np.multiply(z, z, out=o)
-        np.subtract(_ERF_COEFFS[0], o, out=o)        # == -(z*z) + c0 exactly
-        o += p
-        np.exp(o, out=o)
-        o *= t                                        # erfc(|s|)
+            np.multiply(z, z, out=z)
+        np.subtract(_ERF_COEFFS[0], z, out=z)        # == -(z*z) + c0 exactly
+        z += p
+        np.exp(z, out=z)
+        z *= t                                        # erfc(|s|)
         # erf(s) = 1 - erfc for s >= 0, else erfc - 1 == -(1 - erfc) exactly, so
-        # s's sign bit (half's; z is spent) is XORed onto 1 - erfc.  The bit and
+        # s's sign bit (x's; t is spent) is XORed onto 1 - erfc.  The bit and
         # s >= 0 disagree only at x = -0 and on NaN, where half*p is half's -0
         # or NaN either way.
-        np.subtract(1.0, o, out=p)
-        sign = z.view(np.uint64)
-        np.bitwise_and(half.view(np.uint64), _SIGN_BIT, out=sign)
+        np.subtract(1.0, z, out=p)
+        sign = t.view(np.uint64)
+        np.bitwise_and(xb.view(np.uint64), _SIGN_BIT, out=sign)
         np.bitwise_xor(p.view(np.uint64), sign, out=p.view(np.uint64))
         p += 1.0
+        half = np.multiply(xb, 0.5, out=o)            # xb is not read again
         # GELU's limit at x = -inf is -0, where half*p would be -inf*0 = NaN.
         # Wherever half < -1e300, z*z overflows and p is exactly 0, so the
         # clamp changes the bits of no other input (NaN stays NaN).
         np.maximum(half, -1e300, out=half)
-        np.multiply(half, p, out=o)
+        half *= p
     return out
 
 
@@ -355,7 +361,11 @@ def ssm_outputs(params, u, mode="conv", kernel_limit=None):
     after the parameters): in either mode one NaN would otherwise spread
     to earlier positions.  Each view computes a row apart from the others,
     so a row's bits depend neither on the rest of its batch nor on the
-    blocks the convolution runs in.  A row whose transform or
+    blocks or per-core shares the convolution runs in.  In conv mode the
+    batch rows are cut into one contiguous share per core of the CPU
+    affinity (``shares._split_rows``), large batches only, each share
+    convolving its rows in its own scratch; the result does not
+    depend on the share count.  A row whose transform or
     scan overflows runs again scaled by a power of two
     (``cnum._rows_in_range``), and where the output itself leaves float
     range, both raise ValueError("state-space output leaves float range"),
@@ -393,7 +403,11 @@ def layer_forward(params, u, mode="conv", kernel_limit=None):
     per row, bit for bit; across blocks, BLAS may sum a block's columns in
     another order (numpy takes gemv for a single column), so the result
     agrees with the whole-array product to the rounding of an H-term dot
-    product.
+    product.  The residual, GELU and projection run on contiguous shares
+    of the batch rows, one per core of the CPU affinity, at share edges on
+    the projection's row groups, each share in its own scratch
+    (large batches only; a small one stays on the calling thread), so the
+    bits do not depend on the share count.
 
     Raises ValueError naming the field of a layer that
     :func:`_check_layout` refuses, and naming ``u`` when the input holds a
@@ -409,20 +423,25 @@ def layer_forward(params, u, mode="conv", kernel_limit=None):
     h, l = y.shape[1:]
     cols = min(l, max(1, _PROJECTION_BLOCK // h))
     rows = max(1, _PROJECTION_BLOCK // (h * cols))     # > 1 only when whole rows fit
-    scratch = np.empty(rows * h * cols)
+
+    def epilogue(first, stop):
+        ys = y[first:stop]
+        ys += u[first:stop]
+        _gelu_into(ys, ys)
+        scratch = _scratch(min(rows, len(ys)) * h * cols)
+        for lead in range(0, len(ys), rows):
+            for lo in range(0, l, cols):
+                block = ys[lead:lead + rows, :, lo:lo + cols]
+                tmp = scratch[:block.size].reshape(block.shape)   # C-contiguous for BLAS
+                np.matmul(params.w_out, block, out=tmp)
+                np.copyto(block, tmp)
+        # One add over the share: numpy's broadcast add over a block's
+        # short rows ran 2-3x slower per element than this one pass.
+        ys += params.b_out[:, None]
+
     try:
         with np.errstate(over="raise"):               # the GELU's z*z keeps its own "ignore"
-            y += u
-            _gelu_into(y, y)
-            for lead in range(0, len(y), rows):
-                for lo in range(0, l, cols):
-                    block = y[lead:lead + rows, :, lo:lo + cols]
-                    tmp = scratch[:block.size].reshape(block.shape)   # C-contiguous for BLAS
-                    np.matmul(params.w_out, block, out=tmp)
-                    np.copyto(block, tmp)
-            # One add over the whole array: numpy's broadcast add over a
-            # block's short rows ran 2-3x slower per element than this one pass.
-            y += params.b_out[:, None]
+            _split_rows(len(y), epilogue, h * l, rows)
     except FloatingPointError:
         raise ValueError("layer output leaves float range") from None
     return y

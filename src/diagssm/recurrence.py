@@ -340,12 +340,12 @@ def _scan_run(plan, u):
             lift = np.where(top < _LIFT_BELOW, -np.frexp(top)[1], 0)[..., None]
             u = np.ldexp(u, lift)
     # A row whose scan overflows runs again scaled down, exactly, the same way.
-    y = _rows_in_range(lambda rows: _scan_rows(plan, rows), u)
+    y = _rows_in_range(lambda rows, out: _scan_rows(plan, rows, out), u)
     return y if lift is None else np.ldexp(y, -lift, out=y)
 
 
-def _scan_rows(plan, u):
-    """:func:`_scan_run` of a (B, H, L) array with no lift and no overflow check."""
+def _scan_rows(plan, u, y):
+    """:func:`_scan_run` of a (B, H, L) array into y, with no lift and no overflow check."""
     toeplitz, read, read_tail, inject, decay, far_hi, far_lo, far_lo_tail, _ = plan
     b, h, l = u.shape
     block, n = toeplitz.shape[-1], decay.shape[-1]
@@ -353,7 +353,6 @@ def _scan_rows(plan, u):
     tail = l - block * (chunks - 1)
     group = min(_GROUP, chunks)
 
-    y = np.empty(u.shape)
     # Slot 0 holds the state entering the group; slot k + 1 receives chunk
     # k's injection and becomes the state after chunk k.
     state = np.empty((group + 1, b, h, 2 * n))
