@@ -11,11 +11,11 @@ m/2 complex points, the row folded to u[:h] - i*u[h:] and twisted.  A
 row's bits depend on no other row.  The batch's rows are cut into one
 contiguous share per available core (``shares._split_rows``), each
 convolved into its slice of the one result, and each share transforms
-one block of rows at a time (a pool thread in the buffer it keeps), the
-buffers of all shares within a fixed 2 MB, so the working memory beyond the result
-and the kernel's spectrum does not grow with the batch, and the bits do
-not depend on the share count.  The kernel's spectrum and the convolution of an input with it
-are two steps, so a caller whose kernels do not change (a layer between
+one block of rows at a time, the blocks' buffers of all shares within a
+fixed 1 MB, so the working memory beyond the result and the kernel's
+spectrum does not grow with the batch, and the bits do not depend on the
+share count.  The kernel's spectrum and the convolution of an input with
+it are two steps, so a caller whose kernels do not change (a layer between
 parameter updates) can keep the spectrum and skip the first.  A direct
 O(L^2) evaluation is kept as the reference the fast path is checked
 against.
@@ -27,23 +27,23 @@ and c near a singular point 2*pi*i*k/L is refused.
 
 import cmath
 import functools
-import threading
 
 import numpy as np
 
 from .cnum import _count, _numbers, _rows_in_range
-from .shares import _cores, _on_pool, _split_rows
+from .shares import _split_rows
 
-# Bytes of the block buffers in causal_conv_fft, over all threads: each
-# thread keeps one within _BLOCK_BYTES // cores, 16*m bytes per row, m the
-# padded length (the row's m/2 + 1 cyclic spectrum values and its m/2
+# Bytes of the block buffers in causal_conv_fft, over all shares: each
+# share's buffer within its rows' part of the budget, 16*m bytes per row, m
+# the padded length (the row's m/2 + 1 cyclic spectrum values and its m/2
 # negacyclic ones, whose bytes then take the m floats of the inverse real
 # transform).  Blocks of 1 MB and 4 MB ran the conv_long layer's
 # convolution within 2% of 2 MB (2-vCPU Xeon VM, one thread, in-process
-# A/B, 10 alternating rounds); a larger block only raises the peak.
-_BLOCK_BYTES = 1 << 21
-
-_kept = threading.local()           # a pool thread's scratch buffer (_scratch)
+# A/B, 10 alternating rounds); a larger block only raises the peak.  Split
+# into two shares, a 2 MB budget raised conv_long's peak_rss_mb by about
+# 1.1 MB over one thread's at 2 MB (likely because each thread's malloc
+# arena keeps the blocks it freed); at 1 MB it reads the same as one thread.
+_BLOCK_BYTES = 1 << 20
 
 
 def fft(x, inverse=False):
@@ -147,7 +147,8 @@ def _conv_by_spectrum(spec_k, u):
     spec_k is :func:`_kernel_spectrum` of kernels of u's length that
     broadcast to u's shape; the caller has checked both.  The rows of u's
     first axis are cut into per-core shares (``shares._split_rows``), each
-    convolved into its slice of the one result.  A row whose transform
+    convolved into its slice of the one result in blocks within the
+    share's rows' part of ``_BLOCK_BYTES``.  A row whose transform
     overflows is convolved again scaled by a power of two
     (``cnum._rows_in_range``); where its output leaves float range, raises
     ValueError("state-space output leaves float range").
@@ -159,13 +160,15 @@ def _conv_by_spectrum(spec_k, u):
     spec_k = np.broadcast_to(spec_k, rows.shape[:-1] + spec_k.shape[-1:])
 
     def share(lo, hi):
-        _rows_in_range(functools.partial(_conv_blocks, spec_k[lo:hi]), rows[lo:hi], y[lo:hi])
+        budget = _BLOCK_BYTES * (hi - lo) // len(rows)
+        _rows_in_range(functools.partial(_conv_blocks, spec_k[lo:hi], budget=budget),
+                       rows[lo:hi], y[lo:hi])
 
     _split_rows(len(rows), share, rows[0].size)
     return out
 
 
-def _conv_blocks(spec_k, u, out):
+def _conv_blocks(spec_k, u, out, budget):
     """:func:`_conv_by_spectrum` into out with no overflow check, one block of rows at a time.
 
     u has at least two axes, spec_k its shape but for the last axis and out
@@ -175,15 +178,15 @@ def _conv_blocks(spec_k, u, out):
     points, tau_j = e^{-i*pi*j/m} (:func:`_twist`), and y[:h] = c[:h] +
     Re(w), y[h:L] = c[h:L] - Im(w): the twist reads x^h as -i, a square
     root of x^m = -1.  One buffer of m + 1 complex values per row holds the
-    spectrum and w; w's bytes take c once w is spent.  The buffer is a
-    block of :func:`_scratch`, within the thread's share of ``_BLOCK_BYTES``.
+    spectrum and w; w's bytes take c once w is spent.  A block holds as
+    many rows as ``budget`` bytes take at 16*m per row, at least one.
     """
     l = u.shape[-1]
     m = spec_k.shape[-1] - 1
     h = m // 2
     tau, untwist = _twist(m)
-    rows = max(1, min(u.shape[-2], _BLOCK_BYTES // _cores() // (16 * (m + 1))))
-    buf = _scratch(rows * (m + 1), complex).reshape(rows, m + 1)
+    rows = max(1, min(u.shape[-2], budget // (16 * m)))
+    buf = np.empty((rows, m + 1), complex)
     for lead in np.ndindex(u.shape[:-2]):
         for j in range(0, u.shape[-2], rows):
             blk = (*lead, slice(j, j + rows))
@@ -203,26 +206,6 @@ def _conv_blocks(spec_k, u, out):
             np.fft.irfft(spec, m, out=cyclic)
             y += cyclic[:, :l]
     return out
-
-
-def _scratch(size, dtype=float):
-    """size values of dtype: on a pool thread, in the buffer it keeps.
-
-    A pool thread (``shares``) makes its buffer once and grows it while it
-    fits the thread's share of ``_BLOCK_BYTES``, so it faults in no fresh
-    scratch on every share; the convolution's blocks and the layer's GELU
-    and projection take turns in it.  A larger request, or one from any
-    other thread, gets an array of its own: a buffer kept on the calling
-    thread would hold its bytes through the caller's own peaks (it raised
-    recurrent_short's peak_rss_mb by 0.6 MB).
-    """
-    nbytes = size * np.dtype(dtype).itemsize
-    buf = getattr(_kept, "buf", None)
-    if buf is None or buf.size < nbytes:
-        if nbytes > _BLOCK_BYTES // _cores() or not _on_pool():
-            return np.empty(size, dtype)
-        buf = _kept.buf = np.empty(nbytes, np.uint8)
-    return buf[:nbytes].view(dtype)
 
 
 def _fold(x, out):

@@ -25,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .cnum import _choice, _count, _numbers, _positive
-from .fftconv import _conv_by_spectrum, _kernel_spectrum, _scratch
+from .fftconv import _conv_by_spectrum, _kernel_spectrum
 from .hippo import skew_hippo_lambda
 from .kernel import (DiagonalParams, _blocked_kernel, _check_layout, _check_sizes, _complex,
                      _diagonal_form, _diagonal_rates, _exp_blocks, _exp_gram, _reduce_phase,
@@ -202,10 +202,10 @@ _ERF_COEFFS = (
 _SQRT2 = math.sqrt(2.0)
 
 # Elements per gelu block: the block's input and output and the three float
-# scratch buffers (1 MiB together) stay in a core's L2 cache across the 32
+# scratch buffers (768 KiB together) stay in a core's L2 cache across the 32
 # elementwise passes of the formula.  Each share of a split layer_forward
-# runs whole blocks: 2^14 per block ran conv_long's layer_forward at 53 ms
-# against 44 ms (two shares, in-process, alternating calls).
+# has its own: 2^14 per block ran conv_long's layer_forward at 42.7 ms
+# against 36.9 ms (two shares, in-process, medians of 12 alternating rounds).
 _GELU_BLOCK = 1 << 15
 
 # Floats in layer_forward's projection scratch: one block of the output,
@@ -244,9 +244,10 @@ def _gelu_into(x, out):
 
     Each block of x is read at the block's start, into x/sqrt(2), and at
     its end, for its sign and x*0.5, before the block of out is written,
-    so writing over x gives the same bits as a fresh out.  The block's
-    three float buffers are a block of ``fftconv._scratch``, which a
-    pool thread keeps between calls.
+    so writing over x gives the same bits as a fresh out.  The loop needs
+    three float buffers of a block; a fourth, for x*0.5, ran the in-place
+    GELU at (4, 16, 16384) in 13.0 ms against 11.2 ms (one thread,
+    in-process, alternating calls).
 
     The loop is branch-free: erf's sign is applied by a sign-bit AND and
     XOR on uint64 views, not by a masked (``where=``) ufunc.  numpy's masked
@@ -256,7 +257,7 @@ def _gelu_into(x, out):
     """
     src, dst = x.reshape(-1), out.reshape(-1)
     size = min(src.size, _GELU_BLOCK)
-    z_buf, t_buf, p_buf = _scratch(3 * size).reshape(3, size)
+    z_buf, t_buf, p_buf = np.empty((3, size))
     for lo in range(0, src.size, _GELU_BLOCK):
         xb, o = src[lo:lo + _GELU_BLOCK], dst[lo:lo + _GELU_BLOCK]
         z, t, p = (buf[:xb.size] for buf in (z_buf, t_buf, p_buf))
@@ -428,7 +429,7 @@ def layer_forward(params, u, mode="conv", kernel_limit=None):
         ys = y[first:stop]
         ys += u[first:stop]
         _gelu_into(ys, ys)
-        scratch = _scratch(min(rows, len(ys)) * h * cols)
+        scratch = np.empty(min(rows, len(ys)) * h * cols)
         for lead in range(0, len(ys), rows):
             for lo in range(0, l, cols):
                 block = ys[lead:lead + rows, :, lo:lo + cols]

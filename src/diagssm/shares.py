@@ -37,7 +37,6 @@ class _Worker:
         threading.Thread(target=self._loop, daemon=True).start()
 
     def _loop(self):
-        _here.pool = True
         while True:
             self.go.acquire()
             self.job()
@@ -45,7 +44,6 @@ class _Worker:
 
 
 _pool = []
-_here = threading.local()                   # .pool is set on the pool's threads
 # Held while a split runs: a split that finds it held (one nested in a
 # share, or one from another thread) runs on its own thread.
 _busy = threading.Lock()
@@ -100,11 +98,6 @@ def _split_rows(count, run, row_floats, step=1):
     for exc in errors:
         if exc is not None:
             raise exc
-
-
-def _on_pool():
-    """Whether the calling thread is one of the pool's."""
-    return getattr(_here, "pool", False)
 
 
 def _wait(lock):

@@ -263,7 +263,8 @@ def test_conv_of_empty_input_is_empty(shape):
 
 def test_conv_traced_peak_is_bounded():
     # The result and the kernel's spectrum (1 and 0.5 x the output's bytes
-    # at B = 4) plus two 2 MB blocks; the whole-array transform held 5 x.
+    # at B = 4) plus the blocks, 1 MB over all shares; the whole-array
+    # transform held 5 x.
     rng = np.random.default_rng(6)
     kernel = rng.standard_normal((16, 16384))
     u = rng.standard_normal((4, 16, 16384))

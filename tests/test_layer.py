@@ -455,8 +455,8 @@ def test_gelu_in_place_holds_four_block_buffers():
 
 def test_conv_layer_forward_holds_one_output_sized_array():
     # With its plan kept, a conv layer_forward allocates its output and,
-    # beside it, two FFT blocks, the GELU's four block buffers and the
-    # projection scratch.  A projection into a fresh array, w_out @ y, put
+    # beside it, the FFT blocks and, in each share of the batch, the
+    # GELU's three block buffers and then the projection scratch.  A projection into a fresh array, w_out @ y, put
     # the traced peak at 2.0x the output, over this bound.
     params = init_layer(16, 64, "exp", 0)
     u = np.random.default_rng(4).standard_normal((4, 16, 16384))

@@ -210,20 +210,36 @@ def test_a_forked_child_gets_the_same_bits(monkeypatch, split_everything):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-def test_pool_threads_keep_their_scratch_and_let_go_of_the_shares(monkeypatch, split_everything):
-    # A pool thread takes the same buffer on every share, the calling
-    # thread a new array each call; after a split no worker still holds
-    # the share's job (and with it the share's arrays).
-    from diagssm import fftconv
+def test_workers_let_go_of_the_shares(monkeypatch, split_everything):
+    # After a split no worker still holds the share's job, and with it the
+    # share's arrays.
     monkeypatch.setattr(shares, "_cores", lambda: 2)
-    seen = {}
+    shares._split_rows(2, lambda lo, hi: None, 1)
+    assert shares._pool and all(worker.job is None for worker in shares._pool)
 
-    def run(lo, hi):
-        seen.setdefault(lo, []).append(fftconv._scratch(64).__array_interface__["data"][0])
 
-    for _ in range(2):
-        shares._split_rows(2, run, 1)
-    assert seen[1][0] == seen[1][1]                          # the worker's kept buffer
-    assert not shares._on_pool()
-    assert not np.shares_memory(fftconv._scratch(64), fftconv._scratch(64))
-    assert all(worker.job is None for worker in shares._pool)
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_conv_block_budgets_add_up_to_the_one_thread_budget(monkeypatch, cores):
+    # Each share's blocks take its rows' part of _BLOCK_BYTES, so the
+    # buffers of all shares stay within it, and a call that does not split
+    # keeps the whole budget.
+    from diagssm import fftconv
+    monkeypatch.setattr(shares, "_cores", lambda: cores)
+    budgets, real = [], fftconv._conv_blocks
+
+    def conv_blocks(spec_k, u, out, budget):
+        budgets.append((len(u), budget))
+        return real(spec_k, u, out, budget)
+
+    monkeypatch.setattr(fftconv, "_conv_blocks", conv_blocks)
+    monkeypatch.setattr(shares, "_MIN_SHARE", 1 << 62)
+    rng = np.random.default_rng(48)
+    kernel, u = rng.standard_normal((4, 16)), rng.standard_normal((5, 4, 16))
+    want = causal_conv_fft(kernel, u)
+    assert budgets == [(5, fftconv._BLOCK_BYTES)]
+    budgets.clear()
+    monkeypatch.setattr(shares, "_MIN_SHARE", 1)
+    assert np.array_equal(causal_conv_fft(kernel, u), want)
+    assert len(budgets) == cores and sum(rows for rows, _ in budgets) == 5
+    assert sum(budget for _, budget in budgets) <= fftconv._BLOCK_BYTES
+    assert all(budget == fftconv._BLOCK_BYTES * rows // 5 for rows, budget in budgets)
